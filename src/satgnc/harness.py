@@ -25,7 +25,8 @@ from .dynamics import (AngularVelocity, BodyState, EulerAngles,
                        euler_to_quat, integrate_step, quat_to_euler,
                        quaternion_error)
 from .pid import PidGains, PidState, accumulate_cost, pid_raw, pid_step
-from .roles import (RoleBundle, anfis_control, anfis_estimate, anfis_integrated)
+from .roles import (EstimateInvalidError, RoleBundle, anfis_control, anfis_estimate,
+                    anfis_integrated)
 from .sensors import (NoiseSpec, SensorReading, TiltedDipoleField, gyro_reading,
                       julian_date, magnetometer_reading, sun_direction_inertial,
                       sun_sensor_reading)
@@ -384,7 +385,7 @@ def _mc_single(args):
     try:
         rec = run_closed_loop(cfg, gains=gains, bundles=bundles)
         return k, final_euler_error(rec)
-    except IntegrationDivergedError:
+    except (IntegrationDivergedError, EstimateInvalidError):
         return k, None
 
 

@@ -2,7 +2,11 @@
 attitude/rate estimator, and the integrated sensors-to-torque subsystem,
 plus their training-data pipelines.
 
-Each role is a bundle of single-output models, one per output channel.
+Each role is a bundle of single-output models, one per output channel,
+all over the same inputs and membership grid.  A bundle evaluates every
+channel in one pass over one premise stack: a single premise row when the
+channels share their premises (the least-squares estimator and integrated
+roles), one row per channel otherwise (the hybrid-trained controller).
 The 15-channel sensor roles default to a pruned 9-channel input (the two
 body-frame direction triplets plus the gyro): with a fixed position and
 epoch the inertial references are constant and carry no information.
@@ -100,26 +104,23 @@ class RoleDataset:
         with open(path, "w", newline="") as fh:
             wr = csv.writer(fh)
             wr.writerow(("run",) + self.input_names + self.target_names)
-            for rid, x, y in zip(self.run_ids, self.inputs, self.targets):
-                wr.writerow([int(rid)] + [repr(float(v)) for v in x]
-                            + [repr(float(v)) for v in y])
+            # the writer formats Python floats with repr: shortest exact digits
+            wr.writerows([rid] + x + y for rid, x, y in zip(
+                self.run_ids.tolist(), self.inputs.tolist(), self.targets.tolist()))
 
     @staticmethod
     def from_csv(path, n_inputs: int) -> "RoleDataset":
         with open(path, newline="") as fh:
-            rd = csv.reader(fh)
-            header = next(rd)
-            rows = [row for row in rd]
-        names = tuple(header[1:])
-        data = np.array([[float(v) for v in row[1:]] for row in rows])
-        ids = np.array([int(row[0]) for row in rows], dtype=np.intp)
-        return RoleDataset(data[:, :n_inputs], data[:, n_inputs:], ids,
-                           names[:n_inputs], names[n_inputs:])
+            names = tuple(next(csv.reader(fh))[1:])
+        data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+        return RoleDataset(data[:, 1:n_inputs + 1], data[:, n_inputs + 1:],
+                           data[:, 0].astype(np.intp), names[:n_inputs], names[n_inputs:])
 
 
 @dataclass
 class RoleBundle:
-    """One trained model per output channel, sharing inputs and normalization."""
+    """One trained model per output channel; every channel must have the
+    same mfs_per_input and input_ranges, so predict can run them together."""
     role: str
     models: list[AnfisModel]
     input_names: tuple[str, ...]
@@ -132,21 +133,26 @@ class RoleBundle:
         # everything predict() needs that does not depend on the input
         self._extrapolation_warned = False
         m0 = self.models[0]
+        for m in self.models[1:]:
+            if (m.mfs_per_input != m0.mfs_per_input
+                    or not np.array_equal(m.input_ranges, m0.input_ranges)):
+                raise ValueError(f"{self.role} bundle channels disagree on their inputs: "
+                                 "every channel needs the same mfs_per_input and "
+                                 "input_ranges")
         r = m0.input_ranges
         self._center = 0.5 * (r[:, 0] + r[:, 1])
         self._limit = 1.5 * np.maximum(0.5 * (r[:, 1] - r[:, 0]), 1e-12)
         self._columns = (None if self.input_columns is None
                          else np.array(self.input_columns, dtype=np.intp))
-        shared = all(
-            m.mfs_per_input == m0.mfs_per_input
-            and all(np.array_equal(x, y) for x, y in zip(m.a, m0.a))
+        self._shared = all(
+            all(np.array_equal(x, y) for x, y in zip(m.a, m0.a))
             and all(np.array_equal(x, y) for x, y in zip(m.b, m0.b))
             and all(np.array_equal(x, y) for x, y in zip(m.c, m0.c))
             for m in self.models[1:]
         )
-        # all channels share premises: evaluate the rule machinery once
-        self._premise = anfis.FlatPremise.of(m0) if shared else None
-        self._stack = np.stack([m.coeffs for m in self.models]) if shared else None
+        # one premise row if all channels share it, else one per channel
+        self._premise = anfis.FlatPremise.of(*(self.models[:1] if self._shared else self.models))
+        self._stack = np.stack([m.coeffs for m in self.models])
 
     @property
     def n_inputs(self) -> int:
@@ -174,9 +180,10 @@ class RoleBundle:
         return self._outputs(x)
 
     def _outputs(self, x: np.ndarray) -> np.ndarray:
-        if self._stack is None:
-            return np.column_stack([anfis.forward_batch(m, x) for m in self.models])
-        wbar = anfis.flat_firing(self._premise, x)
+        x = np.ascontiguousarray(x)     # the per-row products read whole rows
+        if not self._shared:
+            return anfis.forward_stack(self._premise, self._stack, x)
+        wbar = anfis.flat_firing(self._premise, x)[:, 0]
         xaug = np.empty((len(x), x.shape[1] + 1))
         xaug[:, :-1] = x
         xaug[:, -1] = 1.0

@@ -1,8 +1,11 @@
 """Closed-loop harness tests: runs, metrics, persistence, Monte Carlo."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
+from satgnc import anfis
 from satgnc.config import MonteCarloConfig, SimConfig, UNCERTAIN_INERTIA
 from satgnc.dynamics import AngularVelocity, EulerAngles, Torque
 from satgnc.harness import (MissingBundleError, Metrics, RunRecord,
@@ -11,6 +14,7 @@ from satgnc.harness import (MissingBundleError, Metrics, RunRecord,
                             fuel_consumption, monte_carlo, run_closed_loop,
                             settling_time, tuning_objective)
 from satgnc.pid import PidGains
+from satgnc.roles import PRUNED_COLUMNS, STATE_CHANNELS, RoleBundle
 from satgnc.sensors import NoiseSpec
 
 GAINS = PidGains(kp=(-3.0, -5.2, -6.0), kd=(-3.0, -5.2, -6.0),
@@ -71,6 +75,21 @@ class TestRunClosedLoop:
         with pytest.raises(MissingBundleError, match="role"):
             run_closed_loop(SimConfig(estimator="anfis"), gains=GAINS,
                             bundles={"estimator": controller_art["bundle"]})
+
+    def test_observer_loop_matches_per_model_reference(self, bundles):
+        # the fused per-channel controller pass flies exactly the loop that
+        # one forward_batch per torque axis flies
+        ctrl = dataclasses.replace(bundles["controller"])
+        ref = dataclasses.replace(bundles["controller"])
+        ref._outputs = lambda x: np.column_stack(
+            [anfis.forward_batch(m, x) for m in ref.models])
+        cfg = SimConfig(duration=5.0, controller="anfis", estimator="anfis",
+                        modulator="pwpf")
+        runs = [run_closed_loop(cfg, bundles={"controller": c,
+                                              "estimator": bundles["estimator"]})
+                for c in (ctrl, ref)]
+        for name in ("q", "w", "qe", "mc_cmd", "applied", "euler", "est_q", "est_w"):
+            assert np.array_equal(getattr(runs[0], name), getattr(runs[1], name)), name
 
     def test_quaternion_norm_preserved(self):
         rec = run_closed_loop(SimConfig(duration=5.0), gains=GAINS)
@@ -206,6 +225,21 @@ class TestMonteCarlo:
         b = monte_carlo(mc, gains=GAINS, workers=2)
         np.testing.assert_array_equal(a.errors, b.errors)
         np.testing.assert_array_equal(a.sigma3, b.sigma3)
+
+    def test_invalid_estimates_counted_as_failed_runs(self):
+        # an estimator whose quaternion channels predict zero fails every run
+        # on its first step; the campaign still completes and counts them
+        ranges = np.tile([-1.5, 1.5], (len(PRUNED_COLUMNS), 1))
+        models = [anfis.grid_partition_init(ranges, 2) for _ in STATE_CHANNELS]
+        names = tuple(f"in{i}" for i in PRUNED_COLUMNS)
+        bundle = RoleBundle("estimator", models, names, STATE_CHANNELS, PRUNED_COLUMNS)
+        mc = MonteCarloConfig(base=SimConfig(duration=1.0, estimator="anfis"),
+                              n_runs=3, master_seed=3)
+        for workers in (1, 2):
+            rep = monte_carlo(mc, gains=GAINS, bundles={"estimator": bundle},
+                              workers=workers)
+            assert rep.n_failed == mc.n_runs
+            assert np.isnan(rep.errors).all() and np.isnan(rep.mean).all()
 
     def test_degenerate_distribution_zero_sigma(self):
         mc = MonteCarloConfig(base=SimConfig(duration=2.0), n_runs=4,

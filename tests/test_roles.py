@@ -2,6 +2,9 @@
 persistence.  Heavy training shares the session fixtures from conftest."""
 
 import dataclasses
+import json
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -37,17 +40,22 @@ class TestRoleDataset:
 
     def test_csv_round_trip_exact(self, tmp_path):
         rng = np.random.default_rng(0)
-        ds = RoleDataset(rng.normal(size=(15, 3)), rng.normal(size=(15, 2)),
-                         np.repeat([0, 1, 2], 5), ("x1", "x2", "x3"),
-                         ("y1", "y2"))
-        path = tmp_path / "data.csv"
-        ds.to_csv(path)
-        back = RoleDataset.from_csv(path, 3)
-        np.testing.assert_array_equal(back.inputs, ds.inputs)
-        np.testing.assert_array_equal(back.targets, ds.targets)
-        np.testing.assert_array_equal(back.run_ids, ds.run_ids)
-        assert back.input_names == ds.input_names
-        assert back.target_names == ds.target_names
+        extremes = np.array([[5e-324, 1.7976931348623157e308, 1e-5],
+                             [-0.0, -5e-324, -1.7976931348623157e308]])
+        for inputs in (rng.normal(size=(15, 3)),
+                       np.vstack([rng.normal(size=(13, 3)), extremes])):
+            ds = RoleDataset(inputs, rng.normal(size=(15, 2)),
+                             np.repeat([0, 1, 2], 5), ("x1", "x2", "x3"),
+                             ("y1", "y2"))
+            path = tmp_path / "data.csv"
+            ds.to_csv(path)
+            back = RoleDataset.from_csv(path, 3)
+            # bit for bit, which also tells -0.0 from 0.0
+            assert back.inputs.tobytes() == ds.inputs.tobytes()
+            assert back.targets.tobytes() == ds.targets.tobytes()
+            np.testing.assert_array_equal(back.run_ids, ds.run_ids)
+            assert back.input_names == ds.input_names
+            assert back.target_names == ds.target_names
 
 
 class TestDataGeneration:
@@ -191,28 +199,81 @@ class TestBundlePersistence:
     def test_shared_premise_fast_path_matches_generic(self, bundles):
         # the single-sample path the closed loop uses must agree with the
         # batch path bit for bit, inside and well outside the training
-        # envelope, for shared-premise and per-channel bundles alike
+        # envelope, for shared-premise and per-channel bundles alike; the
+        # fused per-channel pass must also equal one forward_batch per model
         rng = np.random.default_rng(1)
         for role in ("integrated", "estimator", "controller"):
             # a fresh bundle, so the session one keeps its one-time warning
             bundle = dataclasses.replace(bundles[role])
-            assert (bundle._stack is None) == (role == "controller")
+            assert bundle._shared == (role != "controller")
             r = bundle.models[0].input_ranges
             span = r[:, 1] - r[:, 0]
             x = np.vstack([rng.uniform(r[:, 0], r[:, 1], size=(300, bundle.n_inputs)),
                            rng.uniform(r[:, 0] - 2.0 * span, r[:, 1] + 2.0 * span,
                                        size=(60, bundle.n_inputs))])
             fast = np.array([bundle.predict(row) for row in x])
-            np.testing.assert_array_equal(fast, bundle.predict_batch(x))
+            batch = bundle.predict_batch(x)
+            np.testing.assert_array_equal(fast, batch)
+            ref = np.column_stack([anfis.forward_batch(m, x) for m in bundle.models])
+            if bundle._shared:
+                # the consequent stack sums in another order than forward_batch
+                np.testing.assert_allclose(batch, ref, rtol=0.0,
+                                           atol=1e-13 * np.abs(ref).max())
+            else:
+                np.testing.assert_array_equal(batch, ref)
 
     def test_shared_premise_underflow_falls_back_to_uniform(self):
-        models = [anfis.grid_partition_init(np.array([[-1.0, 1.0]]), 2)
-                  for _ in range(2)]
-        for m, biases in zip(models, ([1.0, 3.0], [-2.0, 0.0])):
-            m.b[0][:] = 50.0
-            m.coeffs[:, -1] = biases
-        bundle = RoleBundle("integrated", models, ("x",), ("y1", "y2"))
-        assert bundle._stack is not None
+        def bundle_of(slopes):
+            models = [anfis.grid_partition_init(np.array([[-1.0, 1.0]]), 2)
+                      for _ in slopes]
+            for m, slope, biases in zip(models, slopes, ([1.0, 3.0], [-2.0, 0.0])):
+                m.b[0][:] = slope
+                m.coeffs[:, -1] = biases
+            return RoleBundle("integrated", models, ("x",), ("y1", "y2"))
+
+        bundle = bundle_of((50.0, 50.0))
+        assert bundle._shared
         with pytest.warns(UserWarning, match="underflow"):
             y = bundle.predict(np.array([1e9]))
         np.testing.assert_array_equal(y, [2.0, -1.0])
+
+        # per-channel premises: the steeper second channel fires no rule from
+        # x = 10 on, the first only far beyond; one warning counts every
+        # fallen-back (sample, channel) pair, as the per-model passes did
+        bundle = bundle_of((50.0, 200.0))
+        assert not bundle._shared
+        x = np.array([[0.0], [10.0], [1e9]])
+        with warnings.catch_warnings(record=True) as per_model:
+            warnings.simplefilter("always")
+            ref = np.column_stack([anfis.forward_batch(m, x) for m in bundle.models])
+        counts = [int(re.match(r"(\d+) sample", str(w.message)).group(1))
+                  for w in per_model]
+        assert sum(counts) == 3
+        with warnings.catch_warnings(record=True) as fused:
+            warnings.simplefilter("always")
+            y = bundle.predict_batch(x)
+        assert len(fused) == 1
+        assert str(fused[0].message).startswith("3 sample(s) fired no rule above "
+                                                "the underflow floor")
+        np.testing.assert_array_equal(y, ref)
+        np.testing.assert_array_equal(y[2], [2.0, -1.0])
+        assert y[1, 1] == -1.0 and y[1, 0] != 2.0
+
+    def test_mismatched_channels_rejected(self, tmp_path):
+        ranges = np.array([[-1.0, 1.0], [0.0, 1.0]])
+        m0 = anfis.grid_partition_init(ranges, 2)
+        others = (anfis.grid_partition_init(ranges, (2, 3)),
+                  anfis.grid_partition_init(ranges[:1], 2),
+                  anfis.grid_partition_init(ranges + [[0.0, 0.0], [0.0, 1.0]], 2))
+        for other in others:
+            with pytest.raises(ValueError, match="disagree"):
+                RoleBundle("controller", [m0, other], ("x1", "x2"), ("y1", "y2"))
+        # a hand-edited bundle file is rejected on load
+        save_bundle(RoleBundle("controller", [m0, m0.copy()], ("x1", "x2"),
+                               ("y1", "y2")), tmp_path)
+        path = tmp_path / "channel_y2.json"
+        doc = json.loads(path.read_text())
+        doc["input_ranges"][1][1] = 2.0
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match="disagree"):
+            load_bundle(tmp_path)
