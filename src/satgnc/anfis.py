@@ -6,9 +6,10 @@ trained by the classic hybrid rule: a linear least-squares solve for the
 consequent coefficients each epoch, followed by one gradient-descent step
 on the generalized-bell membership parameters.
 
-All models are single-output (MISO); multi-output roles stack one model
-per output channel on top of this module, and forward_stack evaluates
-such a stack in one pass.
+The forward pass and training work on single-output models.  A model may
+also carry a (k, n_rules, n_inputs + 1) stack of consequents, k output
+channels over one shared premise; that is how the role bundles store
+their channels, and save_model/load_model persist either form.
 """
 
 from __future__ import annotations
@@ -30,9 +31,7 @@ __all__ = [
     "bell",
     "FlatPremise",
     "grid_partition_init",
-    "forward",
     "forward_batch",
-    "forward_stack",
     "flat_firing",
     "normalized_firing",
     "design_matrix",
@@ -75,7 +74,8 @@ class AnfisModel:
 
     Premise parameters are stored per input as (n_mfs_i,) arrays a (width),
     b (slope exponent), c (center).  Consequents are one (n_inputs + 1) row
-    per rule: linear coefficients followed by the bias.
+    per rule: linear coefficients followed by the bias; a multi-output model
+    stacks k such tables as (k, n_rules, n_inputs + 1).
     """
     mfs_per_input: tuple[int, ...]
     a: list[np.ndarray]
@@ -191,16 +191,15 @@ def grid_partition_init(ranges, mfs_per_input) -> AnfisModel:
 
 @dataclass(frozen=True)
 class FlatPremise:
-    """The membership parameters of P models with one input layout, as
-    (P, total MFs) arrays: row p holds model p's functions in input order.
+    """A model's membership parameters as flat (total MFs,) arrays, input by
+    input.
 
     columns[j] is the input that membership function j reads; bounds[i] is
     the (start, stop) slice of input i's functions; order maps rule r (the
     row-major order of rule_index) to its position in the layout that
-    _layers builds.  A single model is P = 1; a role bundle whose channels
-    have their own premises stacks all of them, so one pass evaluates every
-    channel.  Training replaces a, b and c every epoch, so this is built on
-    demand, and only holders of fixed models (trained role bundles) keep one.
+    _layers builds.  Training replaces a, b and c every epoch, so this is
+    built on demand, and only holders of fixed models (trained role
+    bundles) keep one.
     """
     a: np.ndarray
     b: np.ndarray
@@ -210,44 +209,38 @@ class FlatPremise:
     order: np.ndarray
 
     @classmethod
-    def of(cls, *models: AnfisModel) -> "FlatPremise":
-        """The stacked premises of models that share mfs_per_input."""
-        mfs = models[0].mfs_per_input
+    def of(cls, model: AnfisModel) -> "FlatPremise":
+        mfs = model.mfs_per_input
         stops = np.cumsum(mfs).tolist()
-        layout = np.arange(models[0].n_rules).reshape(mfs[::-1])
-        return cls(np.stack([np.concatenate(m.a) for m in models]),
-                   np.stack([np.concatenate(m.b) for m in models]),
-                   np.stack([np.concatenate(m.c) for m in models]),
+        layout = np.arange(model.n_rules).reshape(mfs[::-1])
+        return cls(np.concatenate(model.a), np.concatenate(model.b),
+                   np.concatenate(model.c),
                    np.repeat(np.arange(len(mfs)), mfs),
                    tuple(zip([0] + stops[:-1], stops)),
                    layout.transpose(range(len(mfs) - 1, -1, -1)).ravel())
 
 
 def _layers(premise: FlatPremise, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Layers 1-2: all memberships (N, P, total MFs) from one bell
-    evaluation, and the (N, P, n_rules) firing strengths in rule_index order.
+    """Layers 1-2: all memberships (N, total MFs) from one bell evaluation,
+    and the (N, n_rules) firing strengths in rule_index order.
 
-    The firing vector is a running Kronecker product over the N * P
-    (sample, model) rows that multiplies input by input, left to right.
-    Each new input's memberships scale whole rows of the partial product,
-    so the newest input ends up outermost; one gather then restores the
-    rule order.
+    The firing vector is a running Kronecker product that multiplies input
+    by input, left to right.  Each new input's memberships scale whole rows
+    of the partial product, so the newest input ends up outermost; one
+    gather then restores the rule order.
     """
-    mu = bell(x[:, premise.columns][:, None], premise.a, premise.b, premise.c)
-    n, p, m = mu.shape
-    rows = mu.reshape(n * p, m)
+    mu = bell(x[:, premise.columns], premise.a, premise.b, premise.c)
     (start, stop), *rest = premise.bounds
-    w = rows[:, start:stop]
+    w = mu[:, start:stop]
     for start, stop in rest:
-        w = (rows[:, start:stop, None] * w[:, None, :]).reshape(n * p, -1)
-    return mu, np.take(w, premise.order, axis=1).reshape(n, p, -1)
+        w = (mu[:, start:stop, None] * w[:, None, :]).reshape(len(mu), -1)
+    return mu, np.take(w, premise.order, axis=1)
 
 
 def _normalize(w: np.ndarray) -> np.ndarray:
-    """Layer 3, over the rules (last axis) of each model's firing strengths.
-    If every rule of a model underflows for a sample, that row falls back
-    to uniform weights (with a diagnostic counting such rows) instead of
-    dividing by zero."""
+    """Layer 3, over the rules of each sample's firing strengths.  If every
+    rule underflows for a sample, that row falls back to uniform weights
+    (with a diagnostic counting such rows) instead of dividing by zero."""
     s = w.sum(axis=-1, keepdims=True)
     dead = s < FIRING_FLOOR
     if dead.any():
@@ -259,25 +252,23 @@ def _normalize(w: np.ndarray) -> np.ndarray:
 
 
 def flat_firing(premise: FlatPremise, x: np.ndarray) -> np.ndarray:
-    """(N, P, n_rules) normalized firing strengths for the rows of a 2-D x."""
+    """(N, n_rules) normalized firing strengths for the rows of a 2-D x."""
     return _normalize(_layers(premise, x)[1])
 
 
 def normalized_firing(model: AnfisModel, x: np.ndarray) -> np.ndarray:
     """Layer-3 outputs: (N, n_rules) normalized firing strengths of a model."""
     return flat_firing(FlatPremise.of(model),
-                       np.atleast_2d(np.asarray(x, dtype=float)))[:, 0]
+                       np.atleast_2d(np.asarray(x, dtype=float)))
 
 
 def _rule_outputs(coeffs: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Per-rule linear consequents f_r(x), shape (N, P, n_rules), of the
-    models whose (n_rules, d + 1) tables are stacked in a (P, ...) coeffs.
+    """Per-rule linear consequents f_r(x), shape (N, n_rules).
 
     Each row is its own vector-matrix product, so a sample's output does not
     depend on the batch it is evaluated in.
     """
-    return ((x[:, None, None, :] @ coeffs[:, :, :-1].transpose(0, 2, 1))[:, :, 0]
-            + coeffs[:, :, -1])
+    return (x[:, None, :] @ coeffs[:, :-1].T)[:, 0] + coeffs[:, -1]
 
 
 def _check_inputs(model: AnfisModel, x) -> np.ndarray:
@@ -287,38 +278,10 @@ def _check_inputs(model: AnfisModel, x) -> np.ndarray:
     return x
 
 
-def forward_stack(premise: FlatPremise, coeffs: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """(N, P) outputs of the P models stacked in premise and in the
-    (P, n_rules, d + 1) consequents, for the rows of a contiguous 2-D x."""
-    return (flat_firing(premise, x) * _rule_outputs(coeffs, x)).sum(axis=2)
-
-
 def forward_batch(model: AnfisModel, x: np.ndarray) -> np.ndarray:
-    """Model output for each row of x."""
+    """Output of a single-output model for each row of x."""
     x = _check_inputs(model, x)
-    return forward_stack(FlatPremise.of(model), model.coeffs[None], x)[:, 0]
-
-
-@dataclass(frozen=True)
-class LayerOutputs:
-    """Intermediates of one forward evaluation, by layer."""
-    memberships: list[np.ndarray]     # layer 1, per input
-    firing: np.ndarray                # layer 2
-    normalized: np.ndarray            # layer 3
-    weighted: np.ndarray              # layer 4
-    output: float                     # layer 5
-
-
-def forward(model: AnfisModel, x) -> tuple[float, LayerOutputs]:
-    """Single-sample forward pass returning the output and all layer values."""
-    x = _check_inputs(model, np.asarray(x, dtype=float).reshape(1, -1))
-    premise = FlatPremise.of(model)
-    mu, w = _layers(premise, x)
-    wbar = _normalize(w)[:, 0]
-    weighted = wbar * _rule_outputs(model.coeffs[None], x)[:, 0]
-    y = float(weighted.sum())
-    return y, LayerOutputs([mu[0, 0, start:stop] for start, stop in premise.bounds],
-                           w[0, 0], wbar[0], weighted[0], y)
+    return (flat_firing(FlatPremise.of(model), x) * _rule_outputs(model.coeffs, x)).sum(axis=1)
 
 
 def design_matrix(model: AnfisModel, x: np.ndarray) -> np.ndarray:
@@ -396,11 +359,10 @@ def premise_gradient(model: AnfisModel, data: TrainingSet):
     x = _check_inputs(model, data.inputs)
     premise = FlatPremise.of(model)
     mu_flat, w = _layers(premise, x)
-    mu_flat, w = mu_flat[:, 0], w[:, 0]
     s = w.sum(axis=1, keepdims=True)
     s = np.maximum(s, FIRING_FLOOR)
     wbar = w / s
-    f = _rule_outputs(model.coeffs[None], x)[:, 0]
+    f = _rule_outputs(model.coeffs, x)
     y = (wbar * f).sum(axis=1)
     g = 2.0 * (y - data.targets)                      # dE/dy per sample
     dedw = (g / s[:, 0])[:, None] * (f - y[:, None])  # dE/dw_r
@@ -521,6 +483,7 @@ def load_model(path) -> AnfisModel:
         )
     except (KeyError, TypeError) as exc:
         raise ModelFormatError(f"malformed model file {path}: {exc}") from exc
-    if model.coeffs.shape != (model.n_rules, model.n_inputs + 1):
+    if (model.coeffs.ndim not in (2, 3)
+            or model.coeffs.shape[-2:] != (model.n_rules, model.n_inputs + 1)):
         raise ModelFormatError(f"inconsistent consequent table in {path}")
     return model

@@ -14,8 +14,8 @@ from pathlib import Path
 
 from . import roles
 from .config import MonteCarloConfig, load_sim_config
-from .harness import (default_workers, evaluate_controllers, format_evaluation,
-                      monte_carlo, run_closed_loop, tuning_objective)
+from .harness import (evaluate_controllers, format_evaluation, monte_carlo,
+                      run_closed_loop, tuning_objective)
 from .pid import (default_gain_bounds, default_initial_gains, load_gains,
                   optimize_gains, save_gains)
 from .sensors import NoiseSpec
@@ -83,7 +83,6 @@ def cmd_tune_pid(args) -> int:
     cfg = _load_config(args)
     initial = default_initial_gains(cfg.inertia_nominal, args.mc_max)
     result = optimize_gains(tuning_objective(cfg), initial, budget=args.budget,
-                            seed=cfg.seed,
                             bounds=default_gain_bounds(cfg.inertia_nominal))
     out = args.out or (cfg.gains_file or "gains.ini")
     save_gains(result.gains, out, extra={
@@ -208,9 +207,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("monte-carlo", help="robustness campaign")
     common(sp)
     sp.add_argument("--runs", type=int, default=200)
-    sp.add_argument("--workers", type=int, default=None,
-                    help=f"worker processes (default from SATGNC_WORKERS, "
-                         f"currently {default_workers()})")
+    sp.add_argument("--workers", type=int, default=1, help="worker processes")
     sp.set_defaults(func=cmd_monte_carlo)
     return p
 

@@ -90,6 +90,10 @@ class MonteCarloConfig:
     def __post_init__(self):
         if self.n_runs < 1:
             raise ValueError("n_runs must be >= 1")
+        if not self.base.inertia_nominal.realizable():
+            # the campaign redraws perturbed plants until they are realizable
+            raise ValueError("nominal inertia violates the triangle inequality; "
+                             "no realizable plant can be drawn around it")
 
 
 def _fmt(v) -> str:

@@ -29,8 +29,6 @@ __all__ = [
     "BodyState",
     "EulerAngles",
     "IntegrationDivergedError",
-    "dynamics_rhs",
-    "kinematics_rhs",
     "integrate_step",
     "quat_to_dcm",
     "quat_multiply",
@@ -115,11 +113,16 @@ class InertiaTensor(NamedTuple):
     i2: float
     i3: float
 
+    def realizable(self) -> bool:
+        """Whether the moments obey the triangle inequality, as those of any
+        rigid mass distribution do."""
+        i1, i2, i3 = self
+        return i1 + i2 >= i3 and i2 + i3 >= i1 and i1 + i3 >= i2
+
     def validated(self) -> "InertiaTensor":
         if not all(math.isfinite(i) and i > 0.0 for i in self):
             raise ValueError(f"principal moments must be positive and finite, got {tuple(self)}")
-        i1, i2, i3 = self
-        if i1 + i2 < i3 or i2 + i3 < i1 or i1 + i3 < i2:
+        if not self.realizable():
             warnings.warn(
                 f"inertia {tuple(self)} violates the triangle inequality; "
                 "not realizable by a rigid mass distribution",
@@ -138,30 +141,6 @@ class EulerAngles(NamedTuple):
     phi: float
     theta: float
     psi: float
-
-
-def dynamics_rhs(state: BodyState, inertia: InertiaTensor,
-                 mc: Torque, md: Torque) -> AngularVelocity:
-    """Angular acceleration of a rigid body about its principal axes."""
-    w1, w2, w3 = state.w
-    i1, i2, i3 = inertia
-    return AngularVelocity(
-        (mc.m1 + md.m1 - (i3 - i2) * w2 * w3) / i1,
-        (mc.m2 + md.m2 - (i1 - i3) * w1 * w3) / i2,
-        (mc.m3 + md.m3 - (i2 - i1) * w2 * w1) / i3,
-    )
-
-
-def kinematics_rhs(q: Quaternion, w: AngularVelocity) -> tuple[float, float, float, float]:
-    """Quaternion rate q_dot = 0.5 * Omega(w) * q."""
-    q1, q2, q3, q4 = q
-    w1, w2, w3 = w
-    return (
-        0.5 * (w3 * q2 - w2 * q3 + w1 * q4),
-        0.5 * (-w3 * q1 + w1 * q3 + w2 * q4),
-        0.5 * (w2 * q1 - w1 * q2 + w3 * q4),
-        0.5 * (-w1 * q1 - w2 * q2 - w3 * q3),
-    )
 
 
 def integrate_step(state: BodyState, inertia: InertiaTensor,

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import csv
 import math
-import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 
@@ -20,7 +19,7 @@ import numpy as np
 
 from . import pwpf as pwpf_mod
 from .config import MonteCarloConfig, SimConfig, UNCERTAIN_INERTIA, dump_sim_config
-from .dynamics import (AngularVelocity, BodyState, EulerAngles,
+from .dynamics import (AngularVelocity, BodyState, EulerAngles, InertiaTensor,
                        IntegrationDivergedError, Quaternion, Torque,
                        euler_to_quat, integrate_step, quat_to_euler,
                        quaternion_error)
@@ -44,7 +43,6 @@ __all__ = [
     "monte_carlo",
     "evaluate_controllers",
     "format_evaluation",
-    "default_workers",
 ]
 
 CSV_COLUMNS = ("t", "q1", "q2", "q3", "q4", "w1", "w2", "w3",
@@ -168,7 +166,7 @@ def run_closed_loop(config: SimConfig, gains: PidGains | None = None,
 
     state = BodyState(euler_to_quat(config.initial_euler), config.initial_omega)
     pid_state = PidState()
-    pwpf_state = pwpf_mod.reset(config.pwpf) if config.modulator == "pwpf" else None
+    pwpf_state = pwpf_mod.PwpfState() if config.modulator == "pwpf" else None
 
     out_t = np.empty(n + 1)
     out_q = np.empty((n + 1, 4))
@@ -365,16 +363,21 @@ def _mc_run_config(mc: MonteCarloConfig, k: int) -> SimConfig:
     rng = np.random.default_rng(np.random.SeedSequence([mc.master_seed, k]))
     angles = rng.uniform(-mc.angle_range_deg, mc.angle_range_deg, size=3)
     rates = rng.uniform(-mc.rate_range, mc.rate_range, size=3)
-    di = rng.uniform(-mc.inertia_range, mc.inertia_range, size=3)
     base = mc.base
-    inertia = tuple(max(0.1, i + d) for i, d in zip(base.inertia_nominal, di))
+    # unrealizable plants are redrawn from the same stream before the noise
+    # seed, so a run whose first draw is realizable keeps all its numbers
+    while True:
+        di = rng.uniform(-mc.inertia_range, mc.inertia_range, size=3)
+        inertia = InertiaTensor(*(max(0.1, i + d) for i, d in zip(base.inertia_nominal, di)))
+        if inertia.realizable():
+            break
     noise_seed = int(rng.integers(0, 2 ** 31))
     return replace(
         base,
         seed=noise_seed,
         initial_euler=EulerAngles(*angles),
         initial_omega=AngularVelocity(*rates),
-        inertia_true=type(base.inertia_true)(*inertia),
+        inertia_true=inertia,
         noise=replace(base.noise, seed=noise_seed),
     )
 
@@ -389,22 +392,13 @@ def _mc_single(args):
         return k, None
 
 
-def default_workers() -> int:
-    try:
-        return max(1, int(os.environ.get("SATGNC_WORKERS", "1")))
-    except ValueError:
-        return 1
-
-
 def monte_carlo(mc: MonteCarloConfig, gains: PidGains | None = None,
                 bundles: dict | None = None,
-                workers: int | None = None) -> MonteCarloReport:
+                workers: int = 1) -> MonteCarloReport:
     """Run the campaign: randomized initial attitude/rates, per-axis inertia
     perturbation, fresh noise per run -- all derived from the master seed so
     results are independent of worker count and scheduling.
     """
-    if workers is None:
-        workers = default_workers()
     tasks = [(mc, k, gains, bundles) for k in range(mc.n_runs)]
     results: list = [None] * mc.n_runs
     if workers > 1:

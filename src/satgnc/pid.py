@@ -27,10 +27,8 @@ __all__ = [
     "PidGains",
     "PidState",
     "OptimizationResult",
-    "pid_control",
     "pid_raw",
     "pid_step",
-    "saturate",
     "accumulate_cost",
     "optimize_gains",
     "save_gains",
@@ -80,30 +78,6 @@ class PidState:
         self.int_qe = [0.0, 0.0, 0.0]
         self.int_w = [0.0, 0.0, 0.0]
         self.saturated = [False, False, False]
-
-
-def saturate(mc: Torque, mc_max: float) -> Torque:
-    """Per-axis clamp to [-mc_max, +mc_max]."""
-    if not mc_max > 0.0:
-        raise ValueError("mc_max must be positive")
-    return Torque(
-        min(mc_max, max(-mc_max, mc.m1)),
-        min(mc_max, max(-mc_max, mc.m2)),
-        min(mc_max, max(-mc_max, mc.m3)),
-    )
-
-
-def pid_control(qe_vec: Sequence[float], w: Sequence[float],
-                state: PidState, gains: PidGains) -> Torque:
-    """Saturated control moment from the current error and accumulators.
-
-    Pure in its inputs: accumulators are read, never written (see pid_step).
-    """
-    out = [0.0, 0.0, 0.0]
-    for i in range(3):
-        out[i] = (gains.kp[i] * qe_vec[i] + gains.kd[i] * w[i]
-                  + gains.kq[i] * state.int_qe[i] + gains.kw[i] * state.int_w[i])
-    return saturate(Torque(*out), gains.mc_max)
 
 
 def pid_raw(qe_vec: Sequence[float], w: Sequence[float],
@@ -167,7 +141,7 @@ def default_gain_bounds(inertia) -> list[tuple[float, float]]:
 
 
 def optimize_gains(objective: Callable[[PidGains], float], initial: PidGains,
-                   budget: int = 500, seed: int = 0,
+                   budget: int = 500,
                    bounds: list[tuple[float, float]] | None = None
                    ) -> OptimizationResult:
     """Derivative-free (Nelder-Mead simplex) search over the 12 stacked gains.

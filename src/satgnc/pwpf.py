@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 from .dynamics import Torque
 
-__all__ = ["PwpfParams", "PwpfState", "pwpf_step", "reset"]
+__all__ = ["PwpfParams", "PwpfState", "pwpf_step"]
 
 
 @dataclass(frozen=True)
@@ -36,13 +36,9 @@ class PwpfParams:
 
 @dataclass
 class PwpfState:
+    """Modulator state; a fresh one has the filter discharged, thrusters off."""
     f: list[float] = field(default_factory=lambda: [0.0, 0.0, 0.0])
     firing: list[int] = field(default_factory=lambda: [0, 0, 0])
-
-
-def reset(params: PwpfParams) -> PwpfState:
-    """Fresh modulator state: filter discharged, thrusters off."""
-    return PwpfState()
 
 
 def pwpf_step(state: PwpfState, command: Torque, dt: float,

@@ -2,14 +2,13 @@
 attitude/rate estimator, and the integrated sensors-to-torque subsystem,
 plus their training-data pipelines.
 
-Each role is a bundle of single-output models, one per output channel,
-all over the same inputs and membership grid.  A bundle evaluates every
-channel in one pass over one premise stack: a single premise row when the
-channels share their premises (the least-squares estimator and integrated
-roles), one row per channel otherwise (the hybrid-trained controller).
-The 15-channel sensor roles default to a pruned 9-channel input (the two
-body-frame direction triplets plus the gyro): with a fixed position and
-epoch the inertial references are constant and carry no information.
+Each role is a bundle of output channels over one shared premise grid:
+one model whose consequents are a (channels, rules, inputs + 1) stack,
+fit by a single multi-output least-squares solve, so one firing pass
+serves every channel.  The 15-channel sensor roles default to a pruned
+9-channel input (the two body-frame direction triplets plus the gyro):
+with a fixed position and epoch the inertial references are constant and
+carry no information.
 """
 
 from __future__ import annotations
@@ -23,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import anfis
-from .anfis import AnfisModel, TrainConfig, TrainingSet
+from .anfis import AnfisModel
 from .config import NOMINAL_INERTIA, SimConfig
 from .dynamics import AngularVelocity, EulerAngles, InertiaTensor, Quaternion, Torque
 from .pid import PidGains
@@ -49,7 +48,8 @@ __all__ = [
     "load_bundle",
 ]
 
-BUNDLE_FORMAT_VERSION = 1
+BUNDLE_FORMAT_VERSION = 2
+MODEL_FILE = "model.json"
 
 SENSOR_CHANNELS = (
     "ub_body_x", "ub_body_y", "ub_body_z",
@@ -119,10 +119,10 @@ class RoleDataset:
 
 @dataclass
 class RoleBundle:
-    """One trained model per output channel; every channel must have the
-    same mfs_per_input and input_ranges, so predict can run them together."""
+    """The trained channels of a role: one shared premise, and in
+    model.coeffs one (n_rules, n_inputs + 1) consequent table per output."""
     role: str
-    models: list[AnfisModel]
+    model: AnfisModel
     input_names: tuple[str, ...]
     output_names: tuple[str, ...]
     input_columns: tuple[int, ...] | None = None   # selection from the 15-channel vector
@@ -130,33 +130,23 @@ class RoleBundle:
     metadata: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        m = self.model
+        if m.coeffs.shape != (len(self.output_names), m.n_rules, m.n_inputs + 1):
+            raise ValueError(f"{self.role} bundle consequents have shape {m.coeffs.shape}, "
+                             f"expected one ({m.n_rules}, {m.n_inputs + 1}) table for "
+                             f"each of its {len(self.output_names)} outputs")
         # everything predict() needs that does not depend on the input
         self._extrapolation_warned = False
-        m0 = self.models[0]
-        for m in self.models[1:]:
-            if (m.mfs_per_input != m0.mfs_per_input
-                    or not np.array_equal(m.input_ranges, m0.input_ranges)):
-                raise ValueError(f"{self.role} bundle channels disagree on their inputs: "
-                                 "every channel needs the same mfs_per_input and "
-                                 "input_ranges")
-        r = m0.input_ranges
+        r = m.input_ranges
         self._center = 0.5 * (r[:, 0] + r[:, 1])
         self._limit = 1.5 * np.maximum(0.5 * (r[:, 1] - r[:, 0]), 1e-12)
         self._columns = (None if self.input_columns is None
                          else np.array(self.input_columns, dtype=np.intp))
-        self._shared = all(
-            all(np.array_equal(x, y) for x, y in zip(m.a, m0.a))
-            and all(np.array_equal(x, y) for x, y in zip(m.b, m0.b))
-            and all(np.array_equal(x, y) for x, y in zip(m.c, m0.c))
-            for m in self.models[1:]
-        )
-        # one premise row if all channels share it, else one per channel
-        self._premise = anfis.FlatPremise.of(*(self.models[:1] if self._shared else self.models))
-        self._stack = np.stack([m.coeffs for m in self.models])
+        self._premise = anfis.FlatPremise.of(m)
 
     @property
     def n_inputs(self) -> int:
-        return self.models[0].n_inputs
+        return self.model.n_inputs
 
     def predict(self, x) -> np.ndarray:
         """Channel outputs for one input vector (already column-selected)."""
@@ -180,16 +170,13 @@ class RoleBundle:
         return self._outputs(x)
 
     def _outputs(self, x: np.ndarray) -> np.ndarray:
-        x = np.ascontiguousarray(x)     # the per-row products read whole rows
-        if not self._shared:
-            return anfis.forward_stack(self._premise, self._stack, x)
-        wbar = anfis.flat_firing(self._premise, x)[:, 0]
+        wbar = anfis.flat_firing(self._premise, np.ascontiguousarray(x))
         xaug = np.empty((len(x), x.shape[1] + 1))
         xaug[:, :-1] = x
         xaug[:, -1] = 1.0
         # one matrix-vector product per sample and channel, so a row's result
         # does not depend on the batch it is in
-        f = self._stack @ xaug[:, None, :, None]
+        f = self.model.coeffs @ xaug[:, None, :, None]
         return (f[..., 0] @ wbar[:, :, None])[..., 0]
 
 
@@ -317,7 +304,7 @@ def generate_integrated_data(*args, **kwargs) -> RoleDataset:
 def _holdout_rmse(bundle: RoleBundle, holdout: RoleDataset,
                   columns: tuple[int, ...] | None) -> list[float]:
     if len(holdout) == 0:
-        return [float("nan")] * len(bundle.models)
+        return [float("nan")] * len(bundle.output_names)
     x = holdout.inputs if columns is None else holdout.inputs[:, list(columns)]
     pred = bundle.predict_batch(x)
     return [float(np.sqrt(np.mean((pred[:, k] - holdout.targets[:, k]) ** 2)))
@@ -325,22 +312,19 @@ def _holdout_rmse(bundle: RoleBundle, holdout: RoleDataset,
 
 
 def _fit_shared_lse(inputs: np.ndarray, targets: np.ndarray, ranges: np.ndarray,
-                    mfs_per_input, ridge: float) -> list[AnfisModel]:
+                    mfs_per_input, ridge: float) -> AnfisModel:
     """All channels share fixed grid premises; one multi-RHS LSE solve
     shrunk toward the global linear fit of each channel."""
-    proto = anfis.grid_partition_init(ranges, mfs_per_input)
-    a_mat = anfis.design_matrix(proto, inputs)
-    prior = anfis.linear_consequent_prior(proto, inputs, targets)
+    model = anfis.grid_partition_init(ranges, mfs_per_input)
+    a_mat = anfis.design_matrix(model, inputs)
+    prior = anfis.linear_consequent_prior(model, inputs, targets)
     sol = anfis.solve_consequents(a_mat, targets, ridge,
                                   prior.reshape(-1, targets.shape[1]))
-    models = []
-    for k in range(targets.shape[1]):
-        m = proto.copy()
-        m.coeffs = sol[:, k].reshape(proto.n_rules, proto.n_inputs + 1)
-        resid = a_mat @ sol[:, k] - targets[:, k]
-        m.metadata["train_rmse"] = float(np.sqrt(np.mean(resid ** 2)))
-        models.append(m)
-    return models
+    model.coeffs = np.ascontiguousarray(
+        sol.T.reshape(targets.shape[1], model.n_rules, model.n_inputs + 1))
+    resid = a_mat @ sol - targets
+    model.metadata["train_rmse"] = np.sqrt(np.mean(resid ** 2, axis=0)).tolist()
+    return model
 
 
 def _ranges(x: np.ndarray) -> np.ndarray:
@@ -350,23 +334,11 @@ def _ranges(x: np.ndarray) -> np.ndarray:
 
 
 def train_controller(data: RoleDataset, mfs_per_input: int = 2,
-                     config: TrainConfig = TrainConfig(epochs=6, learning_rate=0.02,
-                                                       ridge=1e-2),
                      holdout_fraction: float = 0.1) -> RoleBundle:
-    """One hybrid-trained model per torque axis; held-out RMSE per axis reported."""
-    train_ds, hold_ds = data.split_by_run(holdout_fraction)
-    ranges = _ranges(train_ds.inputs)
-    models = []
-    for k in range(train_ds.targets.shape[1]):
-        m0 = anfis.grid_partition_init(ranges, mfs_per_input)
-        m, _ = anfis.train(m0, TrainingSet(train_ds.inputs, train_ds.targets[:, k]),
-                           config)
-        models.append(m)
-    bundle = RoleBundle("controller", models, data.input_names, TORQUE_CHANNELS,
-                        None, float(data.metadata.get("mc_max", 1.0)))
-    bundle.metadata["holdout_rmse"] = _holdout_rmse(bundle, hold_ds, None)
-    bundle.metadata["mfs_per_input"] = mfs_per_input
-    return bundle
+    """Three torque channels fit by a shared-premise LSE on (q_e, w)."""
+    return _train_role(data, "controller", TORQUE_CHANNELS, mfs_per_input,
+                       columns=None, ridge=1e-2, holdout_fraction=holdout_fraction,
+                       max_samples=12000)
 
 
 def train_estimator(data: RoleDataset, mfs_per_input: int = 2,
@@ -374,8 +346,8 @@ def train_estimator(data: RoleDataset, mfs_per_input: int = 2,
                     ridge: float = 0.1, holdout_fraction: float = 0.1,
                     max_samples: int = 12000) -> RoleBundle:
     """Seven state channels fit by a shared-premise LSE on the pruned inputs."""
-    return _train_sensor_role(data, "estimator", STATE_CHANNELS, mfs_per_input,
-                              columns, ridge, holdout_fraction, max_samples)
+    return _train_role(data, "estimator", STATE_CHANNELS, mfs_per_input,
+                       columns, ridge, holdout_fraction, max_samples)
 
 
 def train_integrated(data: RoleDataset, mfs_per_input: int = 2,
@@ -383,25 +355,31 @@ def train_integrated(data: RoleDataset, mfs_per_input: int = 2,
                      ridge: float = 0.1, holdout_fraction: float = 0.1,
                      max_samples: int = 12000) -> RoleBundle:
     """Three torque channels fit by a shared-premise LSE on the pruned inputs."""
-    return _train_sensor_role(data, "integrated", TORQUE_CHANNELS, mfs_per_input,
-                              columns, ridge, holdout_fraction, max_samples)
+    return _train_role(data, "integrated", TORQUE_CHANNELS, mfs_per_input,
+                       columns, ridge, holdout_fraction, max_samples)
 
 
-def _train_sensor_role(data, role, output_names, mfs_per_input, columns, ridge,
-                       holdout_fraction, max_samples) -> RoleBundle:
+def _train_role(data, role, output_names, mfs_per_input, columns, ridge,
+                holdout_fraction, max_samples) -> RoleBundle:
+    """The one training path: a run-wise holdout split, a strided cap of
+    max_samples training rows, and one shared-premise fit.  columns=None
+    keeps every input."""
     train_ds, hold_ds = data.split_by_run(holdout_fraction)
-    x = train_ds.inputs[:, list(columns)]
+    x = train_ds.inputs if columns is None else train_ds.inputs[:, list(columns)]
     y = train_ds.targets
     if len(x) > max_samples:
         stride = int(np.ceil(len(x) / max_samples))
         x, y = x[::stride], y[::stride]
-    models = _fit_shared_lse(x, y, _ranges(x), mfs_per_input, ridge)
-    bundle = RoleBundle(role, models, tuple(data.input_names[i] for i in columns),
-                        tuple(output_names), tuple(columns),
+    model = _fit_shared_lse(x, y, _ranges(x), mfs_per_input, ridge)
+    input_names = (data.input_names if columns is None
+                   else tuple(data.input_names[i] for i in columns))
+    bundle = RoleBundle(role, model, input_names, tuple(output_names),
+                        None if columns is None else tuple(columns),
                         float(data.metadata.get("mc_max", 1.0)))
-    bundle.metadata["holdout_rmse"] = _holdout_rmse(bundle, hold_ds, tuple(columns))
+    bundle.metadata["holdout_rmse"] = _holdout_rmse(bundle, hold_ds, columns)
     bundle.metadata["mfs_per_input"] = mfs_per_input
-    bundle.metadata["pruned_columns"] = list(columns)
+    if columns is not None:
+        bundle.metadata["pruned_columns"] = list(columns)
     return bundle
 
 
@@ -442,14 +420,11 @@ def anfis_integrated(bundle: RoleBundle, reading: SensorReading) -> Torque:
 
 
 def save_bundle(bundle: RoleBundle, dirpath) -> None:
-    """Bundle directory: per-channel model files plus a manifest."""
+    """Bundle directory: a manifest plus one model file holding the shared
+    premise and the consequent stack."""
     d = Path(dirpath)
     d.mkdir(parents=True, exist_ok=True)
-    files = []
-    for name, model in zip(bundle.output_names, bundle.models):
-        fname = f"channel_{name}.json"
-        anfis.save_model(model, d / fname)
-        files.append(fname)
+    anfis.save_model(bundle.model, d / MODEL_FILE)
     manifest = {
         "format_version": BUNDLE_FORMAT_VERSION,
         "role": bundle.role,
@@ -458,7 +433,6 @@ def save_bundle(bundle: RoleBundle, dirpath) -> None:
         "input_columns": (list(bundle.input_columns)
                           if bundle.input_columns is not None else None),
         "mc_max": bundle.mc_max,
-        "files": files,
         "metadata": bundle.metadata,
     }
     with open(d / "manifest.json", "w") as fh:
@@ -475,11 +449,10 @@ def load_bundle(dirpath) -> RoleBundle:
         manifest = json.load(fh)
     if manifest.get("format_version") != BUNDLE_FORMAT_VERSION:
         raise ValueError(f"unsupported bundle format version in {manifest_path}")
-    models = [anfis.load_model(d / f) for f in manifest["files"]]
     cols = manifest["input_columns"]
     return RoleBundle(
         role=manifest["role"],
-        models=models,
+        model=anfis.load_model(d / MODEL_FILE),
         input_names=tuple(manifest["input_names"]),
         output_names=tuple(manifest["output_names"]),
         input_columns=tuple(cols) if cols is not None else None,

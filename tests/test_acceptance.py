@@ -24,7 +24,7 @@ from satgnc.dynamics import (AngularVelocity, BodyState, EulerAngles,
 from satgnc.harness import (compute_metrics, evaluate_controllers,
                             monte_carlo, run_closed_loop, settling_time)
 from satgnc.pid import save_gains
-from satgnc.pwpf import PwpfParams, pwpf_step, reset
+from satgnc.pwpf import PwpfParams, PwpfState, pwpf_step
 from satgnc.sensors import (CalendarInstant, NoiseSpec, SensorReading,
                             julian_date, solar_angles)
 
@@ -196,13 +196,13 @@ def _reading(vec15):
 def test_c09_pwpf_behavior_and_modulated_loop(tuned):
     params = PwpfParams()
     # zero in, zero out
-    state = reset(params)
+    state = PwpfState()
     for _ in range(200):
         state, out = pwpf_step(state, Torque.zero(), 0.01, params)
         assert out == Torque.zero()
     # sub-threshold constant command never fires: filter settles at Km*c < u_on
     sub = 0.9 * params.u_on / params.km
-    state = reset(params)
+    state = PwpfState()
     fired = False
     for _ in range(2000):
         state, out = pwpf_step(state, Torque(sub, 0.0, 0.0), 0.01, params)
@@ -211,7 +211,7 @@ def test_c09_pwpf_behavior_and_modulated_loop(tuned):
     # duty cycle monotone in command magnitude
     duties = []
     for c in np.linspace(0.12, 0.9, 8):
-        state = reset(params)
+        state = PwpfState()
         on = 0
         for _ in range(4000):
             state, out = pwpf_step(state, Torque(c, 0.0, 0.0), 0.01, params)

@@ -5,8 +5,7 @@ import pytest
 
 from satgnc import anfis
 from satgnc.anfis import (AnfisModel, ModelFormatError, TrainConfig,
-                          TrainingSet, bell, design_matrix, forward,
-                          forward_batch, grid_partition_init,
+                          TrainingSet, bell, design_matrix, forward_batch, grid_partition_init,
                           linear_consequent_prior, lse_consequents,
                           normalized_firing, premise_gradient, train)
 
@@ -112,11 +111,12 @@ class TestForward:
         x = rng.uniform(ranges[:, 0], ranges[:, 1], size=(5, 2))
         batch = forward_batch(m, x)
         for row, y_batch in zip(x, batch):
-            y, layers = forward(m, row)
             # a sample's output does not depend on the batch it is in
-            assert y == forward_batch(m, row[None, :])[0] == y_batch
-            assert layers.normalized.sum() == pytest.approx(1.0)
-            assert layers.weighted.sum() == pytest.approx(y)
+            assert forward_batch(m, row)[0] == forward_batch(m, row[None, :])[0] == y_batch
+            wbar = normalized_firing(m, row)[0]                    # layer 3
+            assert wbar.sum() == pytest.approx(1.0)
+            weighted = wbar * (m.coeffs @ np.append(row, 1.0))     # layer 4
+            assert weighted.sum() == pytest.approx(y_batch)
 
     def test_wrong_input_count_rejected(self):
         rng = np.random.default_rng(4)
@@ -255,17 +255,20 @@ class TestPersistence:
         rng = np.random.default_rng(12)
         m, _ = random_model(rng, n_inputs=3, mfs=2)
         m.metadata["note"] = "fixture"
-        path = tmp_path / "model.json"
-        anfis.save_model(m, path)
-        loaded = anfis.load_model(path)
-        assert loaded.mfs_per_input == m.mfs_per_input
-        for i in range(m.n_inputs):
-            np.testing.assert_array_equal(loaded.a[i], m.a[i])
-            np.testing.assert_array_equal(loaded.b[i], m.b[i])
-            np.testing.assert_array_equal(loaded.c[i], m.c[i])
-        np.testing.assert_array_equal(loaded.coeffs, m.coeffs)
-        np.testing.assert_array_equal(loaded.input_ranges, m.input_ranges)
-        assert loaded.metadata["note"] == "fixture"
+        # a single table, and a stack of two channels over the same premise
+        for coeffs in (m.coeffs, rng.normal(size=(2,) + m.coeffs.shape)):
+            m.coeffs = coeffs
+            path = tmp_path / "model.json"
+            anfis.save_model(m, path)
+            loaded = anfis.load_model(path)
+            assert loaded.mfs_per_input == m.mfs_per_input
+            for i in range(m.n_inputs):
+                np.testing.assert_array_equal(loaded.a[i], m.a[i])
+                np.testing.assert_array_equal(loaded.b[i], m.b[i])
+                np.testing.assert_array_equal(loaded.c[i], m.c[i])
+            np.testing.assert_array_equal(loaded.coeffs, m.coeffs)
+            np.testing.assert_array_equal(loaded.input_ranges, m.input_ranges)
+            assert loaded.metadata["note"] == "fixture"
 
     def test_version_mismatch_rejected(self, tmp_path):
         path = tmp_path / "bad.json"

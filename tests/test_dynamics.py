@@ -10,9 +10,8 @@ from hypothesis import strategies as st
 
 from satgnc.dynamics import (AngularVelocity, BodyState, EulerAngles,
                              InertiaTensor, IntegrationDivergedError,
-                             Quaternion, Torque, angular_momentum, dynamics_rhs,
-                             euler_to_quat, integrate_step, kinematics_rhs,
-                             kinetic_energy, quat_multiply, quat_to_dcm,
+                             Quaternion, Torque, angular_momentum,
+                             euler_to_quat, integrate_step, kinetic_energy, quat_multiply, quat_to_dcm,
                              quat_to_euler, quaternion_error)
 
 NOMINAL = InertiaTensor(1.5, 2.6, 3.0)
@@ -127,23 +126,27 @@ class TestQuaternionError:
 
 
 class TestRhs:
+    """The equations of motion, seen through one integration step."""
+
     def test_zero_rate_zero_torque_is_stationary(self):
         state = BodyState(Quaternion.identity(), AngularVelocity.zero())
-        wd = dynamics_rhs(state, NOMINAL, Torque.zero(), Torque.zero())
-        assert wd == (0.0, 0.0, 0.0)
-        assert kinematics_rhs(state.q, state.w) == (0.0, 0.0, 0.0, 0.0)
+        assert integrate_step(state, NOMINAL, Torque.zero(), Torque.zero(), 0.01) == state
 
     def test_torque_about_principal_axis(self):
         state = BodyState(Quaternion.identity(), AngularVelocity.zero())
-        wd = dynamics_rhs(state, NOMINAL, Torque(0.3, 0.0, 0.0), Torque.zero())
-        assert wd.w1 == pytest.approx(0.3 / NOMINAL.i1)
-        assert wd.w2 == wd.w3 == 0.0
+        q, w = integrate_step(state, NOMINAL, Torque(0.3, 0.0, 0.0), Torque.zero(), 0.01)
+        # constant angular acceleration 0.3 / i1 about axis 1 only
+        assert w.w1 == pytest.approx(0.01 * 0.3 / NOMINAL.i1, rel=1e-12)
+        assert w.w2 == w.w3 == 0.0
+        assert q.q1 > 0.0 and q.q2 == q.q3 == 0.0
 
     def test_disturbance_adds_to_control(self):
         state = BodyState(Quaternion.identity(), AngularVelocity(0.1, -0.2, 0.3))
-        both = dynamics_rhs(state, NOMINAL, Torque(0.1, 0.2, 0.3), Torque(0.05, 0.0, -0.1))
-        merged = dynamics_rhs(state, NOMINAL, Torque(0.15, 0.2, 0.2), Torque.zero())
-        assert both == pytest.approx(merged)
+        both = integrate_step(state, NOMINAL, Torque(0.1, 0.2, 0.3),
+                              Torque(0.05, 0.0, -0.1), 0.01)
+        merged = integrate_step(state, NOMINAL, Torque(0.15, 0.2, 0.2), Torque.zero(), 0.01)
+        np.testing.assert_allclose(both.q + both.w, merged.q + merged.w,
+                                   rtol=0.0, atol=1e-15)
 
 
 class TestIntegration:

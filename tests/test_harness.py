@@ -1,14 +1,14 @@
 """Closed-loop harness tests: runs, metrics, persistence, Monte Carlo."""
 
-import dataclasses
+import warnings
 
 import numpy as np
 import pytest
 
 from satgnc import anfis
 from satgnc.config import MonteCarloConfig, SimConfig, UNCERTAIN_INERTIA
-from satgnc.dynamics import AngularVelocity, EulerAngles, Torque
-from satgnc.harness import (MissingBundleError, Metrics, RunRecord,
+from satgnc.dynamics import AngularVelocity, EulerAngles, InertiaTensor, Torque
+from satgnc.harness import (MissingBundleError, Metrics, RunRecord, _mc_run_config,
                             compute_metrics, evaluate_controllers,
                             final_euler_error, format_evaluation,
                             fuel_consumption, monte_carlo, run_closed_loop,
@@ -75,21 +75,6 @@ class TestRunClosedLoop:
         with pytest.raises(MissingBundleError, match="role"):
             run_closed_loop(SimConfig(estimator="anfis"), gains=GAINS,
                             bundles={"estimator": controller_art["bundle"]})
-
-    def test_observer_loop_matches_per_model_reference(self, bundles):
-        # the fused per-channel controller pass flies exactly the loop that
-        # one forward_batch per torque axis flies
-        ctrl = dataclasses.replace(bundles["controller"])
-        ref = dataclasses.replace(bundles["controller"])
-        ref._outputs = lambda x: np.column_stack(
-            [anfis.forward_batch(m, x) for m in ref.models])
-        cfg = SimConfig(duration=5.0, controller="anfis", estimator="anfis",
-                        modulator="pwpf")
-        runs = [run_closed_loop(cfg, bundles={"controller": c,
-                                              "estimator": bundles["estimator"]})
-                for c in (ctrl, ref)]
-        for name in ("q", "w", "qe", "mc_cmd", "applied", "euler", "est_q", "est_w"):
-            assert np.array_equal(getattr(runs[0], name), getattr(runs[1], name)), name
 
     def test_quaternion_norm_preserved(self):
         rec = run_closed_loop(SimConfig(duration=5.0), gains=GAINS)
@@ -230,9 +215,10 @@ class TestMonteCarlo:
         # an estimator whose quaternion channels predict zero fails every run
         # on its first step; the campaign still completes and counts them
         ranges = np.tile([-1.5, 1.5], (len(PRUNED_COLUMNS), 1))
-        models = [anfis.grid_partition_init(ranges, 2) for _ in STATE_CHANNELS]
+        model = anfis.grid_partition_init(ranges, 2)
+        model.coeffs = np.zeros((len(STATE_CHANNELS),) + model.coeffs.shape)
         names = tuple(f"in{i}" for i in PRUNED_COLUMNS)
-        bundle = RoleBundle("estimator", models, names, STATE_CHANNELS, PRUNED_COLUMNS)
+        bundle = RoleBundle("estimator", model, names, STATE_CHANNELS, PRUNED_COLUMNS)
         mc = MonteCarloConfig(base=SimConfig(duration=1.0, estimator="anfis"),
                               n_runs=3, master_seed=3)
         for workers in (1, 2):
@@ -240,6 +226,34 @@ class TestMonteCarlo:
                               workers=workers)
             assert rep.n_failed == mc.n_runs
             assert np.isnan(rep.errors).all() and np.isnan(rep.mean).all()
+
+    def test_sampled_plants_are_realizable(self):
+        def triangle(i):
+            return i.i1 + i.i2 >= i.i3 and i.i2 + i.i3 >= i.i1 and i.i1 + i.i3 >= i.i2
+
+        for seed in (2024, 0):
+            mc = MonteCarloConfig(base=SimConfig(), n_runs=200, master_seed=seed)
+            kept = 0
+            for k in range(mc.n_runs):
+                cfg = _mc_run_config(mc, k)
+                assert triangle(cfg.inertia_true), (seed, k, cfg.inertia_true)
+                # a realizable first draw is kept, and so is the noise seed
+                # drawn after it
+                rng = np.random.default_rng(np.random.SeedSequence([seed, k]))
+                rng.uniform(size=6)
+                first = InertiaTensor(*np.maximum(0.1, np.asarray(mc.base.inertia_nominal)
+                                                  + rng.uniform(-1.0, 1.0, size=3)))
+                if triangle(first):
+                    kept += 1
+                    assert cfg.inertia_true == first
+                    assert cfg.seed == int(rng.integers(0, 2 ** 31))
+            assert 150 < kept < 200
+        # there is no realizable plant to draw around an unrealizable nominal one
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            base = SimConfig(inertia_nominal=InertiaTensor(1.0, 1.0, 3.0))
+        with pytest.raises(ValueError, match="triangle"):
+            MonteCarloConfig(base=base)
 
     def test_degenerate_distribution_zero_sigma(self):
         mc = MonteCarloConfig(base=SimConfig(duration=2.0), n_runs=4,

@@ -7,34 +7,39 @@ from satgnc.dynamics import Torque
 from satgnc.pid import (GAINS_FORMAT_VERSION, PidGains, PidState,
                         accumulate_cost, default_gain_bounds,
                         default_initial_gains, load_gains, optimize_gains,
-                        pid_control, pid_raw, pid_step, saturate, save_gains)
+                        pid_raw, pid_step, save_gains)
 
 GAINS = PidGains(kp=(-2.0, -2.0, -2.0), kd=(-1.0, -1.0, -1.0),
                  kq=(-0.1, -0.1, -0.1), kw=(-0.05, -0.05, -0.05), mc_max=1.0)
 
 
 class TestSaturate:
+    """The clamp pid_step applies to the raw command, per axis."""
+
     def test_inside_untouched(self):
-        t = Torque(0.5, -0.5, 0.0)
-        assert saturate(t, 1.0) == t
+        # proportional-only commands of -0.5, 0.5 and 0 N*m
+        mc = pid_step((0.25, -0.25, 0.0), (0.0, 0.0, 0.0), PidState(), GAINS, 0.01)
+        assert mc == Torque(-0.5, 0.5, 0.0)
 
     def test_clamped_per_axis(self):
-        assert saturate(Torque(3.0, -3.0, 0.2), 1.0) == Torque(1.0, -1.0, 0.2)
+        # raw commands of -3, 3 and 0.2 N*m against a 1 N*m bound
+        mc = pid_step((1.5, -1.5, -0.1), (0.0, 0.0, 0.0), PidState(), GAINS, 0.01)
+        assert mc == Torque(-1.0, 1.0, 0.2)
 
     def test_invalid_bound(self):
         with pytest.raises(ValueError):
-            saturate(Torque.zero(), 0.0)
+            PidGains(GAINS.kp, GAINS.kd, mc_max=0.0)
 
 
 class TestControlLaw:
     def test_zero_error_zero_torque(self):
         state = PidState()
-        mc = pid_control((0.0, 0.0, 0.0), (0.0, 0.0, 0.0), state, GAINS)
+        mc = pid_step((0.0, 0.0, 0.0), (0.0, 0.0, 0.0), state, GAINS, 0.01)
         assert mc == Torque.zero()
 
     def test_proportional_term(self):
         state = PidState()
-        mc = pid_control((0.1, 0.0, 0.0), (0.0, 0.0, 0.0), state, GAINS)
+        mc = pid_raw((0.1, 0.0, 0.0), (0.0, 0.0, 0.0), state, GAINS)
         assert mc.m1 == pytest.approx(-0.2)
         assert mc.m2 == mc.m3 == 0.0
 
@@ -48,10 +53,10 @@ class TestControlLaw:
             assert raw[i] == pytest.approx(want)
 
     def test_control_is_pure(self):
-        state = PidState()
-        pid_control((0.3, 0.3, 0.3), (0.1, 0.1, 0.1), state, GAINS)
-        assert state.int_qe == [0.0, 0.0, 0.0]
-        assert state.int_w == [0.0, 0.0, 0.0]
+        # pid_raw reads the accumulators and never writes them (see pid_step)
+        state = PidState(int_qe=[0.5, 0.0, 0.0], int_w=[0.0, 0.2, 0.0])
+        pid_raw((0.3, 0.3, 0.3), (0.1, 0.1, 0.1), state, GAINS)
+        assert state == PidState(int_qe=[0.5, 0.0, 0.0], int_w=[0.0, 0.2, 0.0])
 
     def test_step_advances_integrators(self):
         state = PidState()

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from satgnc.dynamics import Torque
-from satgnc.pwpf import PwpfParams, PwpfState, pwpf_step, reset
+from satgnc.pwpf import PwpfParams, PwpfState, pwpf_step
 
 P = PwpfParams()
 DT = 0.01
@@ -14,7 +14,7 @@ DT = 0.01
 
 def run_constant(command, params=P, duration=10.0, state=None):
     """Step the modulator with one constant scalar command on axis 1."""
-    state = state or reset(params)
+    state = state or PwpfState()
     outputs = []
     n = int(round(duration / DT))
     for _ in range(n):
@@ -36,21 +36,24 @@ class TestParams:
 
     def test_dt_vs_time_constant_guard(self):
         with pytest.raises(ValueError, match="too coarse"):
-            pwpf_step(reset(P), Torque.zero(), P.tm, P)
+            pwpf_step(PwpfState(), Torque.zero(), P.tm, P)
 
 
 class TestReset:
     def test_clean_state(self):
-        s = reset(P)
+        s = PwpfState()
         assert s.f == [0.0, 0.0, 0.0]
         assert s.firing == [0, 0, 0]
 
     def test_idempotent(self):
-        assert reset(P) == reset(P)
+        # fresh states share no lists
+        a, b = PwpfState(), PwpfState()
+        a.f[0], a.firing[0] = 1.0, 1
+        assert b == PwpfState()
 
     def test_reset_equals_fresh_after_zero_commands(self):
         s, _ = run_constant(0.0, duration=1.0)
-        assert s == reset(P)
+        assert s == PwpfState()
 
 
 class TestZeroAndThreshold:
@@ -83,7 +86,7 @@ class TestOutputs:
         assert set(np.unique(out)) <= {-P.thrust, 0.0, P.thrust}
 
     def test_axes_independent(self):
-        state = reset(P)
+        state = PwpfState()
         for _ in range(500):
             state, out = pwpf_step(state, Torque(0.5, 0.0, -0.5), DT, P)
         assert state.firing[1] == 0
@@ -155,16 +158,16 @@ class TestDutyCycle:
 class TestStepValidation:
     def test_dt_positive(self):
         with pytest.raises(ValueError):
-            pwpf_step(reset(P), Torque.zero(), 0.0, P)
+            pwpf_step(PwpfState(), Torque.zero(), 0.0, P)
 
     def test_exact_lag_discretization(self):
         # one long step vs many short: the exponential update is exact for a
         # held input, so subdivision cannot change the result
         params = PwpfParams(u_on=5.0, u_off=1.0, km=1.0)  # never fires
         c = 0.5
-        s1 = reset(params)
+        s1 = PwpfState()
         s1, _ = pwpf_step(s1, Torque(c, 0.0, 0.0), 0.02, params)
-        s2 = reset(params)
+        s2 = PwpfState()
         for _ in range(2):
             s2, _ = pwpf_step(s2, Torque(c, 0.0, 0.0), 0.01, params)
         assert s1.f[0] == pytest.approx(s2.f[0], abs=1e-15)

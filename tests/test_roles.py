@@ -3,8 +3,6 @@ persistence.  Heavy training shares the session fixtures from conftest."""
 
 import dataclasses
 import json
-import re
-import warnings
 
 import numpy as np
 import pytest
@@ -100,7 +98,8 @@ class TestDataGeneration:
 class TestControllerBundle:
     def test_mimicry_and_shape(self, controller_art):
         bundle = controller_art["bundle"]
-        assert [m.n_inputs for m in bundle.models] == [6, 6, 6]
+        assert bundle.n_inputs == 6
+        assert bundle.model.coeffs.shape == (3, 2 ** 6, 7)
         assert all(r <= 0.05 for r in bundle.metadata["holdout_rmse"])
 
     def test_control_saturates_to_bound(self, controller_art):
@@ -149,13 +148,10 @@ class TestSensorBundles:
 
     def test_invalid_norm_raises(self, sensor_art):
         bundle = sensor_art["estimator"]
-        broken = RoleBundle("estimator",
-                            [m.copy() for m in bundle.models],
-                            bundle.input_names, bundle.output_names,
-                            bundle.input_columns, bundle.mc_max)
-        for m in broken.models[0:4]:
-            m.coeffs[:] = 0.0
-        broken.__post_init__()
+        model = bundle.model.copy()
+        model.coeffs[0:4] = 0.0
+        broken = RoleBundle("estimator", model, bundle.input_names,
+                            bundle.output_names, bundle.input_columns, bundle.mc_max)
         with pytest.raises(EstimateInvalidError):
             anfis_estimate(broken, make_reading(np.ones(15) * 0.1))
 
@@ -190,23 +186,27 @@ class TestBundlePersistence:
         d = tmp_path / "ctrl"
         save_bundle(controller_art["bundle"], d)
         manifest = d / "manifest.json"
-        manifest.write_text(manifest.read_text().replace(
-            '"format_version": 1', '"format_version": 999'))
-        with pytest.raises(ValueError, match="version"):
-            load_bundle(d)
+        current = json.loads(manifest.read_text())
+        # a future version, and a version-1 directory (one model file per
+        # channel, listed under "files")
+        v1 = dict(current, format_version=1,
+                  files=[f"channel_{name}.json" for name in current["output_names"]])
+        for doc in (dict(current, format_version=999), v1):
+            manifest.write_text(json.dumps(doc))
+            with pytest.raises(ValueError, match="unsupported bundle format version"):
+                load_bundle(d)
 
     @pytest.mark.filterwarnings("ignore:.*training envelope")
     def test_shared_premise_fast_path_matches_generic(self, bundles):
         # the single-sample path the closed loop uses must agree with the
         # batch path bit for bit, inside and well outside the training
-        # envelope, for shared-premise and per-channel bundles alike; the
-        # fused per-channel pass must also equal one forward_batch per model
+        # envelope, and every channel must match a single-output model
+        # rebuilt from the bundle's premise and that channel's table
         rng = np.random.default_rng(1)
         for role in ("integrated", "estimator", "controller"):
             # a fresh bundle, so the session one keeps its one-time warning
             bundle = dataclasses.replace(bundles[role])
-            assert bundle._shared == (role != "controller")
-            r = bundle.models[0].input_ranges
+            r = bundle.model.input_ranges
             span = r[:, 1] - r[:, 0]
             x = np.vstack([rng.uniform(r[:, 0], r[:, 1], size=(300, bundle.n_inputs)),
                            rng.uniform(r[:, 0] - 2.0 * span, r[:, 1] + 2.0 * span,
@@ -214,66 +214,38 @@ class TestBundlePersistence:
             fast = np.array([bundle.predict(row) for row in x])
             batch = bundle.predict_batch(x)
             np.testing.assert_array_equal(fast, batch)
-            ref = np.column_stack([anfis.forward_batch(m, x) for m in bundle.models])
-            if bundle._shared:
-                # the consequent stack sums in another order than forward_batch
-                np.testing.assert_allclose(batch, ref, rtol=0.0,
-                                           atol=1e-13 * np.abs(ref).max())
-            else:
-                np.testing.assert_array_equal(batch, ref)
+            ref = np.column_stack([
+                anfis.forward_batch(dataclasses.replace(bundle.model, coeffs=table), x)
+                for table in bundle.model.coeffs])
+            # the consequent stack sums in another order than forward_batch
+            np.testing.assert_allclose(batch, ref, rtol=0.0,
+                                       atol=1e-13 * np.abs(ref).max())
 
     def test_shared_premise_underflow_falls_back_to_uniform(self):
-        def bundle_of(slopes):
-            models = [anfis.grid_partition_init(np.array([[-1.0, 1.0]]), 2)
-                      for _ in slopes]
-            for m, slope, biases in zip(models, slopes, ([1.0, 3.0], [-2.0, 0.0])):
-                m.b[0][:] = slope
-                m.coeffs[:, -1] = biases
-            return RoleBundle("integrated", models, ("x",), ("y1", "y2"))
-
-        bundle = bundle_of((50.0, 50.0))
-        assert bundle._shared
+        model = anfis.grid_partition_init(np.array([[-1.0, 1.0]]), 2)
+        model.b[0][:] = 50.0
+        model.coeffs = np.zeros((2,) + model.coeffs.shape)
+        model.coeffs[:, :, -1] = [[1.0, 3.0], [-2.0, 0.0]]
+        bundle = RoleBundle("integrated", model, ("x",), ("y1", "y2"))
         with pytest.warns(UserWarning, match="underflow"):
             y = bundle.predict(np.array([1e9]))
         np.testing.assert_array_equal(y, [2.0, -1.0])
 
-        # per-channel premises: the steeper second channel fires no rule from
-        # x = 10 on, the first only far beyond; one warning counts every
-        # fallen-back (sample, channel) pair, as the per-model passes did
-        bundle = bundle_of((50.0, 200.0))
-        assert not bundle._shared
-        x = np.array([[0.0], [10.0], [1e9]])
-        with warnings.catch_warnings(record=True) as per_model:
-            warnings.simplefilter("always")
-            ref = np.column_stack([anfis.forward_batch(m, x) for m in bundle.models])
-        counts = [int(re.match(r"(\d+) sample", str(w.message)).group(1))
-                  for w in per_model]
-        assert sum(counts) == 3
-        with warnings.catch_warnings(record=True) as fused:
-            warnings.simplefilter("always")
-            y = bundle.predict_batch(x)
-        assert len(fused) == 1
-        assert str(fused[0].message).startswith("3 sample(s) fired no rule above "
-                                                "the underflow floor")
-        np.testing.assert_array_equal(y, ref)
-        np.testing.assert_array_equal(y[2], [2.0, -1.0])
-        assert y[1, 1] == -1.0 and y[1, 0] != 2.0
-
     def test_mismatched_channels_rejected(self, tmp_path):
-        ranges = np.array([[-1.0, 1.0], [0.0, 1.0]])
-        m0 = anfis.grid_partition_init(ranges, 2)
-        others = (anfis.grid_partition_init(ranges, (2, 3)),
-                  anfis.grid_partition_init(ranges[:1], 2),
-                  anfis.grid_partition_init(ranges + [[0.0, 0.0], [0.0, 1.0]], 2))
-        for other in others:
-            with pytest.raises(ValueError, match="disagree"):
-                RoleBundle("controller", [m0, other], ("x1", "x2"), ("y1", "y2"))
-        # a hand-edited bundle file is rejected on load
-        save_bundle(RoleBundle("controller", [m0, m0.copy()], ("x1", "x2"),
-                               ("y1", "y2")), tmp_path)
-        path = tmp_path / "channel_y2.json"
-        doc = json.loads(path.read_text())
-        doc["input_ranges"][1][1] = 2.0
-        path.write_text(json.dumps(doc))
-        with pytest.raises(ValueError, match="disagree"):
-            load_bundle(tmp_path)
+        # the consequent stack holds one table per output channel
+        model = anfis.grid_partition_init(np.array([[-1.0, 1.0], [0.0, 1.0]]), 2)
+        for coeffs in (model.coeffs, np.zeros((3, 4, 3)), np.zeros((2, 3, 3)),
+                       np.zeros((2, 4, 2))):
+            with pytest.raises(ValueError, match="consequent"):
+                RoleBundle("controller", dataclasses.replace(model, coeffs=coeffs),
+                           ("x1", "x2"), ("y1", "y2"))
+        # hand-edited model files are rejected on load: a stack with a table
+        # too many, and one whose tables have the wrong width
+        model.coeffs = np.zeros((2, 4, 3))
+        save_bundle(RoleBundle("controller", model, ("x1", "x2"), ("y1", "y2")), tmp_path)
+        path = tmp_path / "model.json"
+        good = json.loads(path.read_text())
+        for coeffs in (np.zeros((3, 4, 3)), np.zeros((2, 4, 2))):
+            path.write_text(json.dumps(dict(good, consequents=coeffs.tolist())))
+            with pytest.raises(ValueError, match="consequent"):
+                load_bundle(tmp_path)
