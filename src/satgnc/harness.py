@@ -5,7 +5,10 @@ A run wires together: sensor sampling of the true state, an estimator
 (truth bypass or the neuro-fuzzy observer), quaternion error against the
 commanded attitude, one of the three controllers, optional PWPF
 modulation, and RK4 plant propagation with the true inertia.  Everything
-is logged on a uniform time grid so all metrics derive from the record.
+is logged on a uniform time grid so all metrics derive from the record: a
+run record is one (samples, 27) matrix in CSV_COLUMNS order, written one
+row per step, and its named fields (t, q, w, qe, ...) are column views.
+The tuning cost is computed from the record's qe and w columns.
 """
 
 from __future__ import annotations
@@ -13,24 +16,26 @@ from __future__ import annotations
 import csv
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import pwpf as pwpf_mod
-from .config import MonteCarloConfig, SimConfig, UNCERTAIN_INERTIA, dump_sim_config
+from .config import (MonteCarloConfig, SimConfig, UNCERTAIN_INERTIA, dump_sim_config,
+                     parse_sim_config)
 from .dynamics import (AngularVelocity, BodyState, EulerAngles, InertiaTensor,
-                       IntegrationDivergedError, Quaternion, Torque,
-                       euler_to_quat, integrate_step, quat_to_euler,
-                       quaternion_error)
-from .pid import PidGains, PidState, accumulate_cost, pid_raw, pid_step
+                       IntegrationDivergedError, Torque, euler_to_quat,
+                       integrate_step, quat_to_dcm, quat_to_euler, quaternion_error)
+from .pid import PidGains, PidState, pid_raw, pid_step, trajectory_cost
 from .roles import (EstimateInvalidError, RoleBundle, anfis_control, anfis_estimate,
                     anfis_integrated)
-from .sensors import (NoiseSpec, SensorReading, TiltedDipoleField, gyro_reading,
-                      julian_date, magnetometer_reading, sun_direction_inertial,
+from .sensors import (GYRO, MAG_BODY, REFERENCES, SENSOR_CHANNELS, SUN_BODY,
+                      NoiseSpec, TiltedDipoleField, gyro_reading, julian_date,
+                      magnetometer_reading, reference_norm, sun_direction_inertial,
                       sun_sensor_reading)
 
 __all__ = [
+    "CSV_COLUMNS",
     "RunRecord",
     "Metrics",
     "MonteCarloReport",
@@ -57,72 +62,61 @@ class MissingBundleError(RuntimeError):
     """A run requested a neuro-fuzzy role whose bundle was not supplied."""
 
 
+def _columns(first: str, last: str | None = None) -> property:
+    """View of the record's column first, or of its columns first..last."""
+    i = CSV_COLUMNS.index(first)
+    index = i if last is None else slice(i, CSV_COLUMNS.index(last) + 1)
+    return property(lambda self: self.data[:, index])
+
+
+def _write_header(fh, config: SimConfig, *extra: str) -> None:
+    for line in dump_sim_config(config).splitlines() + list(extra):
+        fh.write(f"# {line}\n")
+
+
 @dataclass
 class RunRecord:
     """Sampled closed-loop trajectory plus its configuration echo."""
-    t: np.ndarray
-    q: np.ndarray
-    w: np.ndarray
-    qe: np.ndarray
-    mc_cmd: np.ndarray
-    applied: np.ndarray
-    euler: np.ndarray
-    est_q: np.ndarray
-    est_w: np.ndarray
+    data: np.ndarray                   # (samples, 27), in CSV_COLUMNS order
     config: SimConfig
-    cost_j: float
-    sensor: np.ndarray | None = None
+    sensor: np.ndarray | None = None   # (samples, 15) SENSOR_CHANNELS rows, sensor runs only
     mc_raw: np.ndarray | None = None   # unsaturated commands, PID runs only
 
+    t = _columns("t")
+    q = _columns("q1", "q4")
+    w = _columns("w1", "w3")
+    qe = _columns("qe1", "qe3")
+    mc_cmd = _columns("mc1", "mc3")
+    applied = _columns("applied1", "applied3")
+    euler = _columns("phi", "psi")
+    est_q = _columns("est_q1", "est_q4")
+    est_w = _columns("est_w1", "est_w3")
+
     def __len__(self) -> int:
-        return len(self.t)
+        return len(self.data)
+
+    @property
+    def cost_j(self) -> float:
+        return trajectory_cost(self.qe, self.w, self.config.dt)
 
     def to_csv(self, path) -> None:
         with open(path, "w", newline="") as fh:
-            for line in dump_sim_config(self.config).splitlines():
-                fh.write(f"# {line}\n")
+            _write_header(fh, self.config)
             wr = csv.writer(fh)
             wr.writerow(CSV_COLUMNS)
-            for k in range(len(self.t)):
-                row = ([self.t[k]] + list(self.q[k]) + list(self.w[k])
-                       + list(self.qe[k]) + list(self.mc_cmd[k])
-                       + list(self.applied[k]) + list(self.euler[k])
-                       + list(self.est_q[k]) + list(self.est_w[k]))
-                wr.writerow([repr(float(v)) for v in row])
+            # the writer formats Python floats with repr: shortest exact digits
+            wr.writerows(self.data.tolist())
 
     @staticmethod
     def from_csv(path) -> "RunRecord":
-        from .config import parse_sim_config
-        header_lines = []
         with open(path, newline="") as fh:
-            rows = []
-            for line in fh:
-                if line.startswith("# "):
-                    header_lines.append(line[2:])
-                    continue
-                rows.append(line)
-        cfg = parse_sim_config("".join(header_lines))
-        rd = csv.reader(rows)
-        cols = next(rd)
-        if tuple(cols) != CSV_COLUMNS:
+            lines = fh.readlines()
+        n_head = next((i for i, line in enumerate(lines) if not line.startswith("# ")),
+                      len(lines))
+        if tuple(next(csv.reader(lines[n_head:n_head + 1]), ())) != CSV_COLUMNS:
             raise ValueError(f"unexpected run record columns in {path}")
-        data = np.array([[float(v) for v in row] for row in rd])
-        rec = RunRecord(
-            t=data[:, 0], q=data[:, 1:5], w=data[:, 5:8], qe=data[:, 8:11],
-            mc_cmd=data[:, 11:14], applied=data[:, 14:17], euler=data[:, 17:20],
-            est_q=data[:, 20:24], est_w=data[:, 24:27], config=cfg, cost_j=0.0,
-        )
-        rec.cost_j = _cost_from_arrays(rec)
-        return rec
-
-
-def _cost_from_arrays(rec: "RunRecord") -> float:
-    cost = 0.0
-    dt = rec.config.dt
-    n = len(rec.t) - 1
-    for k in range(n):
-        cost = accumulate_cost(cost, rec.qe[k], rec.w[k], dt)
-    return cost
+        cfg = parse_sim_config("".join(line[2:] for line in lines[:n_head]))
+        return RunRecord(np.loadtxt(lines[n_head + 1:], delimiter=",", ndmin=2), cfg)
 
 
 def _require_bundle(bundles: dict | None, role: str) -> RoleBundle:
@@ -141,7 +135,9 @@ def run_closed_loop(config: SimConfig, gains: PidGains | None = None,
 
     The truth estimator bypasses the sensors entirely; the neuro-fuzzy
     estimator and the integrated controller consume noisy sensor readings.
-    The plant always integrates with the true inertia.
+    The plant always integrates with the true inertia.  The controller
+    acts on the error quaternion with nonnegative scalar part, so it takes
+    the shorter way round to the commanded attitude.
     """
     n = config.n_steps
     dt = config.dt
@@ -155,12 +151,17 @@ def run_closed_loop(config: SimConfig, gains: PidGains | None = None,
     est_bundle = _require_bundle(bundles, "estimator") if config.estimator == "anfis" else None
     int_bundle = _require_bundle(bundles, "integrated") if config.controller == "integrated" else None
 
+    data = np.empty((n + 1, len(CSV_COLUMNS)))
+    sense = np.empty((n + 1, len(SENSOR_CHANNELS))) if need_sensors else None
+    raw = np.empty((n + 1, 3)) if config.controller == "pid" else None
     if need_sensors:
         if field_model is None:
             field_model = TiltedDipoleField()
         b_inertial = field_model.field(config.geo, config.epoch)
-        u_b_inertial = b_inertial / np.linalg.norm(b_inertial)
+        b_norm = reference_norm(b_inertial)
         u_s_inertial = sun_direction_inertial(julian_date(config.epoch))
+        s_norm = reference_norm(u_s_inertial)
+        sense[:, REFERENCES] = np.concatenate([b_inertial / b_norm, u_s_inertial])
         rng = np.random.default_rng(
             np.random.SeedSequence([config.seed & 0x7FFFFFFF, config.noise.seed]))
 
@@ -168,79 +169,49 @@ def run_closed_loop(config: SimConfig, gains: PidGains | None = None,
     pid_state = PidState()
     pwpf_state = pwpf_mod.PwpfState() if config.modulator == "pwpf" else None
 
-    out_t = np.empty(n + 1)
-    out_q = np.empty((n + 1, 4))
-    out_w = np.empty((n + 1, 3))
-    out_qe = np.empty((n + 1, 3))
-    out_mc = np.empty((n + 1, 3))
-    out_ap = np.empty((n + 1, 3))
-    out_eu = np.empty((n + 1, 3))
-    out_eq = np.empty((n + 1, 4))
-    out_ew = np.empty((n + 1, 3))
-    out_sense = np.empty((n + 1, 15)) if need_sensors else None
-    out_raw = np.empty((n + 1, 3)) if config.controller == "pid" else None
-    cost = 0.0
-
     dc, da, df = config.disturbance_const, config.disturbance_amp, config.disturbance_freq_hz
 
     for k in range(n + 1):
         t = k * dt
         q, w = state
 
-        reading = None
         if need_sensors:
-            u_b_body = magnetometer_reading(b_inertial, q, config.noise, rng)
-            u_s_body = sun_sensor_reading(u_s_inertial, q, config.noise, rng)
-            w_meas = gyro_reading(w, config.noise, rng)
-            reading = SensorReading(u_b_body, u_s_body, w_meas,
-                                    u_b_inertial, u_s_inertial, t)
-            out_sense[k, 0:3] = u_b_body
-            out_sense[k, 3:6] = u_s_body
-            out_sense[k, 6:9] = reading.u_b_inertial
-            out_sense[k, 9:12] = u_s_inertial
-            out_sense[k, 12:15] = w_meas
+            row = sense[k]
+            dcm = quat_to_dcm(q)
+            row[MAG_BODY] = magnetometer_reading(b_inertial, b_norm, dcm, config.noise, rng)
+            row[SUN_BODY] = sun_sensor_reading(u_s_inertial, s_norm, dcm, config.noise, rng)
+            row[GYRO] = gyro_reading(w, config.noise, rng)
 
         if config.estimator == "anfis":
-            q_hat, w_hat = anfis_estimate(est_bundle, reading)
+            q_hat, w_hat = anfis_estimate(est_bundle, row)
         else:
             q_hat, w_hat = q, w
 
         qe = quaternion_error(q_hat, q_desired)
-        qe_vec = (qe.q1, qe.q2, qe.q3)
+        qe_vec = (qe.q1, qe.q2, qe.q3) if qe.q4 >= 0.0 else (-qe.q1, -qe.q2, -qe.q3)
 
         if config.controller == "pid":
-            out_raw[k] = pid_raw(qe_vec, w_hat, pid_state, gains)
+            raw[k] = pid_raw(qe_vec, w_hat, pid_state, gains)
             mc = pid_step(qe_vec, w_hat, pid_state, gains, dt)
         elif config.controller == "anfis":
             mc = anfis_control(ctrl_bundle, qe_vec, w_hat)
         else:
-            mc = anfis_integrated(int_bundle, reading)
+            mc = anfis_integrated(int_bundle, row)
 
         if pwpf_state is not None:
             pwpf_state, applied = pwpf_mod.pwpf_step(pwpf_state, mc, dt, config.pwpf)
         else:
             applied = mc
 
-        eu = quat_to_euler(q)
-        out_t[k] = t
-        out_q[k] = q
-        out_w[k] = w
-        out_qe[k] = qe_vec
-        out_mc[k] = mc
-        out_ap[k] = applied
-        out_eu[k] = eu
-        out_eq[k] = q_hat
-        out_ew[k] = w_hat
+        data[k] = (t, *q, *w, *qe_vec, *mc, *applied, *quat_to_euler(q), *q_hat, *w_hat)
 
         if k < n:
-            cost = accumulate_cost(cost, qe_vec, w, dt)
             md = Torque(dc.m1 + da.m1 * math.sin(2.0 * math.pi * df * t),
                         dc.m2 + da.m2 * math.sin(2.0 * math.pi * df * t),
                         dc.m3 + da.m3 * math.sin(2.0 * math.pi * df * t))
             state = integrate_step(state, config.inertia_true, applied, md, dt)
 
-    return RunRecord(out_t, out_q, out_w, out_qe, out_mc, out_ap, out_eu,
-                     out_eq, out_ew, config, cost, out_sense, out_raw)
+    return RunRecord(data, config, sense, raw)
 
 
 def fuel_consumption(record: RunRecord) -> tuple[np.ndarray, float]:
@@ -249,10 +220,6 @@ def fuel_consumption(record: RunRecord) -> tuple[np.ndarray, float]:
         raise ValueError("record too short")
     per_axis = np.abs(record.applied[:-1]).sum(axis=0) * record.config.dt
     return per_axis, float(per_axis.sum())
-
-
-def _wrap_deg(x: float) -> float:
-    return (x + 180.0) % 360.0 - 180.0
 
 
 def euler_errors(record: RunRecord) -> np.ndarray:
@@ -343,20 +310,15 @@ class MonteCarloReport:
 
     def to_csv(self, path) -> None:
         with open(path, "w", newline="") as fh:
-            for line in dump_sim_config(self.config.base).splitlines():
-                fh.write(f"# {line}\n")
-            fh.write(f"# n_runs = {self.config.n_runs}\n")
-            fh.write(f"# master_seed = {self.config.master_seed}\n")
-            fh.write(f"# n_failed = {self.n_failed}\n")
+            _write_header(fh, self.config.base, f"n_runs = {self.config.n_runs}",
+                          f"master_seed = {self.config.master_seed}",
+                          f"n_failed = {self.n_failed}")
             wr = csv.writer(fh)
             wr.writerow(["run", "err_phi", "err_theta", "err_psi",
                          "mean_phi", "mean_theta", "mean_psi",
                          "sigma3_phi", "sigma3_theta", "sigma3_psi"])
-            for k in range(len(self.errors)):
-                row = [k] + [repr(float(v)) for v in self.errors[k]] \
-                          + [repr(float(v)) for v in self.mean[k]] \
-                          + [repr(float(v)) for v in self.sigma3[k]]
-                wr.writerow(row)
+            rows = np.column_stack([self.errors, self.mean, self.sigma3]).tolist()
+            wr.writerows([k] + row for k, row in enumerate(rows))
 
 
 def _mc_run_config(mc: MonteCarloConfig, k: int) -> SimConfig:

@@ -29,7 +29,7 @@ __all__ = [
     "OptimizationResult",
     "pid_raw",
     "pid_step",
-    "accumulate_cost",
+    "trajectory_cost",
     "optimize_gains",
     "save_gains",
     "load_gains",
@@ -74,11 +74,6 @@ class PidState:
     int_w: list[float] = field(default_factory=lambda: [0.0, 0.0, 0.0])
     saturated: list[bool] = field(default_factory=lambda: [False, False, False])
 
-    def reset(self) -> None:
-        self.int_qe = [0.0, 0.0, 0.0]
-        self.int_w = [0.0, 0.0, 0.0]
-        self.saturated = [False, False, False]
-
 
 def pid_raw(qe_vec: Sequence[float], w: Sequence[float],
             state: PidState, gains: PidGains) -> Torque:
@@ -108,13 +103,15 @@ def pid_step(qe_vec: Sequence[float], w: Sequence[float],
     return Torque(*mc)
 
 
-def accumulate_cost(cost: float, qe_vec: Sequence[float], w: Sequence[float],
-                    dt: float) -> float:
-    """Rectangle-rule accumulation of the tuning cost integrand."""
+def trajectory_cost(qe: np.ndarray, w: np.ndarray, dt: float) -> float:
+    """Tuning cost J: rectangle-rule integral of sum |w_i| + sum |qe_i| over
+    every sample but the last, summed in step order."""
     if dt <= 0.0:
         raise ValueError("dt must be positive")
-    return cost + dt * (abs(w[0]) + abs(w[1]) + abs(w[2])
-                        + abs(qe_vec[0]) + abs(qe_vec[1]) + abs(qe_vec[2]))
+    a, b = np.abs(w[:-1]), np.abs(qe[:-1])
+    terms = dt * (a[:, 0] + a[:, 1] + a[:, 2] + b[:, 0] + b[:, 1] + b[:, 2])
+    # cumsum adds strictly in order, as a running sum over the steps would
+    return float(np.cumsum(terms)[-1]) if len(terms) else 0.0
 
 
 @dataclass

@@ -26,13 +26,12 @@ from .anfis import AnfisModel
 from .config import NOMINAL_INERTIA, SimConfig
 from .dynamics import AngularVelocity, EulerAngles, InertiaTensor, Quaternion, Torque
 from .pid import PidGains
-from .sensors import NoiseSpec, SensorReading
+from .sensors import SENSOR_CHANNELS, NoiseSpec
 
 __all__ = [
     "RoleBundle",
     "RoleDataset",
     "EstimateInvalidError",
-    "SENSOR_CHANNELS",
     "PRUNED_COLUMNS",
     "generate_controller_data",
     "generate_sensor_data",
@@ -51,13 +50,6 @@ __all__ = [
 BUNDLE_FORMAT_VERSION = 2
 MODEL_FILE = "model.json"
 
-SENSOR_CHANNELS = (
-    "ub_body_x", "ub_body_y", "ub_body_z",
-    "us_body_x", "us_body_y", "us_body_z",
-    "ub_inertial_x", "ub_inertial_y", "ub_inertial_z",
-    "us_inertial_x", "us_inertial_y", "us_inertial_z",
-    "gyro_x", "gyro_y", "gyro_z",
-)
 CONTROLLER_CHANNELS = ("qe1", "qe2", "qe3", "w1", "w2", "w3")
 TORQUE_CHANNELS = ("mc1", "mc2", "mc3")
 STATE_CHANNELS = ("q1", "q2", "q3", "q4", "w1", "w2", "w3")
@@ -125,7 +117,7 @@ class RoleBundle:
     model: AnfisModel
     input_names: tuple[str, ...]
     output_names: tuple[str, ...]
-    input_columns: tuple[int, ...] | None = None   # selection from the 15-channel vector
+    input_columns: tuple[int, ...] | None = None   # selection from the sensor row
     mc_max: float = 1.0
     metadata: dict = field(default_factory=dict)
 
@@ -140,7 +132,8 @@ class RoleBundle:
         r = m.input_ranges
         self._center = 0.5 * (r[:, 0] + r[:, 1])
         self._limit = 1.5 * np.maximum(0.5 * (r[:, 1] - r[:, 0]), 1e-12)
-        self._columns = (None if self.input_columns is None
+        # the bundle's inputs within a 15-channel sensor row (SENSOR_CHANNELS)
+        self._columns = (slice(None) if self.input_columns is None
                          else np.array(self.input_columns, dtype=np.intp))
         self._premise = anfis.FlatPremise.of(m)
 
@@ -383,10 +376,6 @@ def _train_role(data, role, output_names, mfs_per_input, columns, ridge,
     return bundle
 
 
-def _select(bundle: RoleBundle, x15: np.ndarray) -> np.ndarray:
-    return x15 if bundle._columns is None else x15[bundle._columns]
-
-
 def anfis_control(bundle: RoleBundle, qe_vec, w) -> Torque:
     """Per-axis forward pass on (q_e, w), saturated to the training torque bound."""
     if bundle.role != "controller":
@@ -397,12 +386,13 @@ def anfis_control(bundle: RoleBundle, qe_vec, w) -> Torque:
     return Torque(*(min(m, max(-m, float(v))) for v in y))
 
 
-def anfis_estimate(bundle: RoleBundle, reading: SensorReading
+def anfis_estimate(bundle: RoleBundle, row: np.ndarray
                    ) -> tuple[Quaternion, AngularVelocity]:
-    """Attitude and rate estimate; the quaternion channels are renormalized."""
+    """Attitude and rate estimate from a sensor row; the quaternion channels
+    are renormalized."""
     if bundle.role != "estimator":
         raise ValueError(f"expected an estimator bundle, got {bundle.role!r}")
-    y = bundle.predict(_select(bundle, reading.as_vector()))
+    y = bundle.predict(row[bundle._columns])
     qn = float(np.linalg.norm(y[:4]))
     if qn < 0.1:
         raise EstimateInvalidError(f"predicted quaternion norm {qn:.3g} below 0.1")
@@ -410,11 +400,11 @@ def anfis_estimate(bundle: RoleBundle, reading: SensorReading
     return q, AngularVelocity(float(y[4]), float(y[5]), float(y[6]))
 
 
-def anfis_integrated(bundle: RoleBundle, reading: SensorReading) -> Torque:
-    """Sensor reading straight to saturated control torque."""
+def anfis_integrated(bundle: RoleBundle, row: np.ndarray) -> Torque:
+    """Sensor row straight to saturated control torque."""
     if bundle.role != "integrated":
         raise ValueError(f"expected an integrated bundle, got {bundle.role!r}")
-    y = bundle.predict(_select(bundle, reading.as_vector()))
+    y = bundle.predict(row[bundle._columns])
     m = bundle.mc_max
     return Torque(*(min(m, max(-m, float(v))) for v in y))
 

@@ -1,6 +1,11 @@
 """Sensor simulation: magnetometer, sun sensor, rate gyro, and the inertial
 reference vectors (geomagnetic field direction, sun direction) they measure.
 
+One sampling instant is one 15-channel row laid out by SENSOR_CHANNELS,
+which the closed loop fills block by block and the neuro-fuzzy roles read.
+The direction sensors take the step's direction cosine matrix and the norm
+of their constant inertial reference, taken once per run.
+
 The geomagnetic field defaults to a tilted centered dipole behind a small
 interface, so a spherical-harmonic model can be swapped in without touching
 any caller.  The sun ephemeris is the low-precision Vallado algorithm
@@ -10,18 +15,22 @@ any caller.  The sun ephemeris is the low-precision Vallado algorithm
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple, Protocol
 
 import numpy as np
 
-from .dynamics import AngularVelocity, Quaternion, quat_to_dcm
+from .dynamics import AngularVelocity
 
 __all__ = [
     "CalendarInstant",
     "GeoPosition",
     "NoiseSpec",
-    "SensorReading",
+    "SENSOR_CHANNELS",
+    "MAG_BODY",
+    "SUN_BODY",
+    "REFERENCES",
+    "GYRO",
     "FieldModel",
     "TiltedDipoleField",
     "julian_date",
@@ -30,10 +39,21 @@ __all__ = [
     "magnetometer_reading",
     "sun_sensor_reading",
     "gyro_reading",
+    "reference_norm",
     "unit",
 ]
 
 EARTH_RADIUS_KM = 6371.2
+
+SENSOR_CHANNELS = (
+    "ub_body_x", "ub_body_y", "ub_body_z",
+    "us_body_x", "us_body_y", "us_body_z",
+    "ub_inertial_x", "ub_inertial_y", "ub_inertial_z",
+    "us_inertial_x", "us_inertial_y", "us_inertial_z",
+    "gyro_x", "gyro_y", "gyro_z",
+)
+# blocks of the sensor row: magnetometer, sun sensor, both inertial references, gyro
+MAG_BODY, SUN_BODY, REFERENCES, GYRO = slice(0, 3), slice(3, 6), slice(6, 12), slice(12, 15)
 
 
 def unit(v) -> np.ndarray:
@@ -102,25 +122,6 @@ class NoiseSpec:
     @property
     def noiseless(self) -> bool:
         return self.sigma_mag == 0.0 and self.sigma_sun == 0.0 and self.sigma_gyro == 0.0
-
-
-@dataclass(frozen=True)
-class SensorReading:
-    """One sampling instant: body-frame measurements plus the inertial references."""
-    u_b_body: np.ndarray
-    u_s_body: np.ndarray
-    omega_meas: AngularVelocity
-    u_b_inertial: np.ndarray
-    u_s_inertial: np.ndarray
-    t: float
-
-    def as_vector(self) -> np.ndarray:
-        """The 15-channel stacked input used by the neuro-fuzzy roles."""
-        return np.concatenate([
-            self.u_b_body, self.u_s_body,
-            self.u_b_inertial, self.u_s_inertial,
-            np.asarray(self.omega_meas, dtype=float),
-        ])
 
 
 def julian_date(instant: CalendarInstant) -> float:
@@ -208,27 +209,34 @@ class TiltedDipoleField:
         return scale * (3.0 * float(m_hat @ r_hat) * r_hat - m_hat) * -1.0
 
 
-def _direction_with_noise(v_inertial: np.ndarray, q: Quaternion,
-                          sigma: float, rng: np.random.Generator) -> np.ndarray:
+def reference_norm(v_inertial) -> float:
+    """Magnitude of a constant inertial reference, which scales its sensor's
+    noise; rejects a zero or non-finite reference."""
     mag = float(np.linalg.norm(v_inertial))
-    if mag == 0.0:
-        raise ValueError("reference vector has zero magnitude")
-    body = quat_to_dcm(q) @ np.asarray(v_inertial, dtype=float)
+    if mag == 0.0 or not math.isfinite(mag):
+        raise ValueError("reference vector has zero or non-finite magnitude")
+    return mag
+
+
+def _direction_with_noise(v_inertial: np.ndarray, mag: float, dcm: np.ndarray,
+                          sigma: float, rng: np.random.Generator) -> np.ndarray:
+    body = dcm @ v_inertial
     if sigma > 0.0:
         body = body + rng.normal(0.0, sigma * mag, size=3)
     return unit(body)
 
 
-def magnetometer_reading(b_inertial: np.ndarray, q: Quaternion,
+def magnetometer_reading(b_inertial: np.ndarray, b_norm: float, dcm: np.ndarray,
                          noise: NoiseSpec, rng: np.random.Generator) -> np.ndarray:
-    """Unit magnetic-field direction in the body frame, with additive white noise."""
-    return _direction_with_noise(b_inertial, q, noise.sigma_mag, rng)
+    """Unit magnetic-field direction in the body frame (dcm = C_I^B), with
+    additive white noise scaled by the field magnitude b_norm."""
+    return _direction_with_noise(b_inertial, b_norm, dcm, noise.sigma_mag, rng)
 
 
-def sun_sensor_reading(u_s_inertial: np.ndarray, q: Quaternion,
+def sun_sensor_reading(u_s_inertial: np.ndarray, s_norm: float, dcm: np.ndarray,
                        noise: NoiseSpec, rng: np.random.Generator) -> np.ndarray:
-    """Unit sun direction in the body frame, with additive white noise."""
-    return _direction_with_noise(u_s_inertial, q, noise.sigma_sun, rng)
+    """Unit sun direction in the body frame (dcm = C_I^B), with additive white noise."""
+    return _direction_with_noise(u_s_inertial, s_norm, dcm, noise.sigma_sun, rng)
 
 
 def gyro_reading(w: AngularVelocity, noise: NoiseSpec,

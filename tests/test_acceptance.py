@@ -25,8 +25,7 @@ from satgnc.harness import (compute_metrics, evaluate_controllers,
                             monte_carlo, run_closed_loop, settling_time)
 from satgnc.pid import save_gains
 from satgnc.pwpf import PwpfParams, PwpfState, pwpf_step
-from satgnc.sensors import (CalendarInstant, NoiseSpec, SensorReading,
-                            julian_date, solar_angles)
+from satgnc.sensors import CalendarInstant, NoiseSpec, julian_date, solar_angles
 
 NOMINAL = InertiaTensor(1.5, 2.6, 3.0)
 LOOP_NOISE = NoiseSpec(0.001, 0.001, 1e-4, seed=5)
@@ -179,18 +178,12 @@ def test_c08_estimator_accuracy_and_unit_norm(sensor_art):
     rng = np.random.default_rng(3)
     norms = []
     for row in ds.inputs[rng.integers(0, len(ds), size=50)]:
-        q, _ = roles.anfis_estimate(bundle, _reading(row))
+        q, _ = roles.anfis_estimate(bundle, row)
         norms.append(q.norm())
     print(f"attitude RMS {rms:.4f} deg on {len(ds)} held-out samples, "
           f"norm span [{min(norms):.15f}, {max(norms):.15f}]")
     assert rms <= 2.0
     assert all(abs(n - 1.0) < 1e-12 for n in norms)
-
-
-def _reading(vec15):
-    v = np.asarray(vec15, dtype=float)
-    return SensorReading(v[0:3], v[3:6], AngularVelocity(*v[12:15]),
-                         v[6:9], v[9:12], 0.0)
 
 
 def test_c09_pwpf_behavior_and_modulated_loop(tuned):

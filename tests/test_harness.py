@@ -8,8 +8,8 @@ import pytest
 from satgnc import anfis
 from satgnc.config import MonteCarloConfig, SimConfig, UNCERTAIN_INERTIA
 from satgnc.dynamics import AngularVelocity, EulerAngles, InertiaTensor, Torque
-from satgnc.harness import (MissingBundleError, Metrics, RunRecord, _mc_run_config,
-                            compute_metrics, evaluate_controllers,
+from satgnc.harness import (CSV_COLUMNS, MissingBundleError, Metrics, RunRecord,
+                            _mc_run_config, compute_metrics, evaluate_controllers,
                             final_euler_error, format_evaluation,
                             fuel_consumption, monte_carlo, run_closed_loop,
                             settling_time, tuning_objective)
@@ -27,13 +27,13 @@ def synthetic_record(t, euler_err, desired=(0.0, 0.0, 0.0), applied=None, dt=Non
     dt = dt if dt is not None else float(t[1] - t[0])
     cfg = SimConfig(dt=dt, duration=float(t[-1]) if t[-1] >= dt else dt,
                     desired_euler=EulerAngles(*desired))
-    euler = np.asarray(euler_err, dtype=float) + np.asarray(desired)
-    zeros3 = np.zeros((n, 3))
-    q = np.tile([0.0, 0.0, 0.0, 1.0], (n, 1))
-    return RunRecord(np.asarray(t, dtype=float), q, zeros3, zeros3,
-                     zeros3 if applied is None else np.asarray(applied),
-                     zeros3 if applied is None else np.asarray(applied),
-                     euler, q, zeros3, cfg, 0.0)
+    rec = RunRecord(np.zeros((n, len(CSV_COLUMNS))), cfg)
+    rec.t[:] = t
+    rec.q[:, 3] = rec.est_q[:, 3] = 1.0
+    if applied is not None:
+        rec.mc_cmd[:] = rec.applied[:] = applied
+    rec.euler[:] = np.asarray(euler_err, dtype=float) + np.asarray(desired)
+    return rec
 
 
 class TestRunClosedLoop:
@@ -80,6 +80,16 @@ class TestRunClosedLoop:
         rec = run_closed_loop(SimConfig(duration=5.0), gains=GAINS)
         np.testing.assert_allclose(np.linalg.norm(rec.q, axis=1), 1.0,
                                    atol=1e-12)
+
+    def test_pid_slews_the_short_way(self):
+        # -100 to +100 deg of yaw: the short way (160 deg) runs through
+        # +/-180, the long way (200 deg) through 0
+        cfg = SimConfig(duration=30.0, initial_euler=EulerAngles(0.0, 0.0, -100.0),
+                        initial_omega=AngularVelocity.zero(),
+                        desired_euler=EulerAngles(0.0, 0.0, 100.0))
+        rec = run_closed_loop(cfg, gains=GAINS)
+        assert np.min(np.abs(rec.euler[:, 2])) > 45.0
+        assert abs(final_euler_error(rec)[2]) < 1.0
 
     def test_disturbance_biases_steady_state(self):
         quiet = run_closed_loop(SimConfig(), gains=GAINS)
@@ -156,10 +166,12 @@ class TestRecordPersistence:
         path = tmp_path / "run.csv"
         rec.to_csv(path)
         back = RunRecord.from_csv(path)
+        assert back.data.shape == (len(rec), len(CSV_COLUMNS))
+        np.testing.assert_array_equal(back.data, rec.data)
         np.testing.assert_array_equal(back.q, rec.q)
         np.testing.assert_array_equal(back.applied, rec.applied)
         assert back.config == rec.config
-        assert back.cost_j == pytest.approx(rec.cost_j, rel=1e-15)
+        assert back.cost_j == rec.cost_j
         a1, t1 = fuel_consumption(rec)
         a2, t2 = fuel_consumption(back)
         np.testing.assert_array_equal(a1, a2)

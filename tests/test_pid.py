@@ -5,9 +5,9 @@ import pytest
 
 from satgnc.dynamics import Torque
 from satgnc.pid import (GAINS_FORMAT_VERSION, PidGains, PidState,
-                        accumulate_cost, default_gain_bounds,
-                        default_initial_gains, load_gains, optimize_gains,
-                        pid_raw, pid_step, save_gains)
+                        default_gain_bounds, default_initial_gains, load_gains,
+                        optimize_gains, pid_raw, pid_step, save_gains,
+                        trajectory_cost)
 
 GAINS = PidGains(kp=(-2.0, -2.0, -2.0), kd=(-1.0, -1.0, -1.0),
                  kq=(-0.1, -0.1, -0.1), kw=(-0.05, -0.05, -0.05), mc_max=1.0)
@@ -74,20 +74,34 @@ class TestControlLaw:
         assert state.int_qe[1] == pytest.approx(0.0001)
 
     def test_reset(self):
-        state = PidState(int_qe=[1.0, 1.0, 1.0], int_w=[2.0, 2.0, 2.0],
-                         saturated=[True, True, True])
-        state.reset()
-        assert state == PidState()
+        # every run starts from a fresh state: cleared, and sharing no lists
+        a, b = PidState(), PidState()
+        assert a.int_qe == a.int_w == [0.0, 0.0, 0.0]
+        assert a.saturated == [False, False, False]
+        pid_step((1.0, 0.01, 0.0), (0.0, 0.2, 0.0), a, GAINS, 0.01)
+        assert b == PidState() != a
 
 
 class TestCost:
     def test_accumulation(self):
-        c = accumulate_cost(0.0, (0.1, -0.2, 0.3), (0.4, -0.5, 0.6), 0.01)
-        assert c == pytest.approx(0.01 * 2.1)
+        qe = np.array([[0.1, -0.2, 0.3], [9.0, 9.0, 9.0]])
+        w = np.array([[0.4, -0.5, 0.6], [9.0, 9.0, 9.0]])
+        # the last sample ends the run and adds nothing
+        assert trajectory_cost(qe, w, 0.01) == pytest.approx(0.01 * 2.1)
+
+    def test_equals_sequential_sum(self):
+        rng = np.random.default_rng(12)
+        qe, w = rng.normal(size=(2001, 3)), rng.normal(size=(2001, 3))
+        cost = 0.0
+        for k in range(2000):
+            cost += 0.01 * (abs(w[k, 0]) + abs(w[k, 1]) + abs(w[k, 2])
+                            + abs(qe[k, 0]) + abs(qe[k, 1]) + abs(qe[k, 2]))
+        assert trajectory_cost(qe, w, 0.01) == cost
+        assert trajectory_cost(qe[:1], w[:1], 0.01) == 0.0
 
     def test_invalid_dt(self):
         with pytest.raises(ValueError):
-            accumulate_cost(0.0, (0.0,) * 3, (0.0,) * 3, 0.0)
+            trajectory_cost(np.zeros((2, 3)), np.zeros((2, 3)), 0.0)
 
 
 class TestGainsType:

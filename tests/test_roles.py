@@ -13,16 +13,9 @@ from satgnc.pid import PidGains
 from satgnc.roles import (EstimateInvalidError, PRUNED_COLUMNS, RoleBundle,
                           RoleDataset, anfis_control, anfis_estimate,
                           anfis_integrated, load_bundle, save_bundle)
-from satgnc.sensors import SensorReading
 
 QUICK_GAINS = PidGains(kp=(-3.0, -5.2, -6.0), kd=(-3.0, -5.2, -6.0),
                        kq=(-0.01, -0.01, -0.01), kw=(-0.01, -0.01, -0.01))
-
-
-def make_reading(vec15):
-    v = np.asarray(vec15, dtype=float)
-    return SensorReading(v[0:3], v[3:6], AngularVelocity(*v[12:15]),
-                         v[6:9], v[9:12], 0.0)
 
 
 class TestRoleDataset:
@@ -112,7 +105,7 @@ class TestControllerBundle:
             anfis_control(sensor_art["estimator"], (0.0,) * 3, (0.0,) * 3)
         with pytest.raises(ValueError, match="estimator"):
             anfis_estimate(controller_art["bundle"],
-                           make_reading(np.ones(15)))
+                           np.ones(15))
 
     def test_extrapolation_warns_once(self, controller_art):
         bundle = load_bundle_roundtrip(controller_art["bundle"])
@@ -131,7 +124,7 @@ class TestSensorBundles:
     def test_estimator_outputs(self, sensor_art):
         ds = sensor_art["clean_estimator_data"]
         bundle = sensor_art["estimator"]
-        q, w = anfis_estimate(bundle, make_reading(ds.inputs[0]))
+        q, w = anfis_estimate(bundle, ds.inputs[0])
         assert isinstance(q, Quaternion) and isinstance(w, AngularVelocity)
         assert q.norm() == pytest.approx(1.0, abs=1e-12)
 
@@ -153,11 +146,11 @@ class TestSensorBundles:
         broken = RoleBundle("estimator", model, bundle.input_names,
                             bundle.output_names, bundle.input_columns, bundle.mc_max)
         with pytest.raises(EstimateInvalidError):
-            anfis_estimate(broken, make_reading(np.ones(15) * 0.1))
+            anfis_estimate(broken, np.ones(15) * 0.1)
 
     def test_integrated_saturates(self, sensor_art):
         bundle = sensor_art["integrated"]
-        out = anfis_integrated(bundle, make_reading(np.ones(15)))
+        out = anfis_integrated(bundle, np.ones(15))
         assert isinstance(out, Torque)
         assert all(abs(v) <= bundle.mc_max for v in out)
 

@@ -5,11 +5,17 @@ import math
 import numpy as np
 import pytest
 
+from satgnc.config import SimConfig
 from satgnc.dynamics import AngularVelocity, Quaternion, quat_to_dcm
-from satgnc.sensors import (CalendarInstant, GeoPosition, NoiseSpec,
-                            SensorReading, TiltedDipoleField, gyro_reading,
-                            julian_date, magnetometer_reading, solar_angles,
-                            sun_direction_inertial, sun_sensor_reading, unit)
+from satgnc.harness import run_closed_loop
+from satgnc.pid import PidGains
+from satgnc.sensors import (SENSOR_CHANNELS, CalendarInstant, GeoPosition,
+                            NoiseSpec, TiltedDipoleField, gyro_reading,
+                            julian_date, magnetometer_reading, reference_norm,
+                            solar_angles, sun_direction_inertial,
+                            sun_sensor_reading, unit)
+
+IDENTITY_DCM = np.eye(3)
 
 
 class TestJulianDate:
@@ -109,26 +115,27 @@ class TestDirectionalSensors:
         q = Quaternion.from_axis_angle([0.3, -0.5, 0.8], 0.9)
         b_inertial = np.array([10000.0, -20000.0, 5000.0])
         noise = NoiseSpec(0.0, 0.0, 0.0)
-        got = magnetometer_reading(b_inertial, q, noise, rng)
+        got = magnetometer_reading(b_inertial, reference_norm(b_inertial),
+                                   quat_to_dcm(q), noise, rng)
         want = unit(quat_to_dcm(q) @ b_inertial)
         np.testing.assert_allclose(got, want, atol=1e-15)
 
     def test_reading_always_unit(self):
         rng = np.random.default_rng(1)
-        q = Quaternion.identity()
         noise = NoiseSpec(0.05, 0.05, 0.0)
         for _ in range(50):
-            u = sun_sensor_reading(np.array([1.0, 0.0, 0.0]), q, noise, rng)
+            u = sun_sensor_reading(np.array([1.0, 0.0, 0.0]), 1.0, IDENTITY_DCM,
+                                   noise, rng)
             assert np.linalg.norm(u) == pytest.approx(1.0)
 
     def test_noise_scales_with_field_magnitude(self):
         # the same sigma produces the same angular scatter regardless of units
         rng1 = np.random.default_rng(2)
         rng2 = np.random.default_rng(2)
-        q = Quaternion.identity()
         noise = NoiseSpec(sigma_mag=0.01)
-        a = magnetometer_reading(np.array([1.0, 0.0, 0.0]), q, noise, rng1)
-        b = magnetometer_reading(np.array([30000.0, 0.0, 0.0]), q, noise, rng2)
+        small, large = np.array([1.0, 0.0, 0.0]), np.array([30000.0, 0.0, 0.0])
+        a = magnetometer_reading(small, reference_norm(small), IDENTITY_DCM, noise, rng1)
+        b = magnetometer_reading(large, reference_norm(large), IDENTITY_DCM, noise, rng2)
         np.testing.assert_allclose(a, b, atol=1e-14)
 
     def test_mean_angular_deviation_matches_sigma(self):
@@ -138,19 +145,16 @@ class TestDirectionalSensors:
         rng = np.random.default_rng(3)
         noise = NoiseSpec(sigma_sun=sigma)
         ref = np.array([1.0, 0.0, 0.0])
-        q = Quaternion.identity()
         angles = np.empty(10000)
         for k in range(len(angles)):
-            u = sun_sensor_reading(ref, q, noise, rng)
+            u = sun_sensor_reading(ref, 1.0, IDENTITY_DCM, noise, rng)
             angles[k] = math.acos(min(1.0, float(u @ ref)))
         predicted = sigma * math.sqrt(math.pi / 2.0)
         assert np.mean(angles) == pytest.approx(predicted, rel=0.10)
 
     def test_zero_reference_rejected(self):
-        rng = np.random.default_rng(4)
-        with pytest.raises(ValueError):
-            magnetometer_reading(np.zeros(3), Quaternion.identity(),
-                                 NoiseSpec(), rng)
+        with pytest.raises(ValueError, match="zero"):
+            reference_norm(np.zeros(3))
 
 
 class TestGyro:
@@ -169,11 +173,25 @@ class TestGyro:
 
 class TestReadingVector:
     def test_layout(self):
-        r = SensorReading(np.array([1.0, 2.0, 3.0]), np.array([4.0, 5.0, 6.0]),
-                          AngularVelocity(13.0, 14.0, 15.0),
-                          np.array([7.0, 8.0, 9.0]), np.array([10.0, 11.0, 12.0]),
-                          0.0)
-        np.testing.assert_array_equal(r.as_vector(), np.arange(1.0, 16.0))
+        # a noise-free run records [C b, C s, b/|b|, s, w] per step, in the
+        # order SENSOR_CHANNELS names them
+        gains = PidGains(kp=(-3.0, -5.2, -6.0), kd=(-3.0, -5.2, -6.0))
+        cfg = SimConfig(duration=1.0, noise=NoiseSpec(0.0, 0.0, 0.0))
+        rec = run_closed_loop(cfg, gains=gains, record_sensors=True)
+        b = TiltedDipoleField().field(cfg.geo, cfg.epoch)
+        s = sun_direction_inertial(julian_date(cfg.epoch))
+        col = {name: i for i, name in enumerate(SENSOR_CHANNELS)}
+
+        def block(prefix):
+            return rec.sensor[:, [col[prefix + axis] for axis in ("x", "y", "z")]]
+
+        dcms = [quat_to_dcm(q) for q in rec.q]
+        np.testing.assert_array_equal(block("ub_body_"), [unit(c @ b) for c in dcms])
+        np.testing.assert_array_equal(block("us_body_"), [unit(c @ s) for c in dcms])
+        np.testing.assert_array_equal(block("ub_inertial_"), np.tile(unit(b), (len(rec), 1)))
+        np.testing.assert_array_equal(block("us_inertial_"), np.tile(s, (len(rec), 1)))
+        np.testing.assert_array_equal(block("gyro_"), rec.w)
+        assert len(SENSOR_CHANNELS) == rec.sensor.shape[1] == 15
 
 
 class TestNoiseSpecValidation:
