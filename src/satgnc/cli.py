@@ -15,12 +15,10 @@ from pathlib import Path
 from . import roles
 from .config import MonteCarloConfig, load_sim_config
 from .harness import (evaluate_controllers, format_evaluation, monte_carlo,
-                      run_closed_loop, tuning_objective)
+                      needed_roles, run_closed_loop, tuning_objective)
 from .pid import (default_gain_bounds, default_initial_gains, load_gains,
                   optimize_gains, save_gains)
-from .sensors import NoiseSpec
-
-ROLE_NAMES = ("controller", "estimator", "integrated")
+from .sensors import SENSOR_CHANNELS, NoiseSpec
 
 
 class CliError(RuntimeError):
@@ -57,21 +55,10 @@ def _load_bundles(cfg, needed):
     return bundles
 
 
-def _needed_roles(cfg):
-    needed = set()
-    if cfg.controller == "anfis":
-        needed.add("controller")
-    if cfg.controller == "integrated":
-        needed.add("integrated")
-    if cfg.estimator == "anfis":
-        needed.add("estimator")
-    return sorted(needed)
-
-
 def cmd_simulate(args) -> int:
     cfg = _load_config(args)
     gains = _load_run_gains(cfg) if cfg.controller == "pid" else None
-    bundles = _load_bundles(cfg, _needed_roles(cfg))
+    bundles = _load_bundles(cfg, needed_roles(cfg))
     rec = run_closed_loop(cfg, gains=gains, bundles=bundles)
     out = args.out or "run_record.csv"
     rec.to_csv(out)
@@ -99,16 +86,14 @@ def cmd_tune_pid(args) -> int:
 def cmd_gen_data(args) -> int:
     cfg = _load_config(args)
     gains = _load_run_gains(cfg)
-    seed = cfg.seed
-    if args.role == "controller":
-        ds = roles.generate_controller_data(gains, n_conditions=args.runs or 15,
-                                            duration=cfg.duration, dt=cfg.dt,
-                                            seed=seed)
+    spec = roles.ROLES[args.role]
+    n_runs = args.runs or spec.runs
+    if spec.inputs == SENSOR_CHANNELS:
+        ds = roles.generate_sensor_data(gains, n_runs, cfg.duration, cfg.dt, cfg.seed,
+                                        cfg.noise, base=cfg)
     else:
-        gen = (roles.generate_estimator_data if args.role == "estimator"
-               else roles.generate_integrated_data)
-        ds = gen(gains, n_scenarios=args.runs or 12, duration=cfg.duration,
-                 dt=cfg.dt, seed=seed, noise=cfg.noise, base=cfg)
+        ds = roles.generate_controller_data(gains, n_runs, cfg.duration, cfg.dt, cfg.seed)
+    ds = roles.role_view(ds, args.role)
     out = args.out or f"{args.role}_data.csv"
     ds.to_csv(out)
     print(f"wrote {len(ds)} samples to {out}")
@@ -120,14 +105,9 @@ def cmd_train(args) -> int:
     path = Path(args.data)
     if not path.exists():
         raise CliError(f"dataset not found: {path}")
-    n_inputs = 6 if args.role == "controller" else 15
-    ds = roles.RoleDataset.from_csv(path, n_inputs)
-    if args.role == "controller":
-        bundle = roles.train_controller(ds)
-    elif args.role == "estimator":
-        bundle = roles.train_estimator(ds)
-    else:
-        bundle = roles.train_integrated(ds)
+    ds = roles.RoleDataset.from_csv(path, len(roles.ROLES[args.role].inputs))
+    # looked up by name at call time, so a wrapper swapped in for it is called
+    bundle = getattr(roles, f"train_{args.role}")(ds)
     out = args.out or (str(Path(cfg.bundle_dir) / args.role) if cfg.bundle_dir
                        else args.role)
     roles.save_bundle(bundle, out)
@@ -154,7 +134,7 @@ def cmd_evaluate(args) -> int:
 def cmd_monte_carlo(args) -> int:
     cfg = _load_config(args)
     gains = _load_run_gains(cfg) if cfg.controller == "pid" else None
-    bundles = _load_bundles(cfg, _needed_roles(cfg))
+    bundles = _load_bundles(cfg, needed_roles(cfg))
     mc = MonteCarloConfig(base=cfg, n_runs=args.runs,
                           master_seed=args.seed if args.seed is not None else cfg.seed)
     report = monte_carlo(mc, gains=gains, bundles=bundles, workers=args.workers)
@@ -189,14 +169,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("gen-data", help="generate a training dataset")
     common(sp)
-    sp.add_argument("--role", required=True, choices=ROLE_NAMES)
+    sp.add_argument("--role", required=True, choices=tuple(roles.ROLES))
     sp.add_argument("--runs", type=int, default=None,
-                    help="number of training trajectories")
+                    help="number of teacher runs (default: the role's own)")
     sp.set_defaults(func=cmd_gen_data)
 
     sp = sub.add_parser("train", help="train a role bundle from a dataset")
     common(sp)
-    sp.add_argument("--role", required=True, choices=ROLE_NAMES)
+    sp.add_argument("--role", required=True, choices=tuple(roles.ROLES))
     sp.add_argument("--data", required=True, help="dataset CSV path")
     sp.set_defaults(func=cmd_train)
 

@@ -1,16 +1,18 @@
 """Run configuration: the flat key = value (INI) schema shared by the CLI
 commands, plus the nominal scenario defaults used throughout.
 
-Every output file echoes its configuration for provenance, so parsing and
-serialization must round-trip exactly.
+The schema is one table, LAYOUT, which both dump_sim_config and
+parse_sim_config walk; every default is SimConfig()'s.  Every output file
+echoes its configuration for provenance, so parsing and serialization
+must round-trip exactly: floats are written as their shortest exact repr.
 """
 
 from __future__ import annotations
 
 import configparser
 import io
-import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
+from functools import reduce
 
 from .dynamics import AngularVelocity, EulerAngles, InertiaTensor, Torque
 from .pwpf import PwpfParams
@@ -21,6 +23,7 @@ __all__ = [
     "MonteCarloConfig",
     "NOMINAL_INERTIA",
     "UNCERTAIN_INERTIA",
+    "LAYOUT",
     "load_sim_config",
     "parse_sim_config",
     "dump_sim_config",
@@ -96,6 +99,43 @@ class MonteCarloConfig:
                              "no realizable plant can be drawn around it")
 
 
+# The INI layout, stated once and in file order: (section, key, field of
+# SimConfig, kind).  A dotted field is one field of a nested record.
+# dump_sim_config writes every row; parse_sim_config reads the rows present
+# and keeps SimConfig()'s value for the others.
+LAYOUT = (
+    ("simulation", "dt", "dt", "float"),
+    ("simulation", "duration", "duration", "float"),
+    ("simulation", "seed", "seed", "int"),
+    ("inertia", "nominal", "inertia_nominal", "triple"),
+    ("inertia", "true", "inertia_true", "triple"),
+    ("initial", "euler_deg", "initial_euler", "triple"),
+    ("initial", "omega_rad_s", "initial_omega", "triple"),
+    ("desired", "euler_deg", "desired_euler", "triple"),
+    ("noise", "sigma_mag", "noise.sigma_mag", "float"),
+    ("noise", "sigma_sun", "noise.sigma_sun", "float"),
+    ("noise", "sigma_gyro", "noise.sigma_gyro", "float"),
+    ("noise", "seed", "noise.seed", "int"),
+    ("disturbance", "constant", "disturbance_const", "triple"),
+    ("disturbance", "amplitude", "disturbance_amp", "triple"),
+    ("disturbance", "frequency_hz", "disturbance_freq_hz", "float"),
+    ("geo", "latitude_deg", "geo.latitude", "float"),
+    ("geo", "longitude_deg", "geo.longitude", "float"),
+    ("geo", "altitude_km", "geo.altitude", "float"),
+    ("geo", "epoch", "epoch", "epoch"),
+    ("loop", "controller", "controller", "str"),
+    ("loop", "estimator", "estimator", "str"),
+    ("loop", "modulator", "modulator", "str"),
+    ("pwpf", "km", "pwpf.km", "float"),
+    ("pwpf", "tm", "pwpf.tm", "float"),
+    ("pwpf", "u_on", "pwpf.u_on", "float"),
+    ("pwpf", "u_off", "pwpf.u_off", "float"),
+    ("pwpf", "thrust", "pwpf.thrust", "float"),
+    ("artifacts", "gains_file", "gains_file", "str"),
+    ("artifacts", "bundle_dir", "bundle_dir", "str"),
+)
+
+
 def _fmt(v) -> str:
     return repr(float(v))
 
@@ -107,57 +147,34 @@ def _triple(s: str) -> tuple[float, float, float]:
     return tuple(parts)
 
 
+def _epoch(s: str) -> CalendarInstant:
+    try:
+        date_part, time_part = s.split()
+        y, mo, d = (int(p) for p in date_part.split("-"))
+        hh, mm, ss = time_part.split(":")
+        return CalendarInstant(y, mo, d, int(hh), int(mm), float(ss))
+    except ValueError as exc:
+        raise ValueError(f"malformed epoch {s!r}") from exc
+
+
+# kind -> (value to text, (text, SimConfig() value) to value)
+_KINDS = {
+    "float": (_fmt, lambda s, _: float(s)),
+    "int": (str, lambda s, _: int(s)),
+    "str": (str, lambda s, _: s),
+    "triple": (lambda v: ", ".join(_fmt(x) for x in v),
+               lambda s, default: type(default)(*_triple(s))),
+    "epoch": (lambda e: "{}-{:02d}-{:02d} {:02d}:{:02d}:{}".format(*e[:5], _fmt(e.second)),
+              lambda s, _: _epoch(s)),
+}
+
+
 def dump_sim_config(cfg: SimConfig) -> str:
     cp = configparser.ConfigParser()
-    cp["simulation"] = {
-        "dt": _fmt(cfg.dt),
-        "duration": _fmt(cfg.duration),
-        "seed": str(cfg.seed),
-    }
-    cp["inertia"] = {
-        "nominal": ", ".join(_fmt(v) for v in cfg.inertia_nominal),
-        "true": ", ".join(_fmt(v) for v in cfg.inertia_true),
-    }
-    cp["initial"] = {
-        "euler_deg": ", ".join(_fmt(v) for v in cfg.initial_euler),
-        "omega_rad_s": ", ".join(_fmt(v) for v in cfg.initial_omega),
-    }
-    cp["desired"] = {"euler_deg": ", ".join(_fmt(v) for v in cfg.desired_euler)}
-    cp["noise"] = {
-        "sigma_mag": _fmt(cfg.noise.sigma_mag),
-        "sigma_sun": _fmt(cfg.noise.sigma_sun),
-        "sigma_gyro": _fmt(cfg.noise.sigma_gyro),
-        "seed": str(cfg.noise.seed),
-    }
-    cp["disturbance"] = {
-        "constant": ", ".join(_fmt(v) for v in cfg.disturbance_const),
-        "amplitude": ", ".join(_fmt(v) for v in cfg.disturbance_amp),
-        "frequency_hz": _fmt(cfg.disturbance_freq_hz),
-    }
-    cp["geo"] = {
-        "latitude_deg": _fmt(cfg.geo.latitude),
-        "longitude_deg": _fmt(cfg.geo.longitude),
-        "altitude_km": _fmt(cfg.geo.altitude),
-        "epoch": "{}-{:02d}-{:02d} {:02d}:{:02d}:{}".format(
-            cfg.epoch.year, cfg.epoch.month, cfg.epoch.day,
-            cfg.epoch.hour, cfg.epoch.minute, _fmt(cfg.epoch.second)),
-    }
-    cp["loop"] = {
-        "controller": cfg.controller,
-        "estimator": cfg.estimator,
-        "modulator": cfg.modulator,
-    }
-    cp["pwpf"] = {
-        "km": _fmt(cfg.pwpf.km),
-        "tm": _fmt(cfg.pwpf.tm),
-        "u_on": _fmt(cfg.pwpf.u_on),
-        "u_off": _fmt(cfg.pwpf.u_off),
-        "thrust": _fmt(cfg.pwpf.thrust),
-    }
-    cp["artifacts"] = {
-        "gains_file": cfg.gains_file,
-        "bundle_dir": cfg.bundle_dir,
-    }
+    for section, key, path, kind in LAYOUT:
+        if not cp.has_section(section):
+            cp.add_section(section)
+        cp.set(section, key, _KINDS[kind][0](reduce(getattr, path.split("."), cfg)))
     buf = io.StringIO()
     cp.write(buf)
     return buf.getvalue()
@@ -169,66 +186,19 @@ def parse_sim_config(text: str) -> SimConfig:
         cp.read_string(text)
     except configparser.Error as exc:
         raise ValueError(f"malformed configuration: {exc}") from exc
-
-    def get(section, key, conv, default):
-        if cp.has_option(section, key):
-            return conv(cp.get(section, key))
-        return default
-
     base = SimConfig()
-    epoch = base.epoch
-    if cp.has_option("geo", "epoch"):
-        raw = cp.get("geo", "epoch")
-        try:
-            date_part, time_part = raw.split()
-            y, mo, d = (int(p) for p in date_part.split("-"))
-            hh, mm, ss = time_part.split(":")
-            epoch = CalendarInstant(y, mo, d, int(hh), int(mm), float(ss))
-        except ValueError as exc:
-            raise ValueError(f"malformed epoch {raw!r}") from exc
-
-    return SimConfig(
-        dt=get("simulation", "dt", float, base.dt),
-        duration=get("simulation", "duration", float, base.duration),
-        seed=get("simulation", "seed", int, base.seed),
-        inertia_nominal=InertiaTensor(*get("inertia", "nominal", _triple,
-                                           tuple(base.inertia_nominal))),
-        inertia_true=InertiaTensor(*get("inertia", "true", _triple,
-                                        tuple(base.inertia_true))),
-        initial_euler=EulerAngles(*get("initial", "euler_deg", _triple,
-                                       tuple(base.initial_euler))),
-        initial_omega=AngularVelocity(*get("initial", "omega_rad_s", _triple,
-                                           tuple(base.initial_omega))),
-        desired_euler=EulerAngles(*get("desired", "euler_deg", _triple,
-                                       tuple(base.desired_euler))),
-        noise=NoiseSpec(
-            sigma_mag=get("noise", "sigma_mag", float, 0.0),
-            sigma_sun=get("noise", "sigma_sun", float, 0.0),
-            sigma_gyro=get("noise", "sigma_gyro", float, 0.0),
-            seed=get("noise", "seed", int, 0),
-        ),
-        disturbance_const=Torque(*get("disturbance", "constant", _triple, (0.0, 0.0, 0.0))),
-        disturbance_amp=Torque(*get("disturbance", "amplitude", _triple, (0.0, 0.0, 0.0))),
-        disturbance_freq_hz=get("disturbance", "frequency_hz", float, 0.0),
-        geo=GeoPosition(
-            latitude=get("geo", "latitude_deg", float, base.geo.latitude),
-            longitude=get("geo", "longitude_deg", float, base.geo.longitude),
-            altitude=get("geo", "altitude_km", float, base.geo.altitude),
-        ),
-        epoch=epoch,
-        controller=get("loop", "controller", str, base.controller),
-        estimator=get("loop", "estimator", str, base.estimator),
-        modulator=get("loop", "modulator", str, base.modulator),
-        pwpf=PwpfParams(
-            km=get("pwpf", "km", float, base.pwpf.km),
-            tm=get("pwpf", "tm", float, base.pwpf.tm),
-            u_on=get("pwpf", "u_on", float, base.pwpf.u_on),
-            u_off=get("pwpf", "u_off", float, base.pwpf.u_off),
-            thrust=get("pwpf", "thrust", float, base.pwpf.thrust),
-        ),
-        gains_file=get("artifacts", "gains_file", str, ""),
-        bundle_dir=get("artifacts", "bundle_dir", str, ""),
-    )
+    records: dict[str, dict] = {}     # "" holds SimConfig's own fields
+    for section, key, path, kind in LAYOUT:
+        if cp.has_option(section, key):
+            record, _, name = path.rpartition(".")
+            records.setdefault(record, {})[name] = _KINDS[kind][1](
+                cp.get(section, key), reduce(getattr, path.split("."), base))
+    fields = records.pop("", {})
+    for record, values in records.items():
+        old = getattr(base, record)
+        fields[record] = (old._replace(**values) if isinstance(old, tuple)
+                          else replace(old, **values))
+    return replace(base, **fields)
 
 
 def load_sim_config(path) -> SimConfig:

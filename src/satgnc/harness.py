@@ -26,9 +26,9 @@ from .config import (MonteCarloConfig, SimConfig, UNCERTAIN_INERTIA, dump_sim_co
 from .dynamics import (AngularVelocity, BodyState, EulerAngles, InertiaTensor,
                        IntegrationDivergedError, Torque, euler_to_quat,
                        integrate_step, quat_to_dcm, quat_to_euler, quaternion_error)
-from .pid import PidGains, PidState, pid_raw, pid_step, trajectory_cost
-from .roles import (EstimateInvalidError, RoleBundle, anfis_control, anfis_estimate,
-                    anfis_integrated)
+from .pid import PidGains, PidState, pid_step, trajectory_cost
+from .roles import (ROLES, EstimateInvalidError, RoleBundle, anfis_control,
+                    anfis_estimate, anfis_integrated)
 from .sensors import (GYRO, MAG_BODY, REFERENCES, SENSOR_CHANNELS, SUN_BODY,
                       NoiseSpec, TiltedDipoleField, gyro_reading, julian_date,
                       magnetometer_reading, reference_norm, sun_direction_inertial,
@@ -40,6 +40,7 @@ __all__ = [
     "Metrics",
     "MonteCarloReport",
     "MissingBundleError",
+    "needed_roles",
     "run_closed_loop",
     "fuel_consumption",
     "settling_time",
@@ -119,6 +120,14 @@ class RunRecord:
         return RunRecord(np.loadtxt(lines[n_head + 1:], delimiter=",", ndmin=2), cfg)
 
 
+def needed_roles(config: SimConfig) -> list[str]:
+    """The roles whose trained bundles a run of config needs."""
+    return [role for role, needed in (("controller", config.controller == "anfis"),
+                                      ("estimator", config.estimator == "anfis"),
+                                      ("integrated", config.controller == "integrated"))
+            if needed]
+
+
 def _require_bundle(bundles: dict | None, role: str) -> RoleBundle:
     if not bundles or role not in bundles or bundles[role] is None:
         raise MissingBundleError(f"run requires a trained {role!r} bundle")
@@ -130,7 +139,7 @@ def _require_bundle(bundles: dict | None, role: str) -> RoleBundle:
 
 def run_closed_loop(config: SimConfig, gains: PidGains | None = None,
                     bundles: dict | None = None,
-                    field_model=None, record_sensors: bool = False) -> RunRecord:
+                    record_sensors: bool = False) -> RunRecord:
     """Simulate one closed loop and log every sample.
 
     The truth estimator bypasses the sensors entirely; the neuro-fuzzy
@@ -143,21 +152,18 @@ def run_closed_loop(config: SimConfig, gains: PidGains | None = None,
     dt = config.dt
     q_desired = euler_to_quat(config.desired_euler)
 
-    need_sensors = (config.estimator == "anfis" or config.controller == "integrated"
-                    or record_sensors)
     if config.controller == "pid" and gains is None:
         raise ValueError("PID run requires gains")
-    ctrl_bundle = _require_bundle(bundles, "controller") if config.controller == "anfis" else None
-    est_bundle = _require_bundle(bundles, "estimator") if config.estimator == "anfis" else None
-    int_bundle = _require_bundle(bundles, "integrated") if config.controller == "integrated" else None
+    loop = {role: _require_bundle(bundles, role) for role in needed_roles(config)}
+    ctrl_bundle, est_bundle, int_bundle = (
+        loop.get("controller"), loop.get("estimator"), loop.get("integrated"))
+    need_sensors = record_sensors or any(ROLES[r].inputs == SENSOR_CHANNELS for r in loop)
 
     data = np.empty((n + 1, len(CSV_COLUMNS)))
     sense = np.empty((n + 1, len(SENSOR_CHANNELS))) if need_sensors else None
     raw = np.empty((n + 1, 3)) if config.controller == "pid" else None
     if need_sensors:
-        if field_model is None:
-            field_model = TiltedDipoleField()
-        b_inertial = field_model.field(config.geo, config.epoch)
+        b_inertial = TiltedDipoleField().field(config.geo, config.epoch)
         b_norm = reference_norm(b_inertial)
         u_s_inertial = sun_direction_inertial(julian_date(config.epoch))
         s_norm = reference_norm(u_s_inertial)
@@ -191,8 +197,7 @@ def run_closed_loop(config: SimConfig, gains: PidGains | None = None,
         qe_vec = (qe.q1, qe.q2, qe.q3) if qe.q4 >= 0.0 else (-qe.q1, -qe.q2, -qe.q3)
 
         if config.controller == "pid":
-            raw[k] = pid_raw(qe_vec, w_hat, pid_state, gains)
-            mc = pid_step(qe_vec, w_hat, pid_state, gains, dt)
+            mc, raw[k] = pid_step(qe_vec, w_hat, pid_state, gains, dt)
         elif config.controller == "anfis":
             mc = anfis_control(ctrl_bundle, qe_vec, w_hat)
         else:
@@ -206,9 +211,8 @@ def run_closed_loop(config: SimConfig, gains: PidGains | None = None,
         data[k] = (t, *q, *w, *qe_vec, *mc, *applied, *quat_to_euler(q), *q_hat, *w_hat)
 
         if k < n:
-            md = Torque(dc.m1 + da.m1 * math.sin(2.0 * math.pi * df * t),
-                        dc.m2 + da.m2 * math.sin(2.0 * math.pi * df * t),
-                        dc.m3 + da.m3 * math.sin(2.0 * math.pi * df * t))
+            s = math.sin(2.0 * math.pi * df * t)
+            md = Torque(dc.m1 + da.m1 * s, dc.m2 + da.m2 * s, dc.m3 + da.m3 * s)
             state = integrate_step(state, config.inertia_true, applied, md, dt)
 
     return RunRecord(data, config, sense, raw)

@@ -85,9 +85,10 @@ def pid_raw(qe_vec: Sequence[float], w: Sequence[float],
 
 
 def pid_step(qe_vec: Sequence[float], w: Sequence[float],
-             state: PidState, gains: PidGains, dt: float) -> Torque:
+             state: PidState, gains: PidGains, dt: float) -> tuple[Torque, Torque]:
     """One controller update: compute the torque, then advance the integrators.
 
+    Returns the saturated torque and the unsaturated command it clamps.
     An axis whose unsaturated command exceeds the bound keeps its
     accumulators frozen for this step (anti-windup).
     """
@@ -100,7 +101,7 @@ def pid_step(qe_vec: Sequence[float], w: Sequence[float],
             state.int_qe[i] += dt * qe_vec[i]
             state.int_w[i] += dt * w[i]
         mc[i] = min(gains.mc_max, max(-gains.mc_max, raw[i]))
-    return Torque(*mc)
+    return Torque(*mc), raw
 
 
 def trajectory_cost(qe: np.ndarray, w: np.ndarray, dt: float) -> float:

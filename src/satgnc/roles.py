@@ -2,10 +2,17 @@
 attitude/rate estimator, and the integrated sensors-to-torque subsystem,
 plus their training-data pipelines.
 
+ROLES states each role once: its dataset's input channels, its output
+channels, the input columns its bundle reads, its ridge and its default
+number of teacher runs; training, the dataset views and the CLI read it.
+All three roles learn from one PID teacher-run loop: the controller from
+noise-free (q_e, w) runs, the estimator and the integrated subsystem from
+views of one sensor dataset.
+
 Each role is a bundle of output channels over one shared premise grid:
 one model whose consequents are a (channels, rules, inputs + 1) stack,
 fit by a single multi-output least-squares solve, so one firing pass
-serves every channel.  The 15-channel sensor roles default to a pruned
+serves every channel.  The 15-channel sensor roles read a pruned
 9-channel input (the two body-frame direction triplets plus the gyro):
 with a fixed position and epoch the inertial references are constant and
 carry no information.
@@ -24,7 +31,7 @@ import numpy as np
 from . import anfis
 from .anfis import AnfisModel
 from .config import NOMINAL_INERTIA, SimConfig
-from .dynamics import AngularVelocity, EulerAngles, InertiaTensor, Quaternion, Torque
+from .dynamics import AngularVelocity, EulerAngles, Quaternion, Torque
 from .pid import PidGains
 from .sensors import SENSOR_CHANNELS, NoiseSpec
 
@@ -33,10 +40,11 @@ __all__ = [
     "RoleDataset",
     "EstimateInvalidError",
     "PRUNED_COLUMNS",
+    "ROLES",
+    "RoleSpec",
     "generate_controller_data",
     "generate_sensor_data",
-    "generate_estimator_data",
-    "generate_integrated_data",
+    "role_view",
     "train_controller",
     "train_estimator",
     "train_integrated",
@@ -56,6 +64,29 @@ STATE_CHANNELS = ("q1", "q2", "q3", "q4", "w1", "w2", "w3")
 
 # body-frame magnetometer + sun sensor + gyro; inertial references dropped
 PRUNED_COLUMNS = (0, 1, 2, 3, 4, 5, 12, 13, 14)
+
+MFS_PER_INPUT = 2          # membership functions per input, every role
+HOLDOUT_FRACTION = 0.1     # share of a dataset's runs held out from training
+MAX_TRAIN_ROWS = 12000     # training rows kept, by a uniform stride
+
+
+@dataclass(frozen=True)
+class RoleSpec:
+    """One role: its dataset's input channels, the output channels it
+    learns, the dataset columns its bundle reads (None: all of them), the
+    ridge of its fit, and its default number of teacher runs."""
+    inputs: tuple[str, ...]
+    outputs: tuple[str, ...]
+    columns: tuple[int, ...] | None
+    ridge: float
+    runs: int
+
+
+ROLES = {
+    "controller": RoleSpec(CONTROLLER_CHANNELS, TORQUE_CHANNELS, None, 1e-2, 15),
+    "estimator": RoleSpec(SENSOR_CHANNELS, STATE_CHANNELS, PRUNED_COLUMNS, 0.1, 12),
+    "integrated": RoleSpec(SENSOR_CHANNELS, TORQUE_CHANNELS, PRUNED_COLUMNS, 0.1, 12),
+}
 
 
 class EstimateInvalidError(RuntimeError):
@@ -80,7 +111,7 @@ class RoleDataset:
     def __len__(self) -> int:
         return self.inputs.shape[0]
 
-    def split_by_run(self, holdout_fraction: float = 0.1):
+    def split_by_run(self, holdout_fraction: float = HOLDOUT_FRACTION):
         """(train, holdout) split by whole runs, preserving order."""
         runs = np.unique(self.run_ids)
         n_hold = max(1, int(round(holdout_fraction * len(runs)))) if len(runs) > 1 else 0
@@ -173,142 +204,110 @@ class RoleBundle:
         return (f[..., 0] @ wbar[:, :, None])[..., 0]
 
 
-def _random_conditions(rng: np.random.Generator, n: int,
-                       angle_range: float = 15.0, rate_range: float = 0.1):
-    """Uniform initial Euler angles (deg) and body rates (rad/s)."""
-    angles = rng.uniform(-angle_range, angle_range, size=(n, 3))
-    rates = rng.uniform(-rate_range, rate_range, size=(n, 3))
-    return angles, rates
+def _random_conditions(rng: np.random.Generator) -> tuple[EulerAngles, AngularVelocity]:
+    """Uniform initial Euler angles (within 15 deg) and body rates (within 0.1 rad/s)."""
+    return (EulerAngles(*rng.uniform(-15.0, 15.0, size=3)),
+            AngularVelocity(*rng.uniform(-0.1, 0.1, size=3)))
 
 
-def generate_controller_data(gains: PidGains, n_conditions: int = 15,
+def _teacher_runs(gains: PidGains, n_runs: int, seed: int, tag: int, draw, rows,
+                  record_sensors: bool = False):
+    """The one teacher-run loop: draw a config from the (seed, tag) stream,
+    run the PID teacher on it, and redraw with a warning if the run
+    diverges.  rows(record) picks a run's (inputs, targets); returns them
+    stacked over the runs, with each row's run id."""
+    from .harness import run_closed_loop
+    from .dynamics import IntegrationDivergedError
+
+    rng = np.random.default_rng(np.random.SeedSequence([seed, tag]))
+    inputs, targets = [], []
+    while len(inputs) < n_runs:
+        cfg = draw(rng)
+        try:
+            rec = run_closed_loop(cfg, gains=gains, record_sensors=record_sensors)
+        except IntegrationDivergedError:
+            warnings.warn("closed-loop run diverged during data generation; "
+                          "initial condition redrawn", stacklevel=3)
+            continue
+        x, y = rows(rec)
+        inputs.append(x)
+        targets.append(y)
+    run_ids = np.repeat(np.arange(n_runs), [len(x) for x in inputs])
+    return np.vstack(inputs), np.vstack(targets), run_ids
+
+
+def generate_controller_data(gains: PidGains, n_runs: int = ROLES["controller"].runs,
                              duration: float = 20.0, dt: float = 0.01,
-                             seed: int = 0,
-                             inertia: InertiaTensor = NOMINAL_INERTIA) -> RoleDataset:
+                             seed: int = 0) -> RoleDataset:
     """PID teacher trajectories: (q_e, w) -> commanded torque at every step.
 
     The targets are the teacher's unsaturated commands: the saturation
     clamp is re-applied at inference (anfis_control), so learning the
     smooth pre-clamp map avoids wasting model capacity on the flat
-    saturated regions.  Runs noise-free closed loops from randomized
-    initial conditions; a diverged condition is resampled with a warning.
+    saturated regions.  Runs noise-free closed loops of the nominal plant
+    from randomized initial conditions.
     """
-    from .harness import run_closed_loop
-    from .dynamics import IntegrationDivergedError
+    def draw(rng):
+        euler, omega = _random_conditions(rng)
+        return SimConfig(dt=dt, duration=duration, seed=seed,
+                         initial_euler=euler, initial_omega=omega)
 
-    rng = np.random.default_rng(np.random.SeedSequence([seed, 0xC0]))
-    inputs, targets, run_ids = [], [], []
-    accepted = 0
-    while accepted < n_conditions:
-        angles, rates = _random_conditions(rng, 1)
-        cfg = SimConfig(
-            dt=dt, duration=duration, seed=seed,
-            inertia_nominal=inertia, inertia_true=inertia,
-            initial_euler=EulerAngles(*angles[0]),
-            initial_omega=AngularVelocity(*rates[0]),
-            controller="pid", estimator="truth", modulator="none",
-        )
-        try:
-            rec = run_closed_loop(cfg, gains=gains)
-        except IntegrationDivergedError:
-            warnings.warn("closed-loop run diverged during data generation; "
-                          "initial condition resampled", stacklevel=2)
-            continue
-        n = cfg.n_steps
-        inputs.append(np.column_stack([rec.qe[:n], rec.w[:n]]))
-        targets.append(rec.mc_raw[:n])
-        run_ids.append(np.full(n, accepted, dtype=np.intp))
-        accepted += 1
-    return RoleDataset(
-        np.vstack(inputs), np.vstack(targets), np.concatenate(run_ids),
-        CONTROLLER_CHANNELS, TORQUE_CHANNELS,
-        {"role": "controller", "seed": seed, "n_conditions": n_conditions,
-         "mc_max": gains.mc_max},
-    )
+    # the record's last sample has no step after it, so it is not a training row
+    inputs, targets, run_ids = _teacher_runs(
+        gains, n_runs, seed, 0xC0, draw,
+        lambda rec: (np.column_stack([rec.qe[:-1], rec.w[:-1]]), rec.mc_raw[:-1]))
+    return RoleDataset(inputs, targets, run_ids, CONTROLLER_CHANNELS, TORQUE_CHANNELS,
+                       {"role": "controller", "seed": seed, "n_runs": n_runs,
+                        "mc_max": gains.mc_max})
 
 
-def generate_sensor_data(gains: PidGains, n_scenarios: int = 12,
+def generate_sensor_data(gains: PidGains, n_runs: int = ROLES["estimator"].runs,
                          duration: float = 20.0, dt: float = 0.01, seed: int = 0,
                          noise: NoiseSpec = NoiseSpec(),
-                         inertia: InertiaTensor = NOMINAL_INERTIA,
                          base: SimConfig = SimConfig()) -> RoleDataset:
-    """Sensor trajectories under PID control, with both state and torque targets.
+    """Sensor trajectories of the nominal plant under PID control, with both
+    state and torque targets.
 
     Targets are the 7 true-state channels followed by the teacher's 3
     unsaturated torque commands (the clamp is re-applied at inference);
-    the estimator and integrated datasets are column views of this.
+    role_view narrows them to the estimator's or the integrated role's.
     """
-    from .harness import run_closed_loop
-    from .dynamics import IntegrationDivergedError
-
-    rng = np.random.default_rng(np.random.SeedSequence([seed, 0xE5]))
-    inputs, targets, run_ids = [], [], []
-    accepted = 0
-    while accepted < n_scenarios:
-        angles, rates = _random_conditions(rng, 1)
+    def draw(rng):
+        euler, omega = _random_conditions(rng)
         noise_seed = int(rng.integers(0, 2 ** 31))
-        cfg = replace(
-            base,
-            dt=dt, duration=duration, seed=noise_seed,
-            inertia_nominal=inertia, inertia_true=inertia,
-            initial_euler=EulerAngles(*angles[0]),
-            initial_omega=AngularVelocity(*rates[0]),
-            noise=replace(noise, seed=noise_seed),
-            controller="pid", estimator="truth", modulator="none",
-        )
-        try:
-            rec = run_closed_loop(cfg, gains=gains, record_sensors=True)
-        except IntegrationDivergedError:
-            warnings.warn("closed-loop run diverged during data generation; "
-                          "scenario resampled", stacklevel=2)
-            continue
-        n = cfg.n_steps
-        inputs.append(rec.sensor[:n])
-        targets.append(np.column_stack([rec.q[:n], rec.w[:n], rec.mc_raw[:n]]))
-        run_ids.append(np.full(n, accepted, dtype=np.intp))
-        accepted += 1
-    return RoleDataset(
-        np.vstack(inputs), np.vstack(targets), np.concatenate(run_ids),
-        SENSOR_CHANNELS, STATE_CHANNELS + TORQUE_CHANNELS,
-        {"role": "sensor", "seed": seed, "n_scenarios": n_scenarios,
-         "mc_max": gains.mc_max,
-         "noise": (noise.sigma_mag, noise.sigma_sun, noise.sigma_gyro)},
-    )
+        return replace(base, dt=dt, duration=duration, seed=noise_seed,
+                       inertia_nominal=NOMINAL_INERTIA, inertia_true=NOMINAL_INERTIA,
+                       initial_euler=euler, initial_omega=omega,
+                       noise=replace(noise, seed=noise_seed),
+                       controller="pid", estimator="truth", modulator="none")
+
+    inputs, targets, run_ids = _teacher_runs(
+        gains, n_runs, seed, 0xE5, draw,
+        lambda rec: (rec.sensor[:-1],
+                     np.column_stack([rec.q[:-1], rec.w[:-1], rec.mc_raw[:-1]])),
+        record_sensors=True)
+    return RoleDataset(inputs, targets, run_ids,
+                       SENSOR_CHANNELS, STATE_CHANNELS + TORQUE_CHANNELS,
+                       {"role": "sensor", "seed": seed, "n_runs": n_runs,
+                        "mc_max": gains.mc_max,
+                        "noise": (noise.sigma_mag, noise.sigma_sun, noise.sigma_gyro)})
 
 
-def generate_estimator_data(*args, **kwargs) -> RoleDataset:
-    """Sensor inputs with true (q, w) targets."""
-    ds = generate_sensor_data(*args, **kwargs)
-    out = RoleDataset(ds.inputs, ds.targets[:, :7], ds.run_ids,
-                      ds.input_names, STATE_CHANNELS, dict(ds.metadata))
-    out.metadata["role"] = "estimator"
-    return out
+def role_view(data: RoleDataset, role: str) -> RoleDataset:
+    """The role's dataset: data with its targets narrowed, by name, to the
+    role's output channels (a sensor dataset holds the state and the torque)."""
+    outputs = ROLES[role].outputs
+    cols = [data.target_names.index(name) for name in outputs]
+    return RoleDataset(data.inputs, data.targets[:, cols], data.run_ids,
+                       data.input_names, outputs, dict(data.metadata, role=role))
 
 
-def generate_integrated_data(*args, **kwargs) -> RoleDataset:
-    """Sensor inputs with the PID teacher's commanded torque as targets."""
-    ds = generate_sensor_data(*args, **kwargs)
-    out = RoleDataset(ds.inputs, ds.targets[:, 7:], ds.run_ids,
-                      ds.input_names, TORQUE_CHANNELS, dict(ds.metadata))
-    out.metadata["role"] = "integrated"
-    return out
-
-
-def _holdout_rmse(bundle: RoleBundle, holdout: RoleDataset,
-                  columns: tuple[int, ...] | None) -> list[float]:
-    if len(holdout) == 0:
-        return [float("nan")] * len(bundle.output_names)
-    x = holdout.inputs if columns is None else holdout.inputs[:, list(columns)]
-    pred = bundle.predict_batch(x)
-    return [float(np.sqrt(np.mean((pred[:, k] - holdout.targets[:, k]) ** 2)))
-            for k in range(pred.shape[1])]
-
-
-def _fit_shared_lse(inputs: np.ndarray, targets: np.ndarray, ranges: np.ndarray,
-                    mfs_per_input, ridge: float) -> AnfisModel:
-    """All channels share fixed grid premises; one multi-RHS LSE solve
-    shrunk toward the global linear fit of each channel."""
-    model = anfis.grid_partition_init(ranges, mfs_per_input)
+def _fit_shared_lse(inputs: np.ndarray, targets: np.ndarray, ridge: float) -> AnfisModel:
+    """All channels share fixed grid premises over the padded input ranges;
+    one multi-RHS LSE solve shrunk toward the global linear fit of each channel."""
+    lo, hi = inputs.min(axis=0), inputs.max(axis=0)
+    pad = np.maximum(1e-6, 0.05 * (hi - lo))
+    model = anfis.grid_partition_init(np.column_stack([lo - pad, hi + pad]), MFS_PER_INPUT)
     a_mat = anfis.design_matrix(model, inputs)
     prior = anfis.linear_consequent_prior(model, inputs, targets)
     sol = anfis.solve_consequents(a_mat, targets, ridge,
@@ -320,59 +319,46 @@ def _fit_shared_lse(inputs: np.ndarray, targets: np.ndarray, ranges: np.ndarray,
     return model
 
 
-def _ranges(x: np.ndarray) -> np.ndarray:
-    lo, hi = x.min(axis=0), x.max(axis=0)
-    pad = np.maximum(1e-6, 0.05 * (hi - lo))
-    return np.column_stack([lo - pad, hi + pad])
+def train_controller(data: RoleDataset) -> RoleBundle:
+    """Three torque channels fit on (q_e, w)."""
+    return _train_role(data, "controller")
 
 
-def train_controller(data: RoleDataset, mfs_per_input: int = 2,
-                     holdout_fraction: float = 0.1) -> RoleBundle:
-    """Three torque channels fit by a shared-premise LSE on (q_e, w)."""
-    return _train_role(data, "controller", TORQUE_CHANNELS, mfs_per_input,
-                       columns=None, ridge=1e-2, holdout_fraction=holdout_fraction,
-                       max_samples=12000)
+def train_estimator(data: RoleDataset) -> RoleBundle:
+    """Seven state channels fit on the pruned sensor inputs."""
+    return _train_role(data, "estimator")
 
 
-def train_estimator(data: RoleDataset, mfs_per_input: int = 2,
-                    columns: tuple[int, ...] = PRUNED_COLUMNS,
-                    ridge: float = 0.1, holdout_fraction: float = 0.1,
-                    max_samples: int = 12000) -> RoleBundle:
-    """Seven state channels fit by a shared-premise LSE on the pruned inputs."""
-    return _train_role(data, "estimator", STATE_CHANNELS, mfs_per_input,
-                       columns, ridge, holdout_fraction, max_samples)
+def train_integrated(data: RoleDataset) -> RoleBundle:
+    """Three torque channels fit on the pruned sensor inputs."""
+    return _train_role(data, "integrated")
 
 
-def train_integrated(data: RoleDataset, mfs_per_input: int = 2,
-                     columns: tuple[int, ...] = PRUNED_COLUMNS,
-                     ridge: float = 0.1, holdout_fraction: float = 0.1,
-                     max_samples: int = 12000) -> RoleBundle:
-    """Three torque channels fit by a shared-premise LSE on the pruned inputs."""
-    return _train_role(data, "integrated", TORQUE_CHANNELS, mfs_per_input,
-                       columns, ridge, holdout_fraction, max_samples)
-
-
-def _train_role(data, role, output_names, mfs_per_input, columns, ridge,
-                holdout_fraction, max_samples) -> RoleBundle:
+def _train_role(data: RoleDataset, role: str) -> RoleBundle:
     """The one training path: a run-wise holdout split, a strided cap of
-    max_samples training rows, and one shared-premise fit.  columns=None
-    keeps every input."""
-    train_ds, hold_ds = data.split_by_run(holdout_fraction)
-    x = train_ds.inputs if columns is None else train_ds.inputs[:, list(columns)]
-    y = train_ds.targets
-    if len(x) > max_samples:
-        stride = int(np.ceil(len(x) / max_samples))
+    MAX_TRAIN_ROWS training rows, and one shared-premise fit of the role's
+    outputs on its input columns."""
+    spec = ROLES[role]
+    columns = slice(None) if spec.columns is None else list(spec.columns)
+    train_ds, hold_ds = data.split_by_run(HOLDOUT_FRACTION)
+    x, y = train_ds.inputs[:, columns], train_ds.targets
+    if len(x) > MAX_TRAIN_ROWS:
+        stride = int(np.ceil(len(x) / MAX_TRAIN_ROWS))
         x, y = x[::stride], y[::stride]
-    model = _fit_shared_lse(x, y, _ranges(x), mfs_per_input, ridge)
-    input_names = (data.input_names if columns is None
-                   else tuple(data.input_names[i] for i in columns))
-    bundle = RoleBundle(role, model, input_names, tuple(output_names),
-                        None if columns is None else tuple(columns),
+    model = _fit_shared_lse(x, y, spec.ridge)
+    input_names = (data.input_names if spec.columns is None
+                   else tuple(data.input_names[i] for i in spec.columns))
+    bundle = RoleBundle(role, model, input_names, spec.outputs, spec.columns,
                         float(data.metadata.get("mc_max", 1.0)))
-    bundle.metadata["holdout_rmse"] = _holdout_rmse(bundle, hold_ds, columns)
-    bundle.metadata["mfs_per_input"] = mfs_per_input
-    if columns is not None:
-        bundle.metadata["pruned_columns"] = list(columns)
+    if len(hold_ds):
+        err = bundle.predict_batch(hold_ds.inputs[:, columns]) - hold_ds.targets
+        holdout_rmse = [float(np.sqrt(np.mean(e ** 2))) for e in err.T]
+    else:
+        holdout_rmse = [float("nan")] * len(spec.outputs)
+    bundle.metadata["holdout_rmse"] = holdout_rmse
+    bundle.metadata["mfs_per_input"] = MFS_PER_INPUT
+    if spec.columns is not None:
+        bundle.metadata["pruned_columns"] = list(spec.columns)
     return bundle
 
 

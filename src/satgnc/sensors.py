@@ -6,9 +6,8 @@ which the closed loop fills block by block and the neuro-fuzzy roles read.
 The direction sensors take the step's direction cosine matrix and the norm
 of their constant inertial reference, taken once per run.
 
-The geomagnetic field defaults to a tilted centered dipole behind a small
-interface, so a spherical-harmonic model can be swapped in without touching
-any caller.  The sun ephemeris is the low-precision Vallado algorithm
+The geomagnetic field is a tilted centered dipole (TiltedDipoleField), the
+one field model the closed loop uses.  The sun ephemeris is the low-precision Vallado algorithm
 (Julian date -> mean longitude -> ecliptic longitude -> unit vector).
 """
 
@@ -16,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Protocol
+from typing import NamedTuple
 
 import numpy as np
 
@@ -31,7 +30,6 @@ __all__ = [
     "SUN_BODY",
     "REFERENCES",
     "GYRO",
-    "FieldModel",
     "TiltedDipoleField",
     "julian_date",
     "solar_angles",
@@ -169,12 +167,6 @@ def sun_direction_inertial(jd: float) -> np.ndarray:
         math.cos(eps) * math.sin(lam_ecl),
         math.sin(eps) * math.sin(lam_ecl),
     ])
-
-
-class FieldModel(Protocol):
-    """Geomagnetic model interface: field vector in nT at a position and instant."""
-
-    def field(self, pos: GeoPosition, instant: CalendarInstant) -> np.ndarray: ...
 
 
 @dataclass(frozen=True)

@@ -42,15 +42,14 @@ def controller_art(tuned):
 
 @pytest.fixture(scope="session")
 def sensor_art(tuned):
-    """Noisy sensor dataset plus the estimator and integrated bundles, and a
-    zero-noise dataset for held-out estimation-accuracy checks."""
+    """Noisy sensor dataset plus the estimator and integrated bundles trained
+    on its two role views, and a zero-noise estimator dataset for held-out
+    estimation-accuracy checks."""
     noisy = roles.generate_sensor_data(tuned["gains"], seed=11)
-    estimator = roles.train_estimator(
-        roles.generate_estimator_data(tuned["gains"], seed=11))
-    integrated = roles.train_integrated(
-        roles.generate_integrated_data(tuned["gains"], seed=11))
-    clean = roles.generate_estimator_data(
-        tuned["gains"], seed=13, noise=NoiseSpec(0.0, 0.0, 0.0))
+    estimator = roles.train_estimator(roles.role_view(noisy, "estimator"))
+    integrated = roles.train_integrated(roles.role_view(noisy, "integrated"))
+    clean = roles.role_view(roles.generate_sensor_data(
+        tuned["gains"], seed=13, noise=NoiseSpec(0.0, 0.0, 0.0)), "estimator")
     return {"data": noisy, "estimator": estimator, "integrated": integrated,
             "clean_estimator_data": clean}
 

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from satgnc.cli import main
+from satgnc.cli import build_parser, main
 
 MINI_CONFIG = """\
 [simulation]
@@ -184,6 +184,22 @@ class TestDiagnostics:
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])
         assert exc.value.code != 0
+
+    def test_benchmark_argv_parses(self):
+        # every flag and role value the benchmark driver passes; a rejected
+        # one would end its run in SystemExit
+        parser = build_parser()
+        argvs = [["tune-pid", "--config", "c.ini", "--budget", "100", "--seed", "0"],
+                 ["simulate", "--config", "c.ini", "--seed", "2", "--out", "r.csv"],
+                 ["monte-carlo", "--config", "c.ini", "--runs", "2", "--seed", "3",
+                  "--workers", "1", "--out", "m.csv"]]
+        for role in ("controller", "estimator", "integrated"):
+            argvs += [["gen-data", "--config", "c.ini", "--role", role, "--runs", "4",
+                       "--seed", "1", "--out", f"{role}.csv"],
+                      ["train", "--config", "c.ini", "--role", role,
+                       "--data", f"{role}.csv"]]
+        for argv in argvs:
+            assert parser.parse_args(argv).command == argv[0]
 
     def test_unknown_role_rejected(self, workdir, capsys):
         with pytest.raises(SystemExit):

@@ -1,13 +1,65 @@
 """Configuration schema round-trip and validation tests."""
 
-import pytest
+import configparser
 
-from satgnc.config import (MonteCarloConfig, NOMINAL_INERTIA, SimConfig,
+import pytest
+from hypothesis import given, reject, settings, strategies as st
+
+from satgnc.config import (CONTROLLER_KINDS, ESTIMATOR_KINDS, LAYOUT, MODULATOR_KINDS,
+                           MonteCarloConfig, NOMINAL_INERTIA, SimConfig,
                            UNCERTAIN_INERTIA, dump_sim_config, load_sim_config,
                            parse_sim_config)
 from satgnc.dynamics import AngularVelocity, EulerAngles, InertiaTensor, Torque
 from satgnc.pwpf import PwpfParams
-from satgnc.sensors import CalendarInstant, NoiseSpec
+from satgnc.sensors import CalendarInstant, GeoPosition, NoiseSpec
+
+# -0.0, the smallest subnormal, the smallest normal, a float with a long
+# shortest repr, and the largest finite double
+SPECIAL = st.sampled_from([-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                           0.1 / 3.0, -0.1 / 3.0, 1.7976931348623157e308])
+FLOATS = st.floats(allow_nan=False) | SPECIAL
+POSITIVE = (st.floats(min_value=5e-324, max_value=1e6)
+            | st.sampled_from([5e-324, 2.2250738585072014e-308, 0.1 / 3.0]))
+SIGMAS = st.floats(min_value=0.0, allow_infinity=False) | st.sampled_from([-0.0, 5e-324])
+TRIPLES = st.tuples(FLOATS, FLOATS, FLOATS)
+EPOCHS = (st.builds(CalendarInstant, st.integers(1900, 2100), st.integers(1, 12),
+                    st.integers(1, 31), st.integers(0, 23), st.integers(0, 59),
+                    st.floats(0.0, 60.0, exclude_max=True) | SPECIAL)
+          | st.sampled_from([CalendarInstant(1900, 1, 1, 0, 0, 0.0),
+                             CalendarInstant(2100, 12, 31, 23, 59, 59.999999999999993)]))
+PATHS = st.from_regex(r"[A-Za-z0-9_./-]{0,16}", fullmatch=True)
+
+
+@st.composite
+def sim_configs(draw):
+    """Random valid run configurations, edge values included."""
+    dt = draw(POSITIVE)
+    u_off = draw(POSITIVE)
+    try:
+        return SimConfig(
+            dt=dt, duration=max(dt, draw(POSITIVE)),
+            seed=draw(st.integers(-2 ** 63, 2 ** 63)),
+            inertia_nominal=InertiaTensor(*draw(st.tuples(POSITIVE, POSITIVE, POSITIVE))),
+            inertia_true=InertiaTensor(*draw(st.tuples(POSITIVE, POSITIVE, POSITIVE))),
+            initial_euler=EulerAngles(*draw(TRIPLES)),
+            initial_omega=AngularVelocity(*draw(TRIPLES)),
+            desired_euler=EulerAngles(*draw(TRIPLES)),
+            noise=NoiseSpec(draw(SIGMAS), draw(SIGMAS), draw(SIGMAS),
+                            draw(st.integers(0, 2 ** 31))),
+            disturbance_const=Torque(*draw(TRIPLES)),
+            disturbance_amp=Torque(*draw(TRIPLES)),
+            disturbance_freq_hz=draw(FLOATS),
+            geo=GeoPosition(draw(FLOATS), draw(FLOATS), draw(FLOATS)),
+            epoch=draw(EPOCHS),
+            controller=draw(st.sampled_from(CONTROLLER_KINDS)),
+            estimator=draw(st.sampled_from(ESTIMATOR_KINDS)),
+            modulator=draw(st.sampled_from(MODULATOR_KINDS)),
+            pwpf=PwpfParams(km=draw(FLOATS), tm=draw(POSITIVE),
+                            u_on=u_off + draw(POSITIVE), u_off=u_off,
+                            thrust=draw(POSITIVE)),
+            gains_file=draw(PATHS), bundle_dir=draw(PATHS))
+    except ValueError:      # u_on rounded down onto u_off
+        reject()
 
 
 class TestSimConfig:
@@ -86,6 +138,38 @@ class TestRoundTrip:
     def test_malformed_triple_rejected(self):
         with pytest.raises(ValueError):
             parse_sim_config("[inertia]\nnominal = 1.0, 2.0\n")
+
+
+@pytest.mark.filterwarnings("ignore:.*triangle inequality")   # valid, if unrealizable
+class TestRoundTripProperties:
+    @settings(max_examples=300, deadline=None)
+    @given(sim_configs())
+    def test_dump_parse_round_trip(self, cfg):
+        text = dump_sim_config(cfg)
+        back = parse_sim_config(text)
+        assert back == cfg
+        # == cannot tell -0.0 from 0.0; the text can
+        assert dump_sim_config(back) == text
+
+    @settings(max_examples=200, deadline=None)
+    @given(sim_configs(), st.sampled_from(LAYOUT))
+    def test_one_key_overrides_defaults(self, cfg, row):
+        # a file holding one key sets that key and leaves every other one
+        # at SimConfig()'s value
+        section, key = row[:2]
+        full = configparser.ConfigParser()
+        full.read_string(dump_sim_config(cfg))
+        try:
+            parsed = parse_sim_config(f"[{section}]\n{key} = {full[section][key]}\n")
+        except ValueError:      # the one key clashes with a default (say dt > duration)
+            reject()
+        got = configparser.ConfigParser()
+        got.read_string(dump_sim_config(parsed))
+        want = configparser.ConfigParser()
+        want.read_string(dump_sim_config(SimConfig()))
+        want[section][key] = full[section][key]
+        assert {s: dict(got[s]) for s in got.sections()} == \
+            {s: dict(want[s]) for s in want.sections()}
 
 
 class TestMonteCarloConfig:

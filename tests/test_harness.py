@@ -11,8 +11,8 @@ from satgnc.dynamics import AngularVelocity, EulerAngles, InertiaTensor, Torque
 from satgnc.harness import (CSV_COLUMNS, MissingBundleError, Metrics, RunRecord,
                             _mc_run_config, compute_metrics, evaluate_controllers,
                             final_euler_error, format_evaluation,
-                            fuel_consumption, monte_carlo, run_closed_loop,
-                            settling_time, tuning_objective)
+                            fuel_consumption, monte_carlo, needed_roles,
+                            run_closed_loop, settling_time, tuning_objective)
 from satgnc.pid import PidGains
 from satgnc.roles import PRUNED_COLUMNS, STATE_CHANNELS, RoleBundle
 from satgnc.sensors import NoiseSpec
@@ -70,6 +70,15 @@ class TestRunClosedLoop:
             run_closed_loop(SimConfig(controller="anfis"))
         with pytest.raises(MissingBundleError):
             run_closed_loop(SimConfig(estimator="anfis"), gains=GAINS)
+
+    def test_needed_roles(self):
+        cases = {("pid", "truth"): [], ("anfis", "truth"): ["controller"],
+                 ("integrated", "truth"): ["integrated"], ("pid", "anfis"): ["estimator"],
+                 ("anfis", "anfis"): ["controller", "estimator"],
+                 ("integrated", "anfis"): ["estimator", "integrated"]}
+        for (controller, estimator), want in cases.items():
+            cfg = SimConfig(controller=controller, estimator=estimator)
+            assert needed_roles(cfg) == want
 
     def test_wrong_role_bundle_rejected(self, controller_art):
         with pytest.raises(MissingBundleError, match="role"):

@@ -18,13 +18,16 @@ class TestSaturate:
 
     def test_inside_untouched(self):
         # proportional-only commands of -0.5, 0.5 and 0 N*m
-        mc = pid_step((0.25, -0.25, 0.0), (0.0, 0.0, 0.0), PidState(), GAINS, 0.01)
-        assert mc == Torque(-0.5, 0.5, 0.0)
+        mc, raw = pid_step((0.25, -0.25, 0.0), (0.0, 0.0, 0.0), PidState(), GAINS, 0.01)
+        assert mc == raw == Torque(-0.5, 0.5, 0.0)
 
     def test_clamped_per_axis(self):
         # raw commands of -3, 3 and 0.2 N*m against a 1 N*m bound
-        mc = pid_step((1.5, -1.5, -0.1), (0.0, 0.0, 0.0), PidState(), GAINS, 0.01)
+        mc, raw = pid_step((1.5, -1.5, -0.1), (0.0, 0.0, 0.0), PidState(), GAINS, 0.01)
         assert mc == Torque(-1.0, 1.0, 0.2)
+        # the unsaturated command comes back too, computed before the step
+        assert raw == pid_raw((1.5, -1.5, -0.1), (0.0, 0.0, 0.0), PidState(), GAINS)
+        assert raw == Torque(-3.0, 3.0, 0.2)
 
     def test_invalid_bound(self):
         with pytest.raises(ValueError):
@@ -34,7 +37,7 @@ class TestSaturate:
 class TestControlLaw:
     def test_zero_error_zero_torque(self):
         state = PidState()
-        mc = pid_step((0.0, 0.0, 0.0), (0.0, 0.0, 0.0), state, GAINS, 0.01)
+        mc, _ = pid_step((0.0, 0.0, 0.0), (0.0, 0.0, 0.0), state, GAINS, 0.01)
         assert mc == Torque.zero()
 
     def test_proportional_term(self):
@@ -67,8 +70,8 @@ class TestControlLaw:
     def test_anti_windup_freezes_saturated_axis(self):
         state = PidState()
         # axis 1 saturates (kp * 1.0 = -2.0 beyond the bound), axis 2 does not
-        mc = pid_step((1.0, 0.01, 0.0), (0.0, 0.0, 0.0), state, GAINS, 0.01)
-        assert mc.m1 == -1.0
+        mc, raw = pid_step((1.0, 0.01, 0.0), (0.0, 0.0, 0.0), state, GAINS, 0.01)
+        assert mc.m1 == -1.0 and raw.m1 == -2.0
         assert state.saturated[0] is True
         assert state.int_qe[0] == 0.0
         assert state.int_qe[1] == pytest.approx(0.0001)

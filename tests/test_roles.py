@@ -51,9 +51,9 @@ class TestRoleDataset:
 
 class TestDataGeneration:
     def test_controller_data_shape_and_determinism(self):
-        a = roles.generate_controller_data(QUICK_GAINS, n_conditions=2,
+        a = roles.generate_controller_data(QUICK_GAINS, n_runs=2,
                                            duration=2.0, seed=3)
-        b = roles.generate_controller_data(QUICK_GAINS, n_conditions=2,
+        b = roles.generate_controller_data(QUICK_GAINS, n_runs=2,
                                            duration=2.0, seed=3)
         assert a.inputs.shape == (2 * 200, 6)
         assert a.targets.shape == (2 * 200, 3)
@@ -62,12 +62,12 @@ class TestDataGeneration:
 
     def test_targets_are_unsaturated_commands(self):
         # aggressive gains from a large error exceed the clamp in the record
-        ds = roles.generate_controller_data(QUICK_GAINS, n_conditions=3,
+        ds = roles.generate_controller_data(QUICK_GAINS, n_runs=3,
                                             duration=2.0, seed=1)
         assert np.max(np.abs(ds.targets)) > QUICK_GAINS.mc_max
 
     def test_sensor_data_channels(self):
-        ds = roles.generate_sensor_data(QUICK_GAINS, n_scenarios=2,
+        ds = roles.generate_sensor_data(QUICK_GAINS, n_runs=2,
                                         duration=2.0, seed=3)
         assert ds.inputs.shape[1] == 15
         assert ds.targets.shape[1] == 10
@@ -79,13 +79,31 @@ class TestDataGeneration:
                                    1.0, atol=1e-9)
 
     def test_estimator_and_integrated_are_views(self):
-        est = roles.generate_estimator_data(QUICK_GAINS, n_scenarios=2,
-                                            duration=2.0, seed=3)
-        intg = roles.generate_integrated_data(QUICK_GAINS, n_scenarios=2,
-                                              duration=2.0, seed=3)
-        assert est.targets.shape[1] == 7
-        assert intg.targets.shape[1] == 3
-        np.testing.assert_array_equal(est.inputs, intg.inputs)
+        ds = roles.generate_sensor_data(QUICK_GAINS, n_runs=2, duration=2.0, seed=3)
+        est = roles.role_view(ds, "estimator")
+        intg = roles.role_view(ds, "integrated")
+        assert est.target_names == roles.ROLES["estimator"].outputs
+        assert intg.target_names == roles.ROLES["integrated"].outputs
+        np.testing.assert_array_equal(est.targets, ds.targets[:, :7])
+        np.testing.assert_array_equal(intg.targets, ds.targets[:, 7:])
+        assert est.inputs is ds.inputs and intg.inputs is ds.inputs
+        assert est.metadata["role"] == "estimator"
+        # a controller dataset is its own view
+        ctrl = roles.generate_controller_data(QUICK_GAINS, n_runs=1, duration=1.0)
+        view = roles.role_view(ctrl, "controller")
+        np.testing.assert_array_equal(view.targets, ctrl.targets)
+        assert view.target_names == ctrl.target_names
+
+    def test_role_table_matches_datasets(self):
+        # every role's dataset carries the table's input channels, and its
+        # bundle columns index into them
+        ctrl = roles.generate_controller_data(QUICK_GAINS, n_runs=1, duration=1.0)
+        sensor = roles.generate_sensor_data(QUICK_GAINS, n_runs=1, duration=1.0)
+        for role, spec in roles.ROLES.items():
+            ds = ctrl if spec.inputs == ctrl.input_names else sensor
+            assert ds.input_names == spec.inputs, role
+            assert set(spec.outputs) <= set(ds.target_names), role
+            assert spec.columns is None or max(spec.columns) < len(spec.inputs)
 
 
 class TestControllerBundle:
