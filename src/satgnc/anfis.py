@@ -6,16 +6,19 @@ trained by the classic hybrid rule: a linear least-squares solve for the
 consequent coefficients each epoch, followed by one gradient-descent step
 on the generalized-bell membership parameters.
 
-The forward pass and training work on single-output models.  A model may
-also carry a (k, n_rules, n_inputs + 1) stack of consequents, k output
-channels over one shared premise; that is how the role bundles store
-their channels, and save_model/load_model persist either form.
+The premise is held in one form: flat (total MFs,) arrays of widths,
+slopes and centres, laid out input by input, which the firing layers,
+the gradient, training and persistence all read.  The forward pass and
+training work on single-output models.  A model may also carry a
+(k, n_rules, n_inputs + 1) stack of consequents, k output channels over
+one shared premise; that is how the role bundles store their channels,
+and save_model/load_model persist either form.
 """
 
 from __future__ import annotations
 
-import itertools
 import json
+import math
 import warnings
 from dataclasses import dataclass, field, replace
 
@@ -29,10 +32,8 @@ __all__ = [
     "TrainingDivergedError",
     "ModelFormatError",
     "bell",
-    "FlatPremise",
     "grid_partition_init",
     "forward_batch",
-    "flat_firing",
     "normalized_firing",
     "design_matrix",
     "lse_consequents",
@@ -72,22 +73,36 @@ def bell(x, a, b, c):
 class AnfisModel:
     """Premise and consequent parameters over a full Cartesian rule grid.
 
-    Premise parameters are stored per input as (n_mfs_i,) arrays a (width),
-    b (slope exponent), c (center).  Consequents are one (n_inputs + 1) row
-    per rule: linear coefficients followed by the bias; a multi-output model
-    stacks k such tables as (k, n_rules, n_inputs + 1).
+    The premise is three flat (total MFs,) arrays a (width), b (slope
+    exponent) and c (center), laid out input by input: input i's functions
+    are a[start:stop] for (start, stop) = bounds[i], and columns[j] is the
+    input that function j reads.  Rules run in row-major order over the
+    inputs' MF indices (the first input slowest); order maps each rule to
+    its position in the firing product that _layers builds.  Consequents
+    are one (n_inputs + 1) row per rule: linear coefficients followed by
+    the bias; a multi-output model stacks k such tables as
+    (k, n_rules, n_inputs + 1).
     """
     mfs_per_input: tuple[int, ...]
-    a: list[np.ndarray]
-    b: list[np.ndarray]
-    c: list[np.ndarray]
+    a: np.ndarray
+    b: np.ndarray
+    c: np.ndarray
     coeffs: np.ndarray
     input_ranges: np.ndarray
     metadata: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        self.mfs_per_input = tuple(int(m) for m in self.mfs_per_input)
-        self._rule_index = None
+        mfs = self.mfs_per_input = tuple(int(m) for m in self.mfs_per_input)
+        self.a, self.b, self.c = (np.asarray(p, dtype=float) for p in (self.a, self.b, self.c))
+        if not self.a.shape == self.b.shape == self.c.shape == (sum(mfs),):
+            raise ValueError(f"premise arrays of shapes {self.a.shape}, {self.b.shape} and "
+                             f"{self.c.shape} do not hold the {sum(mfs)} membership "
+                             f"functions of mfs_per_input {mfs}")
+        stops = np.cumsum(mfs).tolist()
+        self.bounds = tuple(zip([0] + stops[:-1], stops))
+        self.columns = np.repeat(np.arange(len(mfs)), mfs)
+        layout = np.arange(self.n_rules).reshape(mfs[::-1])
+        self.order = layout.transpose(range(len(mfs) - 1, -1, -1)).ravel()
 
     @property
     def n_inputs(self) -> int:
@@ -95,49 +110,25 @@ class AnfisModel:
 
     @property
     def n_rules(self) -> int:
-        n = 1
-        for m in self.mfs_per_input:
-            n *= m
-        return n
-
-    @property
-    def rule_index(self) -> np.ndarray:
-        """(n_rules, n_inputs) table mapping each rule to its MF index per input."""
-        if self._rule_index is None:
-            self._rule_index = np.array(
-                list(itertools.product(*(range(m) for m in self.mfs_per_input))),
-                dtype=np.intp,
-            )
-        return self._rule_index
+        return math.prod(self.mfs_per_input)
 
     def copy(self) -> "AnfisModel":
-        return AnfisModel(
-            mfs_per_input=self.mfs_per_input,
-            a=[x.copy() for x in self.a],
-            b=[x.copy() for x in self.b],
-            c=[x.copy() for x in self.c],
-            coeffs=self.coeffs.copy(),
-            input_ranges=self.input_ranges.copy(),
-            metadata=dict(self.metadata),
-        )
+        return replace(self, a=self.a.copy(), b=self.b.copy(), c=self.c.copy(),
+                       coeffs=self.coeffs.copy(), input_ranges=self.input_ranges.copy(),
+                       metadata=dict(self.metadata))
 
 
 @dataclass
 class TrainingSet:
-    """Input/target pairs plus the per-dimension ranges the model should cover."""
+    """Input/target pairs of a single-output fit."""
     inputs: np.ndarray
     targets: np.ndarray
-    ranges: np.ndarray | None = None
 
     def __post_init__(self):
         self.inputs = np.atleast_2d(np.asarray(self.inputs, dtype=float))
         self.targets = np.asarray(self.targets, dtype=float).ravel()
         if len(self.targets) != self.inputs.shape[0]:
             raise ValueError("inputs and targets disagree on sample count")
-        if self.ranges is None:
-            self.ranges = np.column_stack([self.inputs.min(axis=0), self.inputs.max(axis=0)])
-        else:
-            self.ranges = np.asarray(self.ranges, dtype=float)
 
     def __len__(self) -> int:
         return self.inputs.shape[0]
@@ -150,7 +141,6 @@ class TrainConfig:
     decay: float = 0.5          # step-decay factor applied when epoch RMSE worsens
     ridge: float = 1e-8
     linear_prior: bool = True   # shrink consequents toward the global linear fit
-    seed: int = 0
 
     def __post_init__(self):
         if self.epochs < 1:
@@ -173,68 +163,35 @@ def grid_partition_init(ranges, mfs_per_input) -> AnfisModel:
         mfs_per_input = mfs_per_input * ranges.shape[0]
     if ranges.shape[0] != len(mfs_per_input):
         raise ValueError("ranges and mfs_per_input disagree on input count")
-    a, b, c = [], [], []
+    a, c = [], []
     for (lo, hi), m in zip(ranges, mfs_per_input):
         if not hi > lo:
             raise ValueError(f"degenerate input range [{lo}, {hi}]")
         if m < 2:
             raise ValueError("need at least 2 membership functions per input")
-        centers = np.linspace(lo, hi, m)
-        spacing = (hi - lo) / (m - 1)
-        a.append(np.full(m, 0.5 * spacing))
-        b.append(np.full(m, 2.0))
-        c.append(centers)
-    n_rules = int(np.prod(mfs_per_input))
-    coeffs = np.zeros((n_rules, ranges.shape[0] + 1))
-    return AnfisModel(mfs_per_input, a, b, c, coeffs, ranges.copy())
+        a.append(np.full(m, 0.5 * ((hi - lo) / (m - 1))))   # half the center spacing
+        c.append(np.linspace(lo, hi, m))
+    coeffs = np.zeros((math.prod(mfs_per_input), ranges.shape[0] + 1))
+    return AnfisModel(mfs_per_input, np.concatenate(a), np.full(sum(mfs_per_input), 2.0),
+                      np.concatenate(c), coeffs, ranges.copy())
 
 
-@dataclass(frozen=True)
-class FlatPremise:
-    """A model's membership parameters as flat (total MFs,) arrays, input by
-    input.
-
-    columns[j] is the input that membership function j reads; bounds[i] is
-    the (start, stop) slice of input i's functions; order maps rule r (the
-    row-major order of rule_index) to its position in the layout that
-    _layers builds.  Training replaces a, b and c every epoch, so this is
-    built on demand, and only holders of fixed models (trained role
-    bundles) keep one.
-    """
-    a: np.ndarray
-    b: np.ndarray
-    c: np.ndarray
-    columns: np.ndarray
-    bounds: tuple[tuple[int, int], ...]
-    order: np.ndarray
-
-    @classmethod
-    def of(cls, model: AnfisModel) -> "FlatPremise":
-        mfs = model.mfs_per_input
-        stops = np.cumsum(mfs).tolist()
-        layout = np.arange(model.n_rules).reshape(mfs[::-1])
-        return cls(np.concatenate(model.a), np.concatenate(model.b),
-                   np.concatenate(model.c),
-                   np.repeat(np.arange(len(mfs)), mfs),
-                   tuple(zip([0] + stops[:-1], stops)),
-                   layout.transpose(range(len(mfs) - 1, -1, -1)).ravel())
-
-
-def _layers(premise: FlatPremise, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Layers 1-2: all memberships (N, total MFs) from one bell evaluation,
-    and the (N, n_rules) firing strengths in rule_index order.
+def _layers(model: AnfisModel, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Layers 1-2 for the rows of a 2-D x: all memberships (N, total MFs)
+    from one bell evaluation, and the (N, n_rules) firing strengths in rule
+    order.
 
     The firing vector is a running Kronecker product that multiplies input
     by input, left to right.  Each new input's memberships scale whole rows
     of the partial product, so the newest input ends up outermost; one
     gather then restores the rule order.
     """
-    mu = bell(x[:, premise.columns], premise.a, premise.b, premise.c)
-    (start, stop), *rest = premise.bounds
+    mu = bell(x[:, model.columns], model.a, model.b, model.c)
+    (start, stop), *rest = model.bounds
     w = mu[:, start:stop]
     for start, stop in rest:
         w = (mu[:, start:stop, None] * w[:, None, :]).reshape(len(mu), -1)
-    return mu, np.take(w, premise.order, axis=1)
+    return mu, np.take(w, model.order, axis=1)
 
 
 def _normalize(w: np.ndarray) -> np.ndarray:
@@ -251,15 +208,9 @@ def _normalize(w: np.ndarray) -> np.ndarray:
     return w / s
 
 
-def flat_firing(premise: FlatPremise, x: np.ndarray) -> np.ndarray:
-    """(N, n_rules) normalized firing strengths for the rows of a 2-D x."""
-    return _normalize(_layers(premise, x)[1])
-
-
 def normalized_firing(model: AnfisModel, x: np.ndarray) -> np.ndarray:
     """Layer-3 outputs: (N, n_rules) normalized firing strengths of a model."""
-    return flat_firing(FlatPremise.of(model),
-                       np.atleast_2d(np.asarray(x, dtype=float)))
+    return _normalize(_layers(model, np.atleast_2d(np.asarray(x, dtype=float)))[1])
 
 
 def _rule_outputs(coeffs: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -281,7 +232,7 @@ def _check_inputs(model: AnfisModel, x) -> np.ndarray:
 def forward_batch(model: AnfisModel, x: np.ndarray) -> np.ndarray:
     """Output of a single-output model for each row of x."""
     x = _check_inputs(model, x)
-    return (flat_firing(FlatPremise.of(model), x) * _rule_outputs(model.coeffs, x)).sum(axis=1)
+    return (_normalize(_layers(model, x)[1]) * _rule_outputs(model.coeffs, x)).sum(axis=1)
 
 
 def design_matrix(model: AnfisModel, x: np.ndarray) -> np.ndarray:
@@ -353,12 +304,11 @@ def lse_consequents(model: AnfisModel, data: TrainingSet, ridge: float = 1e-8,
 def premise_gradient(model: AnfisModel, data: TrainingSet):
     """Gradient of the summed squared error w.r.t. all (a, b, c).
 
-    Analytic backpropagation through the five layers.  Returns three lists
-    mirroring the layout of model.a / model.b / model.c.
+    Analytic backpropagation through the five layers.  Returns three flat
+    (total MFs,) arrays in the layout of model.a / model.b / model.c.
     """
     x = _check_inputs(model, data.inputs)
-    premise = FlatPremise.of(model)
-    mu_flat, w = _layers(premise, x)
+    mu, w = _layers(model, x)
     s = w.sum(axis=1, keepdims=True)
     s = np.maximum(s, FIRING_FLOOR)
     wbar = w / s
@@ -367,30 +317,22 @@ def premise_gradient(model: AnfisModel, data: TrainingSet):
     g = 2.0 * (y - data.targets)                      # dE/dy per sample
     dedw = (g / s[:, 0])[:, None] * (f - y[:, None])  # dE/dw_r
 
-    idx = model.rule_index
-    grad_a, grad_b, grad_c = [], [], []
-    dedw_w = dedw * w
-    for i, (start, stop) in enumerate(premise.bounds):
-        mu_i = mu_flat[:, start:stop]
-        mui = np.maximum(mu_i, 1e-300)
-        n_mfs = model.mfs_per_input[i]
-        # dE/dmu for every MF of input i: sum over rules using that MF
-        dedmu = np.zeros((len(x), n_mfs))
-        for m in range(n_mfs):
-            rules_m = np.nonzero(idx[:, i] == m)[0]
-            dedmu[:, m] = dedw_w[:, rules_m].sum(axis=1) / mui[:, m]
-        a_i, b_i, c_i = model.a[i], model.b[i], model.c[i]
-        diff = x[:, i:i + 1] - c_i
-        u = (diff / a_i) ** 2
-        mom = mu_i * (1.0 - mu_i)                     # = mu^2 * u^b
-        dmu_da = 2.0 * b_i * mom / a_i
-        with np.errstate(divide="ignore", invalid="ignore"):
-            dmu_dc = np.where(diff != 0.0, 2.0 * b_i * mom / diff, 0.0)
-            dmu_db = np.where(u > 0.0, -mom * np.log(np.maximum(u, 1e-300)), 0.0)
-        grad_a.append((dedmu * dmu_da).sum(axis=0))
-        grad_b.append((dedmu * dmu_db).sum(axis=0))
-        grad_c.append((dedmu * dmu_dc).sum(axis=0))
-    return grad_a, grad_b, grad_c
+    # dE/dmu for every MF: dE/dw_r * w_r summed over the rules that use it,
+    # over mu.  With the rules as an (N, *mfs_per_input) grid, input i's
+    # MF m is the slice at index m of axis i + 1.
+    n, mfs = len(x), model.mfs_per_input
+    grid = (dedw * w).reshape(n, *mfs)
+    dedmu = np.concatenate([np.moveaxis(grid, i + 1, 1).reshape(n, m, -1).sum(axis=2)
+                            for i, m in enumerate(mfs)], axis=1) / np.maximum(mu, 1e-300)
+    diff = x[:, model.columns] - model.c
+    u = (diff / model.a) ** 2
+    mom = mu * (1.0 - mu)                             # = mu^2 * u^b
+    dmu_da = 2.0 * model.b * mom / model.a
+    with np.errstate(divide="ignore", invalid="ignore"):
+        dmu_dc = np.where(diff != 0.0, 2.0 * model.b * mom / diff, 0.0)
+        dmu_db = np.where(u > 0.0, -mom * np.log(np.maximum(u, 1e-300)), 0.0)
+    return ((dedmu * dmu_da).sum(axis=0), (dedmu * dmu_db).sum(axis=0),
+            (dedmu * dmu_dc).sum(axis=0))
 
 
 def train(model: AnfisModel, data: TrainingSet,
@@ -420,19 +362,17 @@ def train(model: AnfisModel, data: TrainingSet,
         if lr > 0.0 and epoch < config.epochs - 1:
             ga, gb, gc = premise_gradient(current, data)
             # normalize the step so the learning rate is scale-free
-            gnorm = np.sqrt(sum(float(g @ g) for gs in (ga, gb, gc) for g in gs))
+            gnorm = np.sqrt(float(ga @ ga + gb @ gb + gc @ gc))
             if gnorm > 0.0 and np.isfinite(gnorm):
                 step = lr / gnorm
-                for i in range(current.n_inputs):
-                    current.a[i] = np.maximum(current.a[i] - step * ga[i], MIN_WIDTH)
-                    current.b[i] = np.maximum(current.b[i] - step * gb[i], MIN_SLOPE)
-                    current.c[i] = current.c[i] - step * gc[i]
+                current.a = np.maximum(current.a - step * ga, MIN_WIDTH)
+                current.b = np.maximum(current.b - step * gb, MIN_SLOPE)
+                current.c = current.c - step * gc
     # training metadata travels with the model file
     best_model.metadata.update({
         "epochs": config.epochs,
         "learning_rate": config.learning_rate,
         "ridge": config.ridge,
-        "seed": config.seed,
         "final_rmse": best_rmse,
     })
     return best_model, history
@@ -446,9 +386,9 @@ def save_model(model: AnfisModel, path) -> None:
         "mfs_per_input": list(model.mfs_per_input),
         "input_ranges": model.input_ranges.tolist(),
         "premise": [
-            {"input": i, "a": model.a[i].tolist(), "b": model.b[i].tolist(),
-             "c": model.c[i].tolist()}
-            for i in range(model.n_inputs)
+            {"input": i, "a": model.a[start:stop].tolist(),
+             "b": model.b[start:stop].tolist(), "c": model.c[start:stop].tolist()}
+            for i, (start, stop) in enumerate(model.bounds)
         ],
         "consequents": model.coeffs.tolist(),
         "metadata": model.metadata,
@@ -470,18 +410,17 @@ def load_model(path) -> AnfisModel:
             f"unsupported model format version {version!r} in {path} "
             f"(expected {MODEL_FORMAT_VERSION})")
     try:
-        mfs = tuple(doc["mfs_per_input"])
-        premise = doc["premise"]
+        # the file holds one premise entry per input; the model holds them end to end
+        a, b, c = (np.concatenate([np.asarray(p[k], dtype=float) for p in doc["premise"]])
+                   for k in "abc")
         model = AnfisModel(
-            mfs_per_input=mfs,
-            a=[np.asarray(p["a"], dtype=float) for p in premise],
-            b=[np.asarray(p["b"], dtype=float) for p in premise],
-            c=[np.asarray(p["c"], dtype=float) for p in premise],
+            mfs_per_input=tuple(doc["mfs_per_input"]),
+            a=a, b=b, c=c,
             coeffs=np.asarray(doc["consequents"], dtype=float),
             input_ranges=np.asarray(doc["input_ranges"], dtype=float),
             metadata=doc.get("metadata", {}),
         )
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise ModelFormatError(f"malformed model file {path}: {exc}") from exc
     if (model.coeffs.ndim not in (2, 3)
             or model.coeffs.shape[-2:] != (model.n_rules, model.n_inputs + 1)):

@@ -88,12 +88,9 @@ def cmd_gen_data(args) -> int:
     gains = _load_run_gains(cfg)
     spec = roles.ROLES[args.role]
     n_runs = args.runs or spec.runs
-    if spec.inputs == SENSOR_CHANNELS:
-        ds = roles.generate_sensor_data(gains, n_runs, cfg.duration, cfg.dt, cfg.seed,
-                                        cfg.noise, base=cfg)
-    else:
-        ds = roles.generate_controller_data(gains, n_runs, cfg.duration, cfg.dt, cfg.seed)
-    ds = roles.role_view(ds, args.role)
+    generate = (roles.generate_sensor_data if spec.inputs == SENSOR_CHANNELS
+                else roles.generate_controller_data)
+    ds = roles.role_view(generate(gains, n_runs, cfg), args.role)
     out = args.out or f"{args.role}_data.csv"
     ds.to_csv(out)
     print(f"wrote {len(ds)} samples to {out}")
@@ -106,6 +103,8 @@ def cmd_train(args) -> int:
     if not path.exists():
         raise CliError(f"dataset not found: {path}")
     ds = roles.RoleDataset.from_csv(path, len(roles.ROLES[args.role].inputs))
+    # the torque bound comes from the gains that gen-data's teacher ran with
+    ds.metadata["mc_max"] = _load_run_gains(cfg).mc_max
     # looked up by name at call time, so a wrapper swapped in for it is called
     bundle = getattr(roles, f"train_{args.role}")(ds)
     out = args.out or (str(Path(cfg.bundle_dir) / args.role) if cfg.bundle_dir

@@ -33,7 +33,7 @@ from .anfis import AnfisModel
 from .config import NOMINAL_INERTIA, SimConfig
 from .dynamics import AngularVelocity, EulerAngles, Quaternion, Torque
 from .pid import PidGains
-from .sensors import SENSOR_CHANNELS, NoiseSpec
+from .sensors import SENSOR_CHANNELS
 
 __all__ = [
     "RoleBundle",
@@ -166,7 +166,6 @@ class RoleBundle:
         # the bundle's inputs within a 15-channel sensor row (SENSOR_CHANNELS)
         self._columns = (slice(None) if self.input_columns is None
                          else np.array(self.input_columns, dtype=np.intp))
-        self._premise = anfis.FlatPremise.of(m)
 
     @property
     def n_inputs(self) -> int:
@@ -194,7 +193,7 @@ class RoleBundle:
         return self._outputs(x)
 
     def _outputs(self, x: np.ndarray) -> np.ndarray:
-        wbar = anfis.flat_firing(self._premise, np.ascontiguousarray(x))
+        wbar = anfis._normalize(anfis._layers(self.model, x)[1])
         xaug = np.empty((len(x), x.shape[1] + 1))
         xaug[:, :-1] = x
         xaug[:, -1] = 1.0
@@ -237,36 +236,35 @@ def _teacher_runs(gains: PidGains, n_runs: int, seed: int, tag: int, draw, rows,
 
 
 def generate_controller_data(gains: PidGains, n_runs: int = ROLES["controller"].runs,
-                             duration: float = 20.0, dt: float = 0.01,
-                             seed: int = 0) -> RoleDataset:
+                             base: SimConfig = SimConfig()) -> RoleDataset:
     """PID teacher trajectories: (q_e, w) -> commanded torque at every step.
 
     The targets are the teacher's unsaturated commands: the saturation
     clamp is re-applied at inference (anfis_control), so learning the
     smooth pre-clamp map avoids wasting model capacity on the flat
     saturated regions.  Runs noise-free closed loops of the nominal plant
-    from randomized initial conditions.
+    from randomized initial conditions; of base it reads only dt, duration
+    and the seed of the draws.
     """
     def draw(rng):
         euler, omega = _random_conditions(rng)
-        return SimConfig(dt=dt, duration=duration, seed=seed,
+        return SimConfig(dt=base.dt, duration=base.duration, seed=base.seed,
                          initial_euler=euler, initial_omega=omega)
 
     # the record's last sample has no step after it, so it is not a training row
     inputs, targets, run_ids = _teacher_runs(
-        gains, n_runs, seed, 0xC0, draw,
+        gains, n_runs, base.seed, 0xC0, draw,
         lambda rec: (np.column_stack([rec.qe[:-1], rec.w[:-1]]), rec.mc_raw[:-1]))
     return RoleDataset(inputs, targets, run_ids, CONTROLLER_CHANNELS, TORQUE_CHANNELS,
-                       {"role": "controller", "seed": seed, "n_runs": n_runs,
+                       {"role": "controller", "seed": base.seed, "n_runs": n_runs,
                         "mc_max": gains.mc_max})
 
 
 def generate_sensor_data(gains: PidGains, n_runs: int = ROLES["estimator"].runs,
-                         duration: float = 20.0, dt: float = 0.01, seed: int = 0,
-                         noise: NoiseSpec = NoiseSpec(),
                          base: SimConfig = SimConfig()) -> RoleDataset:
     """Sensor trajectories of the nominal plant under PID control, with both
-    state and torque targets.
+    state and torque targets.  The scenario is base's: its step, duration,
+    sensor noise and the seed of the draws; each run gets its own noise seed.
 
     Targets are the 7 true-state channels followed by the teacher's 3
     unsaturated torque commands (the clamp is re-applied at inference);
@@ -275,22 +273,23 @@ def generate_sensor_data(gains: PidGains, n_runs: int = ROLES["estimator"].runs,
     def draw(rng):
         euler, omega = _random_conditions(rng)
         noise_seed = int(rng.integers(0, 2 ** 31))
-        return replace(base, dt=dt, duration=duration, seed=noise_seed,
+        return replace(base, seed=noise_seed,
                        inertia_nominal=NOMINAL_INERTIA, inertia_true=NOMINAL_INERTIA,
                        initial_euler=euler, initial_omega=omega,
-                       noise=replace(noise, seed=noise_seed),
+                       noise=replace(base.noise, seed=noise_seed),
                        controller="pid", estimator="truth", modulator="none")
 
     inputs, targets, run_ids = _teacher_runs(
-        gains, n_runs, seed, 0xE5, draw,
+        gains, n_runs, base.seed, 0xE5, draw,
         lambda rec: (rec.sensor[:-1],
                      np.column_stack([rec.q[:-1], rec.w[:-1], rec.mc_raw[:-1]])),
         record_sensors=True)
     return RoleDataset(inputs, targets, run_ids,
                        SENSOR_CHANNELS, STATE_CHANNELS + TORQUE_CHANNELS,
-                       {"role": "sensor", "seed": seed, "n_runs": n_runs,
+                       {"role": "sensor", "seed": base.seed, "n_runs": n_runs,
                         "mc_max": gains.mc_max,
-                        "noise": (noise.sigma_mag, noise.sigma_sun, noise.sigma_gyro)})
+                        "noise": (base.noise.sigma_mag, base.noise.sigma_sun,
+                                  base.noise.sigma_gyro)})
 
 
 def role_view(data: RoleDataset, role: str) -> RoleDataset:

@@ -33,7 +33,7 @@ def tuned():
 @pytest.fixture(scope="session")
 def controller_art(tuned):
     """Teacher dataset and trained torque-mimicry bundle."""
-    data = roles.generate_controller_data(tuned["gains"], seed=7)
+    data = roles.generate_controller_data(tuned["gains"], base=SimConfig(seed=7))
     t0 = time.perf_counter()
     bundle = roles.train_controller(data)
     seconds = time.perf_counter() - t0
@@ -45,11 +45,12 @@ def sensor_art(tuned):
     """Noisy sensor dataset plus the estimator and integrated bundles trained
     on its two role views, and a zero-noise estimator dataset for held-out
     estimation-accuracy checks."""
-    noisy = roles.generate_sensor_data(tuned["gains"], seed=11)
+    noisy = roles.generate_sensor_data(tuned["gains"],
+                                       base=SimConfig(seed=11, noise=NoiseSpec()))
     estimator = roles.train_estimator(roles.role_view(noisy, "estimator"))
     integrated = roles.train_integrated(roles.role_view(noisy, "integrated"))
     clean = roles.role_view(roles.generate_sensor_data(
-        tuned["gains"], seed=13, noise=NoiseSpec(0.0, 0.0, 0.0)), "estimator")
+        tuned["gains"], base=SimConfig(seed=13, noise=NoiseSpec(0.0, 0.0, 0.0))), "estimator")
     return {"data": noisy, "estimator": estimator, "integrated": integrated,
             "clean_estimator_data": clean}
 

@@ -1,7 +1,14 @@
 """Takagi-Sugeno core tests: forward pass, training, persistence."""
 
+import itertools
+import json
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from satgnc import anfis
 from satgnc.anfis import (AnfisModel, ModelFormatError, TrainConfig,
@@ -10,16 +17,32 @@ from satgnc.anfis import (AnfisModel, ModelFormatError, TrainConfig,
                           normalized_firing, premise_gradient, train)
 
 RANGES_2D = np.array([[-1.0, 1.0], [-2.0, 2.0]])
+FLOATS = st.floats(allow_nan=False)       # -0.0, subnormals and infinities too
+
+
+@st.composite
+def models(draw):
+    """Any model a file can hold: 1-4 inputs of 2-4 MFs, any premise
+    values, and a single consequent table or a stack of 1-3."""
+    mfs = tuple(draw(st.lists(st.integers(2, 4), min_size=1, max_size=4)))
+    table = (int(np.prod(mfs)), len(mfs) + 1)
+    stack = draw(st.sampled_from([(), (1,), (2,), (3,)]))
+    return AnfisModel(
+        mfs, *(draw(arrays(np.float64, sum(mfs), elements=FLOATS)) for _ in "abc"),
+        coeffs=draw(arrays(np.float64, stack + table, elements=FLOATS)),
+        input_ranges=draw(arrays(np.float64, (len(mfs), 2), elements=FLOATS)),
+        metadata=draw(st.dictionaries(st.text(max_size=4), FLOATS | st.text(max_size=4),
+                                      max_size=3)))
 
 
 def random_model(rng, n_inputs=2, mfs=2):
     ranges = np.column_stack([-rng.uniform(0.5, 2.0, n_inputs),
                               rng.uniform(0.5, 2.0, n_inputs)])
     m = grid_partition_init(ranges, mfs)
-    for i in range(n_inputs):
-        m.a[i] = m.a[i] * rng.uniform(0.5, 1.5, len(m.a[i]))
-        m.b[i] = m.b[i] * rng.uniform(0.8, 1.3, len(m.b[i]))
-        m.c[i] = m.c[i] + rng.normal(0.0, 0.05, len(m.c[i]))
+    for start, stop in m.bounds:
+        m.a[start:stop] *= rng.uniform(0.5, 1.5, stop - start)
+        m.b[start:stop] *= rng.uniform(0.8, 1.3, stop - start)
+        m.c[start:stop] += rng.normal(0.0, 0.05, stop - start)
     m.coeffs = rng.normal(0.0, 1.0, m.coeffs.shape)
     return m, ranges
 
@@ -45,8 +68,8 @@ class TestBell:
 class TestGridInit:
     def test_centers_span_range(self):
         m = grid_partition_init(RANGES_2D, (3, 2))
-        np.testing.assert_allclose(m.c[0], [-1.0, 0.0, 1.0])
-        np.testing.assert_allclose(m.c[1], [-2.0, 2.0])
+        np.testing.assert_allclose(m.c, [-1.0, 0.0, 1.0, -2.0, 2.0])
+        assert m.bounds == ((0, 3), (3, 5))
         assert m.n_rules == 6
         assert m.coeffs.shape == (6, 3)
 
@@ -72,18 +95,21 @@ class TestForward:
         np.testing.assert_allclose(wbar.sum(axis=1), 1.0, atol=1e-12)
 
     def test_firing_matches_rule_grid_product(self):
-        # reference: per-input bell rows gathered through rule_index and
+        # reference: per-input bell rows gathered through a rule table (row-
+        # major over the inputs' MF indices, the first input slowest) and
         # multiplied input by input, then normalized; same bits required
         rng = np.random.default_rng(8)
         m = grid_partition_init(np.array([[-1.0, 1.0], [0.0, 2.0], [3.0, 4.0]]),
                                 (2, 3, 4))
-        for i in range(m.n_inputs):
-            m.b[i] = m.b[i] * rng.uniform(0.8, 1.3, len(m.b[i]))
-            m.c[i] = m.c[i] + rng.normal(0.0, 0.05, len(m.c[i]))
+        for start, stop in m.bounds:
+            m.b[start:stop] *= rng.uniform(0.8, 1.3, stop - start)
+            m.c[start:stop] += rng.normal(0.0, 0.05, stop - start)
         x = rng.uniform(-1.0, 4.0, size=(50, 3))
+        rules = np.array(list(itertools.product(*map(range, m.mfs_per_input))))
         w = np.ones((len(x), m.n_rules))
-        for i in range(m.n_inputs):
-            w = w * bell(x[:, i:i + 1], m.a[i], m.b[i], m.c[i])[:, m.rule_index[:, i]]
+        for i, (start, stop) in enumerate(m.bounds):
+            mu = bell(x[:, i:i + 1], m.a[start:stop], m.b[start:stop], m.c[start:stop])
+            w = w * mu[:, rules[:, i]]
         want = w / w.sum(axis=1, keepdims=True)
         np.testing.assert_array_equal(normalized_firing(m, x), want)
         np.testing.assert_array_equal(normalized_firing(m, x[7]), want[7:8])
@@ -126,7 +152,7 @@ class TestForward:
 
     def test_underflow_falls_back_to_uniform(self):
         m = grid_partition_init(np.array([[-1.0, 1.0]]), 2)
-        m.b[0][:] = 50.0
+        m.b[:] = 50.0
         m.coeffs[:, -1] = 1.0
         with pytest.warns(UserWarning, match="underflow"):
             y = forward_batch(m, np.array([[1e9]]))
@@ -195,15 +221,14 @@ class TestPremiseGradient:
 
             eps = 1e-6
             for which, grads in (("a", ga), ("b", gb), ("c", gc)):
-                for i in range(n_in):
-                    for j in range(len(grads[i])):
-                        mp, mn = m.copy(), m.copy()
-                        getattr(mp, which)[i][j] += eps
-                        getattr(mn, which)[i][j] -= eps
-                        fd = (loss(mp) - loss(mn)) / (2.0 * eps)
-                        an = grads[i][j]
-                        worst = max(worst, abs(fd - an)
-                                    / max(1e-8, abs(fd), abs(an)))
+                assert grads.shape == (sum(m.mfs_per_input),)
+                for j, an in enumerate(grads):
+                    mp, mn = m.copy(), m.copy()
+                    getattr(mp, which)[j] += eps
+                    getattr(mn, which)[j] -= eps
+                    fd = (loss(mp) - loss(mn)) / (2.0 * eps)
+                    worst = max(worst, abs(fd - an)
+                                / max(1e-8, abs(fd), abs(an)))
         assert worst < 1e-5
 
     def test_zero_residual_zero_gradient(self):
@@ -213,8 +238,7 @@ class TestPremiseGradient:
         y = forward_batch(m, x)
         ga, gb, gc = premise_gradient(m, TrainingSet(x, y))
         for grads in (ga, gb, gc):
-            for g in grads:
-                np.testing.assert_allclose(g, 0.0, atol=1e-9)
+            np.testing.assert_allclose(grads, 0.0, atol=1e-9)
 
 
 class TestTrain:
@@ -262,13 +286,43 @@ class TestPersistence:
             anfis.save_model(m, path)
             loaded = anfis.load_model(path)
             assert loaded.mfs_per_input == m.mfs_per_input
-            for i in range(m.n_inputs):
-                np.testing.assert_array_equal(loaded.a[i], m.a[i])
-                np.testing.assert_array_equal(loaded.b[i], m.b[i])
-                np.testing.assert_array_equal(loaded.c[i], m.c[i])
+            np.testing.assert_array_equal(loaded.a, m.a)
+            np.testing.assert_array_equal(loaded.b, m.b)
+            np.testing.assert_array_equal(loaded.c, m.c)
             np.testing.assert_array_equal(loaded.coeffs, m.coeffs)
             np.testing.assert_array_equal(loaded.input_ranges, m.input_ranges)
             assert loaded.metadata["note"] == "fixture"
+
+    @settings(max_examples=40, deadline=None)
+    @given(models())
+    def test_round_trip_property(self, m):
+        # bit for bit, and saving the loaded model gives the same bytes
+        with tempfile.TemporaryDirectory() as d:
+            first, second = Path(d, "first.json"), Path(d, "second.json")
+            anfis.save_model(m, first)
+            loaded = anfis.load_model(first)
+            anfis.save_model(loaded, second)
+            assert second.read_bytes() == first.read_bytes()
+        assert loaded.mfs_per_input == m.mfs_per_input
+        for name in ("a", "b", "c", "coeffs", "input_ranges"):
+            got, want = getattr(loaded, name), getattr(m, name)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes(), name
+        assert loaded.metadata == m.metadata
+
+    def test_premise_length_mismatch_rejected(self, tmp_path):
+        m = grid_partition_init(RANGES_2D, 2)
+        with pytest.raises(ValueError, match="membership functions"):
+            AnfisModel(m.mfs_per_input, m.a, m.b, m.c[:3], m.coeffs, m.input_ranges)
+        path = tmp_path / "model.json"
+        # three centres for a two-MF input, then three whole MFs for it
+        for keys in ("c", "abc"):
+            anfis.save_model(m, path)
+            doc = json.loads(path.read_text())
+            for key in keys:
+                doc["premise"][0][key].append(0.5)
+            path.write_text(json.dumps(doc))
+            with pytest.raises(ModelFormatError, match="membership functions"):
+                anfis.load_model(path)
 
     def test_version_mismatch_rejected(self, tmp_path):
         path = tmp_path / "bad.json"

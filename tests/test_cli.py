@@ -5,6 +5,7 @@ must produce byte-identical artifacts.
 """
 
 import filecmp
+import json
 from pathlib import Path
 
 import numpy as np
@@ -108,6 +109,30 @@ class TestGenDataAndTrain:
         assert "manifest.json" in files
         match, mismatch, errors = filecmp.cmpfiles(b1, b2, files, shallow=False)
         assert mismatch == [] and errors == []
+
+    def test_train_keeps_tuned_torque_bound(self, tmp_path):
+        # the bundle saturates at the bound the teacher's gains were tuned with
+        cfg = tmp_path / "run.ini"
+        cfg.write_text(MINI_CONFIG.format(gains=tmp_path / "gains.ini",
+                                          bundles=tmp_path / "bundles"))
+        data = tmp_path / "controller.csv"
+        for argv in (["tune-pid", "--budget", "50", "--mc-max", "0.5"],
+                     ["gen-data", "--role", "controller", "--runs", "2",
+                      "--out", str(data)],
+                     ["train", "--role", "controller", "--data", str(data)]):
+            assert main(argv[:1] + ["--config", str(cfg)] + argv[1:]) == 0
+        manifest = json.loads((tmp_path / "bundles" / "controller" / "manifest.json")
+                              .read_text())
+        assert manifest["mc_max"] == 0.5
+
+    def test_train_without_gains_file_fails(self, workdir, tmp_path, capsys):
+        cfg = tmp_path / "run.ini"
+        cfg.write_text("[simulation]\nduration = 2.0\n")
+        rc = main(["train", "--config", str(cfg), "--role", "controller",
+                   "--data", str(workdir / "controller.csv"),
+                   "--out", str(tmp_path / "bundle")])
+        assert rc == 1
+        assert "config has no gains_file" in capsys.readouterr().err
 
     def test_missing_dataset_fails(self, workdir, capsys):
         rc = main(["train", "--config", cfg_path(workdir),

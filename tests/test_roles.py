@@ -3,19 +3,49 @@ persistence.  Heavy training shares the session fixtures from conftest."""
 
 import dataclasses
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from satgnc import anfis, roles
+from satgnc.anfis import AnfisModel
+from satgnc.config import SimConfig
 from satgnc.dynamics import AngularVelocity, Quaternion, Torque
 from satgnc.pid import PidGains
 from satgnc.roles import (EstimateInvalidError, PRUNED_COLUMNS, RoleBundle,
                           RoleDataset, anfis_control, anfis_estimate,
                           anfis_integrated, load_bundle, save_bundle)
+from satgnc.sensors import NoiseSpec
 
 QUICK_GAINS = PidGains(kp=(-3.0, -5.2, -6.0), kd=(-3.0, -5.2, -6.0),
                        kq=(-0.01, -0.01, -0.01), kw=(-0.01, -0.01, -0.01))
+# a short scenario with the default sensor noise
+SENSOR_BASE = SimConfig(duration=2.0, seed=3, noise=NoiseSpec())
+FLOATS = st.floats(allow_nan=False)       # -0.0, subnormals and infinities too
+METADATA = st.dictionaries(st.text(max_size=4), FLOATS | st.text(max_size=4), max_size=3)
+
+
+@st.composite
+def role_bundles(draw):
+    """Any bundle a directory can hold: 1-4 inputs of 2-4 MFs, 1-3 output
+    channels, any premise and consequent values."""
+    mfs = tuple(draw(st.lists(st.integers(2, 4), min_size=1, max_size=4)))
+    n_in, k = len(mfs), draw(st.integers(1, 3))
+    model = AnfisModel(
+        mfs, *(draw(arrays(np.float64, sum(mfs), elements=FLOATS)) for _ in "abc"),
+        coeffs=draw(arrays(np.float64, (k, int(np.prod(mfs)), n_in + 1), elements=FLOATS)),
+        # finite, so the bundle's envelope arithmetic stays finite
+        input_ranges=draw(arrays(np.float64, (n_in, 2), elements=st.floats(-1e300, 1e300))),
+        metadata=draw(METADATA))
+    columns = draw(st.none() | st.lists(st.integers(0, 14), min_size=n_in,
+                                        max_size=n_in).map(tuple))
+    return RoleBundle(draw(st.sampled_from(tuple(roles.ROLES))), model,
+                      tuple(f"x{i}" for i in range(n_in)), tuple(f"y{j}" for j in range(k)),
+                      columns, draw(FLOATS), draw(METADATA))
 
 
 class TestRoleDataset:
@@ -51,10 +81,8 @@ class TestRoleDataset:
 
 class TestDataGeneration:
     def test_controller_data_shape_and_determinism(self):
-        a = roles.generate_controller_data(QUICK_GAINS, n_runs=2,
-                                           duration=2.0, seed=3)
-        b = roles.generate_controller_data(QUICK_GAINS, n_runs=2,
-                                           duration=2.0, seed=3)
+        a = roles.generate_controller_data(QUICK_GAINS, 2, SimConfig(duration=2.0, seed=3))
+        b = roles.generate_controller_data(QUICK_GAINS, 2, SimConfig(duration=2.0, seed=3))
         assert a.inputs.shape == (2 * 200, 6)
         assert a.targets.shape == (2 * 200, 3)
         np.testing.assert_array_equal(a.inputs, b.inputs)
@@ -62,13 +90,11 @@ class TestDataGeneration:
 
     def test_targets_are_unsaturated_commands(self):
         # aggressive gains from a large error exceed the clamp in the record
-        ds = roles.generate_controller_data(QUICK_GAINS, n_runs=3,
-                                            duration=2.0, seed=1)
+        ds = roles.generate_controller_data(QUICK_GAINS, 3, SimConfig(duration=2.0, seed=1))
         assert np.max(np.abs(ds.targets)) > QUICK_GAINS.mc_max
 
     def test_sensor_data_channels(self):
-        ds = roles.generate_sensor_data(QUICK_GAINS, n_runs=2,
-                                        duration=2.0, seed=3)
+        ds = roles.generate_sensor_data(QUICK_GAINS, 2, SENSOR_BASE)
         assert ds.inputs.shape[1] == 15
         assert ds.targets.shape[1] == 10
         # measured directions are unit vectors
@@ -79,7 +105,7 @@ class TestDataGeneration:
                                    1.0, atol=1e-9)
 
     def test_estimator_and_integrated_are_views(self):
-        ds = roles.generate_sensor_data(QUICK_GAINS, n_runs=2, duration=2.0, seed=3)
+        ds = roles.generate_sensor_data(QUICK_GAINS, 2, SENSOR_BASE)
         est = roles.role_view(ds, "estimator")
         intg = roles.role_view(ds, "integrated")
         assert est.target_names == roles.ROLES["estimator"].outputs
@@ -89,7 +115,7 @@ class TestDataGeneration:
         assert est.inputs is ds.inputs and intg.inputs is ds.inputs
         assert est.metadata["role"] == "estimator"
         # a controller dataset is its own view
-        ctrl = roles.generate_controller_data(QUICK_GAINS, n_runs=1, duration=1.0)
+        ctrl = roles.generate_controller_data(QUICK_GAINS, 1, SimConfig(duration=1.0))
         view = roles.role_view(ctrl, "controller")
         np.testing.assert_array_equal(view.targets, ctrl.targets)
         assert view.target_names == ctrl.target_names
@@ -97,8 +123,9 @@ class TestDataGeneration:
     def test_role_table_matches_datasets(self):
         # every role's dataset carries the table's input channels, and its
         # bundle columns index into them
-        ctrl = roles.generate_controller_data(QUICK_GAINS, n_runs=1, duration=1.0)
-        sensor = roles.generate_sensor_data(QUICK_GAINS, n_runs=1, duration=1.0)
+        ctrl = roles.generate_controller_data(QUICK_GAINS, 1, SimConfig(duration=1.0))
+        sensor = roles.generate_sensor_data(QUICK_GAINS, 1,
+                                            SimConfig(duration=1.0, noise=NoiseSpec()))
         for role, spec in roles.ROLES.items():
             ds = ctrl if spec.inputs == ctrl.input_names else sensor
             assert ds.input_names == spec.inputs, role
@@ -132,7 +159,6 @@ class TestControllerBundle:
 
 
 def load_bundle_roundtrip(bundle, tmp=None):
-    import tempfile
     with tempfile.TemporaryDirectory() as d:
         save_bundle(bundle, d)
         return load_bundle(d)
@@ -189,6 +215,25 @@ class TestBundlePersistence:
         x = np.array([0.01, -0.02, 0.03, 0.001, 0.0, -0.001])
         np.testing.assert_array_equal(loaded.predict(x), bundle.predict(x))
 
+    @settings(max_examples=40, deadline=None)
+    @given(role_bundles())
+    def test_round_trip_property(self, bundle):
+        # bit for bit, and saving the loaded bundle gives the same files
+        with tempfile.TemporaryDirectory() as d:
+            first, second = Path(d, "first"), Path(d, "second")
+            save_bundle(bundle, first)
+            loaded = load_bundle(first)
+            save_bundle(loaded, second)
+            for name in ("manifest.json", roles.MODEL_FILE):
+                assert (second / name).read_bytes() == (first / name).read_bytes()
+        for name in ("a", "b", "c", "coeffs", "input_ranges"):
+            got, want = getattr(loaded.model, name), getattr(bundle.model, name)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes(), name
+        for name in ("role", "input_names", "output_names", "input_columns", "metadata"):
+            assert getattr(loaded, name) == getattr(bundle, name), name
+        assert loaded.model.metadata == bundle.model.metadata
+        assert np.float64(loaded.mc_max).tobytes() == np.float64(bundle.mc_max).tobytes()
+
     def test_missing_manifest(self, tmp_path):
         with pytest.raises(FileNotFoundError, match="manifest"):
             load_bundle(tmp_path / "nope")
@@ -234,7 +279,7 @@ class TestBundlePersistence:
 
     def test_shared_premise_underflow_falls_back_to_uniform(self):
         model = anfis.grid_partition_init(np.array([[-1.0, 1.0]]), 2)
-        model.b[0][:] = 50.0
+        model.b[:] = 50.0
         model.coeffs = np.zeros((2,) + model.coeffs.shape)
         model.coeffs[:, :, -1] = [[1.0, 3.0], [-2.0, 0.0]]
         bundle = RoleBundle("integrated", model, ("x",), ("y1", "y2"))
