@@ -8,11 +8,11 @@ on the generalized-bell membership parameters.
 
 The premise is held in one form: flat (total MFs,) arrays of widths,
 slopes and centres, laid out input by input, which the firing layers,
-the gradient, training and persistence all read.  The forward pass and
-training work on single-output models.  A model may also carry a
-(k, n_rules, n_inputs + 1) stack of consequents, k output channels over
-one shared premise; that is how the role bundles store their channels,
-and save_model/load_model persist either form.
+the gradient, training and persistence all read.  The consequents are
+held in one form too: a (k, n_rules, n_inputs + 1) stack, k output
+channels over the one premise (k = 1 for a single output).  forward,
+fit_consequents, premise_gradient and train all work on (N, k) outputs,
+and the role bundles are such models.
 """
 
 from __future__ import annotations
@@ -27,16 +27,15 @@ import scipy.linalg
 
 __all__ = [
     "AnfisModel",
-    "TrainingSet",
     "TrainConfig",
     "TrainingDivergedError",
     "ModelFormatError",
     "bell",
     "grid_partition_init",
-    "forward_batch",
+    "forward",
     "normalized_firing",
     "design_matrix",
-    "lse_consequents",
+    "fit_consequents",
     "linear_consequent_prior",
     "solve_consequents",
     "premise_gradient",
@@ -53,7 +52,8 @@ MIN_SLOPE = 0.1
 
 
 class TrainingDivergedError(RuntimeError):
-    """Raised when the hybrid training loop produces a non-finite loss."""
+    """Raised when the hybrid training loop produces a non-finite loss or
+    premise gradient."""
 
 
 class ModelFormatError(ValueError):
@@ -78,10 +78,9 @@ class AnfisModel:
     are a[start:stop] for (start, stop) = bounds[i], and columns[j] is the
     input that function j reads.  Rules run in row-major order over the
     inputs' MF indices (the first input slowest); order maps each rule to
-    its position in the firing product that _layers builds.  Consequents
-    are one (n_inputs + 1) row per rule: linear coefficients followed by
-    the bias; a multi-output model stacks k such tables as
-    (k, n_rules, n_inputs + 1).
+    its position in the firing product that _firing builds.  Consequents
+    are a (k, n_rules, n_inputs + 1) stack, one table per output channel
+    with one row per rule: linear coefficients followed by the bias.
     """
     mfs_per_input: tuple[int, ...]
     a: np.ndarray
@@ -103,6 +102,10 @@ class AnfisModel:
         self.columns = np.repeat(np.arange(len(mfs)), mfs)
         layout = np.arange(self.n_rules).reshape(mfs[::-1])
         self.order = layout.transpose(range(len(mfs) - 1, -1, -1)).ravel()
+        self.coeffs = np.asarray(self.coeffs, dtype=float)
+        if self.coeffs.ndim != 3 or self.coeffs.shape[1:] != (self.n_rules, len(mfs) + 1):
+            raise ValueError(f"consequents of shape {self.coeffs.shape} are not a "
+                             f"(k, {self.n_rules}, {len(mfs) + 1}) stack of rule tables")
 
     @property
     def n_inputs(self) -> int:
@@ -116,22 +119,6 @@ class AnfisModel:
         return replace(self, a=self.a.copy(), b=self.b.copy(), c=self.c.copy(),
                        coeffs=self.coeffs.copy(), input_ranges=self.input_ranges.copy(),
                        metadata=dict(self.metadata))
-
-
-@dataclass
-class TrainingSet:
-    """Input/target pairs of a single-output fit."""
-    inputs: np.ndarray
-    targets: np.ndarray
-
-    def __post_init__(self):
-        self.inputs = np.atleast_2d(np.asarray(self.inputs, dtype=float))
-        self.targets = np.asarray(self.targets, dtype=float).ravel()
-        if len(self.targets) != self.inputs.shape[0]:
-            raise ValueError("inputs and targets disagree on sample count")
-
-    def __len__(self) -> int:
-        return self.inputs.shape[0]
 
 
 @dataclass(frozen=True)
@@ -152,7 +139,8 @@ class TrainConfig:
 
 
 def grid_partition_init(ranges, mfs_per_input) -> AnfisModel:
-    """Evenly spaced bell MFs over each input range; zero consequents.
+    """Evenly spaced bell MFs over each input range; one output channel of
+    zero consequents.
 
     Centers span [min, max], widths are half the center spacing, slope
     exponent b = 2 everywhere.
@@ -171,68 +159,70 @@ def grid_partition_init(ranges, mfs_per_input) -> AnfisModel:
             raise ValueError("need at least 2 membership functions per input")
         a.append(np.full(m, 0.5 * ((hi - lo) / (m - 1))))   # half the center spacing
         c.append(np.linspace(lo, hi, m))
-    coeffs = np.zeros((math.prod(mfs_per_input), ranges.shape[0] + 1))
+    coeffs = np.zeros((1, math.prod(mfs_per_input), ranges.shape[0] + 1))
     return AnfisModel(mfs_per_input, np.concatenate(a), np.full(sum(mfs_per_input), 2.0),
                       np.concatenate(c), coeffs, ranges.copy())
 
 
-def _layers(model: AnfisModel, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Layers 1-2 for the rows of a 2-D x: all memberships (N, total MFs)
-    from one bell evaluation, and the (N, n_rules) firing strengths in rule
-    order.
+def _firing(model: AnfisModel, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Layers 1-3 for the rows of a 2-D x: all memberships (N, total MFs)
+    from one bell evaluation, the (N, n_rules) normalized firing strengths
+    in rule order, and the (N, 1) mask of the rows that fired no rule.
 
     The firing vector is a running Kronecker product that multiplies input
     by input, left to right.  Each new input's memberships scale whole rows
     of the partial product, so the newest input ends up outermost; one
-    gather then restores the rule order.
+    gather then restores the rule order.  If every rule underflows for a
+    sample, that row falls back to uniform weights (with a diagnostic
+    counting such rows) instead of dividing by zero.
     """
-    mu = bell(x[:, model.columns], model.a, model.b, model.c)
+    # the take methods gather as indexing does, at under half the cost per call
+    mu = bell(x.take(model.columns, axis=1), model.a, model.b, model.c)
     (start, stop), *rest = model.bounds
     w = mu[:, start:stop]
     for start, stop in rest:
         w = (mu[:, start:stop, None] * w[:, None, :]).reshape(len(mu), -1)
-    return mu, np.take(w, model.order, axis=1)
-
-
-def _normalize(w: np.ndarray) -> np.ndarray:
-    """Layer 3, over the rules of each sample's firing strengths.  If every
-    rule underflows for a sample, that row falls back to uniform weights
-    (with a diagnostic counting such rows) instead of dividing by zero."""
+    w = w.take(model.order, axis=1)
     s = w.sum(axis=-1, keepdims=True)
     dead = s < FIRING_FLOOR
     if dead.any():
         warnings.warn(f"{int(dead.sum())} sample(s) fired no rule above the underflow "
-                      "floor; using uniform rule weights", stacklevel=2)
+                      "floor; using uniform rule weights", stacklevel=3)
         w = np.where(dead, 1.0, w)
         s = np.where(dead, float(w.shape[-1]), s)
-    return w / s
+    return mu, w / s, dead
 
 
 def normalized_firing(model: AnfisModel, x: np.ndarray) -> np.ndarray:
     """Layer-3 outputs: (N, n_rules) normalized firing strengths of a model."""
-    return _normalize(_layers(model, np.atleast_2d(np.asarray(x, dtype=float)))[1])
+    return _firing(model, np.atleast_2d(np.asarray(x, dtype=float)))[1]
 
 
-def _rule_outputs(coeffs: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Per-rule linear consequents f_r(x), shape (N, n_rules).
+def _pass(model: AnfisModel, x):
+    """Layers 1-5 for the rows of x, after the one input-width check: x as
+    a 2-D array, _firing's three values, the (N, k, n_rules) rule
+    consequents f and the (N, k) outputs.
 
-    Each row is its own vector-matrix product, so a sample's output does not
-    depend on the batch it is evaluated in.
+    Each sample and channel is its own matrix-vector product, so a row's
+    result does not depend on the batch it is evaluated in.
     """
-    return (x[:, None, :] @ coeffs[:, :-1].T)[:, 0] + coeffs[:, -1]
-
-
-def _check_inputs(model: AnfisModel, x) -> np.ndarray:
-    x = np.ascontiguousarray(np.atleast_2d(np.asarray(x, dtype=float)))
+    x = np.asarray(x, dtype=float)
+    if x.ndim < 2:
+        x = x.reshape(1, -1)        # as np.atleast_2d, at a third of its cost per call
     if x.shape[1] != model.n_inputs:
         raise ValueError(f"expected {model.n_inputs} inputs, got {x.shape[1]}")
-    return x
+    mu, wbar, dead = _firing(model, x)
+    xaug = np.empty((len(x), x.shape[1] + 1))
+    xaug[:, :-1] = x
+    xaug[:, -1] = 1.0
+    f = (model.coeffs @ xaug[:, None, :, None])[..., 0]
+    return x, mu, wbar, dead, f, (f @ wbar[:, :, None])[..., 0]
 
 
-def forward_batch(model: AnfisModel, x: np.ndarray) -> np.ndarray:
-    """Output of a single-output model for each row of x."""
-    x = _check_inputs(model, x)
-    return (_normalize(_layers(model, x)[1]) * _rule_outputs(model.coeffs, x)).sum(axis=1)
+def forward(model: AnfisModel, x) -> np.ndarray:
+    """(N, k) outputs of the model's k channels for the rows of x (one row
+    for a 1-D x); raises ValueError if x does not have n_inputs columns."""
+    return _pass(model, x)[-1]
 
 
 def design_matrix(model: AnfisModel, x: np.ndarray) -> np.ndarray:
@@ -282,46 +272,54 @@ def solve_consequents(a_mat: np.ndarray, targets: np.ndarray, ridge: float,
     return sol
 
 
-def lse_consequents(model: AnfisModel, data: TrainingSet, ridge: float = 1e-8,
-                    prior: np.ndarray | None = None) -> tuple[AnfisModel, float]:
-    """Optimal consequents for the current premises; returns (model, RMSE)."""
-    if len(data) == 0:
-        raise ValueError("training set is empty")
-    n_params = model.n_rules * (model.n_inputs + 1)
-    if len(data) < n_params:
-        warnings.warn(f"{len(data)} samples for {n_params} consequent parameters; "
-                      "the least-squares problem is underdetermined", stacklevel=2)
-    a_mat = design_matrix(model, data.inputs)
-    if prior is not None:
-        prior = np.asarray(prior, dtype=float).reshape(n_params)
-    sol = solve_consequents(a_mat, data.targets, ridge, prior)
-    out = model.copy()
-    out.coeffs = sol.reshape(model.n_rules, model.n_inputs + 1)
-    resid = a_mat @ sol - data.targets
-    return out, float(np.sqrt(np.mean(resid ** 2)))
-
-
-def premise_gradient(model: AnfisModel, data: TrainingSet):
-    """Gradient of the summed squared error w.r.t. all (a, b, c).
-
-    Analytic backpropagation through the five layers.  Returns three flat
-    (total MFs,) arrays in the layout of model.a / model.b / model.c.
+def fit_consequents(model: AnfisModel, x, y, ridge: float,
+                    linear_prior: bool = True) -> tuple[np.ndarray, np.ndarray]:
+    """Least-squares consequents of the (N, k) targets y for the model's
+    premise: one ridge solve for all k channels, shrunk toward each
+    channel's global linear fit (linear_prior) or toward zero.  Returns the
+    (k, n_rules, n_inputs + 1) stack and the training RMSE of each channel.
     """
-    x = _check_inputs(model, data.inputs)
-    mu, w = _layers(model, x)
-    s = w.sum(axis=1, keepdims=True)
-    s = np.maximum(s, FIRING_FLOOR)
-    wbar = w / s
-    f = _rule_outputs(model.coeffs, x)
-    y = (wbar * f).sum(axis=1)
-    g = 2.0 * (y - data.targets)                      # dE/dy per sample
-    dedw = (g / s[:, 0])[:, None] * (f - y[:, None])  # dE/dw_r
+    x = np.atleast_2d(np.asarray(x, dtype=float))
+    y = np.asarray(y, dtype=float)
+    if len(x) == 0:
+        raise ValueError("training set is empty")
+    if y.ndim != 2 or len(y) != len(x):
+        raise ValueError(f"targets of shape {y.shape} are not an (N, k) array for "
+                         f"the {len(x)} input rows")
+    k, n_params = y.shape[1], model.n_rules * (model.n_inputs + 1)
+    if len(x) < n_params:
+        warnings.warn(f"{len(x)} samples for {n_params} consequent parameters; "
+                      "the least-squares problem is underdetermined", stacklevel=2)
+    a_mat = design_matrix(model, x)
+    prior = linear_consequent_prior(model, x, y).reshape(-1, k) if linear_prior else None
+    sol = solve_consequents(a_mat, y, ridge, prior)
+    coeffs = np.ascontiguousarray(sol.T.reshape(k, model.n_rules, model.n_inputs + 1))
+    resid = a_mat @ sol - y
+    return coeffs, np.sqrt(np.mean(resid ** 2, axis=0))
+
+
+def premise_gradient(model: AnfisModel, x, y):
+    """Gradient of the squared error summed over the (N, k) targets y
+    w.r.t. all (a, b, c).
+
+    Analytic backpropagation through forward's own five layers.  A row that
+    fired no rule takes uniform weights, which do not depend on the
+    premise, so it adds nothing.  Returns three flat (total MFs,) arrays in
+    the layout of model.a / model.b / model.c.
+    """
+    x, mu, wbar, dead, f, out = _pass(model, x)
+    y = np.asarray(y, dtype=float)
+    if y.shape != out.shape:
+        raise ValueError(f"targets of shape {y.shape} for outputs of shape {out.shape}")
+    g = 2.0 * (out - y)                                    # dE/dy per sample, channel
+    # dE/dw_r * w_r: dy_k/dw_r = (f_kr - y_k) / s, and w_r / s = wbar_r
+    dedw_w = np.where(dead, 0.0, (g[:, :, None] * (f - out[:, :, None])).sum(axis=1) * wbar)
 
     # dE/dmu for every MF: dE/dw_r * w_r summed over the rules that use it,
     # over mu.  With the rules as an (N, *mfs_per_input) grid, input i's
     # MF m is the slice at index m of axis i + 1.
     n, mfs = len(x), model.mfs_per_input
-    grid = (dedw * w).reshape(n, *mfs)
+    grid = dedw_w.reshape(n, *mfs)
     dedmu = np.concatenate([np.moveaxis(grid, i + 1, 1).reshape(n, m, -1).sum(axis=2)
                             for i, m in enumerate(mfs)], axis=1) / np.maximum(mu, 1e-300)
     diff = x[:, model.columns] - model.c
@@ -330,15 +328,16 @@ def premise_gradient(model: AnfisModel, data: TrainingSet):
     dmu_da = 2.0 * model.b * mom / model.a
     with np.errstate(divide="ignore", invalid="ignore"):
         dmu_dc = np.where(diff != 0.0, 2.0 * model.b * mom / diff, 0.0)
-        dmu_db = np.where(u > 0.0, -mom * np.log(np.maximum(u, 1e-300)), 0.0)
+        dmu_db = np.where(mom > 0.0, -mom * np.log(np.maximum(u, 1e-300)), 0.0)
     return ((dedmu * dmu_da).sum(axis=0), (dedmu * dmu_db).sum(axis=0),
             (dedmu * dmu_dc).sum(axis=0))
 
 
-def train(model: AnfisModel, data: TrainingSet,
+def train(model: AnfisModel, x, y,
           config: TrainConfig = TrainConfig()) -> tuple[AnfisModel, list[float]]:
-    """Hybrid training: per epoch, an LSE consequent solve then one premise
-    gradient-descent step.  Returns the best model seen and the RMSE history.
+    """Hybrid training on the (N, k) targets y: per epoch, a least-squares
+    consequent fit then one premise gradient-descent step.  Returns the best
+    model seen and the history of the RMSE over all channels.
     """
     current = model.copy()
     history: list[float] = []
@@ -346,10 +345,10 @@ def train(model: AnfisModel, data: TrainingSet,
     best_rmse = np.inf
     lr = config.learning_rate
     prev_rmse = np.inf
-    prior = (linear_consequent_prior(current, data.inputs, data.targets)
-             if config.linear_prior else None)
     for epoch in range(config.epochs):
-        current, rmse = lse_consequents(current, data, config.ridge, prior)
+        current.coeffs, channel_rmse = fit_consequents(current, x, y, config.ridge,
+                                                       config.linear_prior)
+        rmse = float(np.sqrt(np.mean(channel_rmse ** 2)))
         if not np.isfinite(rmse):
             raise TrainingDivergedError(f"non-finite training loss at epoch {epoch}")
         history.append(rmse)
@@ -360,10 +359,12 @@ def train(model: AnfisModel, data: TrainingSet,
             lr *= config.decay
         prev_rmse = rmse
         if lr > 0.0 and epoch < config.epochs - 1:
-            ga, gb, gc = premise_gradient(current, data)
+            ga, gb, gc = premise_gradient(current, x, y)
             # normalize the step so the learning rate is scale-free
             gnorm = np.sqrt(float(ga @ ga + gb @ gb + gc @ gc))
-            if gnorm > 0.0 and np.isfinite(gnorm):
+            if not np.isfinite(gnorm):
+                raise TrainingDivergedError(f"non-finite premise gradient at epoch {epoch}")
+            if gnorm > 0.0:
                 step = lr / gnorm
                 current.a = np.maximum(current.a - step * ga, MIN_WIDTH)
                 current.b = np.maximum(current.b - step * gb, MIN_SLOPE)
@@ -422,7 +423,4 @@ def load_model(path) -> AnfisModel:
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise ModelFormatError(f"malformed model file {path}: {exc}") from exc
-    if (model.coeffs.ndim not in (2, 3)
-            or model.coeffs.shape[-2:] != (model.n_rules, model.n_inputs + 1)):
-        raise ModelFormatError(f"inconsistent consequent table in {path}")
     return model

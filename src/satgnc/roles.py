@@ -10,12 +10,12 @@ noise-free (q_e, w) runs, the estimator and the integrated subsystem from
 views of one sensor dataset.
 
 Each role is a bundle of output channels over one shared premise grid:
-one model whose consequents are a (channels, rules, inputs + 1) stack,
-fit by a single multi-output least-squares solve, so one firing pass
-serves every channel.  The 15-channel sensor roles read a pruned
-9-channel input (the two body-frame direction triplets plus the gyro):
-with a fixed position and epoch the inertial references are constant and
-carry no information.
+one ANFIS model whose consequents are a (channels, rules, inputs + 1)
+stack, fit by one multi-output anfis.fit_consequents solve and evaluated
+by anfis.forward, so one firing pass serves every channel.  The
+15-channel sensor roles read a pruned 9-channel input (the two body-frame
+direction triplets plus the gyro): with a fixed position and epoch the
+inertial references are constant and carry no information.
 """
 
 from __future__ import annotations
@@ -154,10 +154,9 @@ class RoleBundle:
 
     def __post_init__(self):
         m = self.model
-        if m.coeffs.shape != (len(self.output_names), m.n_rules, m.n_inputs + 1):
-            raise ValueError(f"{self.role} bundle consequents have shape {m.coeffs.shape}, "
-                             f"expected one ({m.n_rules}, {m.n_inputs + 1}) table for "
-                             f"each of its {len(self.output_names)} outputs")
+        if len(m.coeffs) != len(self.output_names):
+            raise ValueError(f"{self.role} bundle holds {len(m.coeffs)} consequent tables "
+                             f"for its {len(self.output_names)} outputs")
         # everything predict() needs that does not depend on the input
         self._extrapolation_warned = False
         r = m.input_ranges
@@ -182,25 +181,11 @@ class RoleBundle:
             warnings.warn(f"{self.role} bundle evaluated outside 1.5x its "
                           "training envelope; extrapolating", stacklevel=2)
             self._extrapolation_warned = True
-        return self._outputs(x[None, :])[0]
+        return anfis.forward(self.model, x)[0]
 
     def predict_batch(self, x: np.ndarray) -> np.ndarray:
         """(N, channels) outputs; row n equals predict(x[n]) bit for bit."""
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        if x.shape[1] != self.n_inputs:
-            raise ValueError(f"{self.role} bundle expects {self.n_inputs} inputs, "
-                             f"got {x.shape[1]}")
-        return self._outputs(x)
-
-    def _outputs(self, x: np.ndarray) -> np.ndarray:
-        wbar = anfis._normalize(anfis._layers(self.model, x)[1])
-        xaug = np.empty((len(x), x.shape[1] + 1))
-        xaug[:, :-1] = x
-        xaug[:, -1] = 1.0
-        # one matrix-vector product per sample and channel, so a row's result
-        # does not depend on the batch it is in
-        f = self.model.coeffs @ xaug[:, None, :, None]
-        return (f[..., 0] @ wbar[:, :, None])[..., 0]
+        return anfis.forward(self.model, x)
 
 
 def _random_conditions(rng: np.random.Generator) -> tuple[EulerAngles, AngularVelocity]:
@@ -303,18 +288,12 @@ def role_view(data: RoleDataset, role: str) -> RoleDataset:
 
 def _fit_shared_lse(inputs: np.ndarray, targets: np.ndarray, ridge: float) -> AnfisModel:
     """All channels share fixed grid premises over the padded input ranges;
-    one multi-RHS LSE solve shrunk toward the global linear fit of each channel."""
+    one multi-output fit shrunk toward the global linear fit of each channel."""
     lo, hi = inputs.min(axis=0), inputs.max(axis=0)
     pad = np.maximum(1e-6, 0.05 * (hi - lo))
     model = anfis.grid_partition_init(np.column_stack([lo - pad, hi + pad]), MFS_PER_INPUT)
-    a_mat = anfis.design_matrix(model, inputs)
-    prior = anfis.linear_consequent_prior(model, inputs, targets)
-    sol = anfis.solve_consequents(a_mat, targets, ridge,
-                                  prior.reshape(-1, targets.shape[1]))
-    model.coeffs = np.ascontiguousarray(
-        sol.T.reshape(targets.shape[1], model.n_rules, model.n_inputs + 1))
-    resid = a_mat @ sol - targets
-    model.metadata["train_rmse"] = np.sqrt(np.mean(resid ** 2, axis=0)).tolist()
+    model.coeffs, rmse = anfis.fit_consequents(model, inputs, targets, ridge)
+    model.metadata["train_rmse"] = rmse.tolist()
     return model
 
 
@@ -366,9 +345,7 @@ def anfis_control(bundle: RoleBundle, qe_vec, w) -> Torque:
     if bundle.role != "controller":
         raise ValueError(f"expected a controller bundle, got {bundle.role!r}")
     x = np.array([qe_vec[0], qe_vec[1], qe_vec[2], w[0], w[1], w[2]])
-    y = bundle.predict(x)
-    m = bundle.mc_max
-    return Torque(*(min(m, max(-m, float(v))) for v in y))
+    return _saturated(bundle, bundle.predict(x))
 
 
 def anfis_estimate(bundle: RoleBundle, row: np.ndarray
@@ -389,7 +366,11 @@ def anfis_integrated(bundle: RoleBundle, row: np.ndarray) -> Torque:
     """Sensor row straight to saturated control torque."""
     if bundle.role != "integrated":
         raise ValueError(f"expected an integrated bundle, got {bundle.role!r}")
-    y = bundle.predict(row[bundle._columns])
+    return _saturated(bundle, bundle.predict(row[bundle._columns]))
+
+
+def _saturated(bundle: RoleBundle, y: np.ndarray) -> Torque:
+    """The torque channels y, each clamped to the bundle's training bound."""
     m = bundle.mc_max
     return Torque(*(min(m, max(-m, float(v))) for v in y))
 
@@ -420,17 +401,21 @@ def load_bundle(dirpath) -> RoleBundle:
     manifest_path = d / "manifest.json"
     if not manifest_path.exists():
         raise FileNotFoundError(f"bundle manifest not found: {manifest_path}")
-    with open(manifest_path) as fh:
-        manifest = json.load(fh)
-    if manifest.get("format_version") != BUNDLE_FORMAT_VERSION:
+    try:
+        with open(manifest_path) as fh:
+            manifest = json.load(fh)
+        version = manifest.get("format_version")
+        if version == BUNDLE_FORMAT_VERSION:
+            cols = manifest["input_columns"]
+            fields = dict(role=manifest["role"],
+                          input_names=tuple(manifest["input_names"]),
+                          output_names=tuple(manifest["output_names"]),
+                          input_columns=tuple(cols) if cols is not None else None,
+                          mc_max=float(manifest["mc_max"]),
+                          metadata=manifest.get("metadata", {}))
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        # not JSON, not an object, or a missing or mistyped entry
+        raise ValueError(f"malformed bundle manifest {manifest_path}: {exc!r}") from exc
+    if version != BUNDLE_FORMAT_VERSION:
         raise ValueError(f"unsupported bundle format version in {manifest_path}")
-    cols = manifest["input_columns"]
-    return RoleBundle(
-        role=manifest["role"],
-        model=anfis.load_model(d / MODEL_FILE),
-        input_names=tuple(manifest["input_names"]),
-        output_names=tuple(manifest["output_names"]),
-        input_columns=tuple(cols) if cols is not None else None,
-        mc_max=float(manifest["mc_max"]),
-        metadata=manifest.get("metadata", {}),
-    )
+    return RoleBundle(model=anfis.load_model(d / MODEL_FILE), **fields)

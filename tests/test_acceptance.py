@@ -13,8 +13,8 @@ import numpy as np
 import pytest
 
 from satgnc import anfis, roles
-from satgnc.anfis import (TrainConfig, TrainingSet, forward_batch,
-                          grid_partition_init, premise_gradient, train)
+from satgnc.anfis import (TrainConfig, forward, grid_partition_init,
+                          premise_gradient, train)
 from satgnc.cli import main
 from satgnc.config import MonteCarloConfig, SimConfig
 from satgnc.dynamics import (AngularVelocity, BodyState, EulerAngles,
@@ -85,11 +85,11 @@ def test_c03_premise_gradients_match_finite_differences():
             m.c[start:stop] += rng.normal(0.0, 0.05, 2)
         m.coeffs = rng.normal(0.0, 1.0, m.coeffs.shape)
         x = rng.uniform(ranges[:, 0], ranges[:, 1], size=(10, n_in))
-        y = rng.normal(size=10)
-        ga, gb, gc = premise_gradient(m, TrainingSet(x, y))
+        y = rng.normal(size=(10, 1))
+        ga, gb, gc = premise_gradient(m, x, y)
 
         def loss(mm):
-            r = forward_batch(mm, x) - y
+            r = (forward(mm, x) - y).ravel()
             return float(r @ r)
 
         eps = 1e-6
@@ -113,8 +113,8 @@ def test_c04_synthetic_takagi_sugeno_recovered():
     truth = grid_partition_init(ranges, 3)
     truth.coeffs = rng.normal(0.0, 1.0, truth.coeffs.shape)
     x = rng.uniform(ranges[:, 0], ranges[:, 1], size=(500, 2))
-    y = forward_batch(truth, x)
-    _, history = train(grid_partition_init(ranges, 3), TrainingSet(x, y),
+    y = forward(truth, x)
+    _, history = train(grid_partition_init(ranges, 3), x, y,
                        TrainConfig(epochs=50, learning_rate=0.005, ridge=0.0,
                                    linear_prior=False))
     best = min(history)

@@ -1,5 +1,6 @@
 """Takagi-Sugeno core tests: forward pass, training, persistence."""
 
+import dataclasses
 import itertools
 import json
 import tempfile
@@ -11,10 +12,10 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from satgnc import anfis
-from satgnc.anfis import (AnfisModel, ModelFormatError, TrainConfig,
-                          TrainingSet, bell, design_matrix, forward_batch, grid_partition_init,
-                          linear_consequent_prior, lse_consequents,
-                          normalized_firing, premise_gradient, train)
+from satgnc.anfis import (AnfisModel, ModelFormatError, TrainConfig, bell, design_matrix,
+                          fit_consequents, forward, grid_partition_init,
+                          linear_consequent_prior, normalized_firing, premise_gradient,
+                          train)
 
 RANGES_2D = np.array([[-1.0, 1.0], [-2.0, 2.0]])
 FLOATS = st.floats(allow_nan=False)       # -0.0, subnormals and infinities too
@@ -23,13 +24,12 @@ FLOATS = st.floats(allow_nan=False)       # -0.0, subnormals and infinities too
 @st.composite
 def models(draw):
     """Any model a file can hold: 1-4 inputs of 2-4 MFs, any premise
-    values, and a single consequent table or a stack of 1-3."""
+    values, and a stack of 1-3 consequent tables."""
     mfs = tuple(draw(st.lists(st.integers(2, 4), min_size=1, max_size=4)))
-    table = (int(np.prod(mfs)), len(mfs) + 1)
-    stack = draw(st.sampled_from([(), (1,), (2,), (3,)]))
+    stack = (draw(st.integers(1, 3)), int(np.prod(mfs)), len(mfs) + 1)
     return AnfisModel(
         mfs, *(draw(arrays(np.float64, sum(mfs), elements=FLOATS)) for _ in "abc"),
-        coeffs=draw(arrays(np.float64, stack + table, elements=FLOATS)),
+        coeffs=draw(arrays(np.float64, stack, elements=FLOATS)),
         input_ranges=draw(arrays(np.float64, (len(mfs), 2), elements=FLOATS)),
         metadata=draw(st.dictionaries(st.text(max_size=4), FLOATS | st.text(max_size=4),
                                       max_size=3)))
@@ -71,7 +71,7 @@ class TestGridInit:
         np.testing.assert_allclose(m.c, [-1.0, 0.0, 1.0, -2.0, 2.0])
         assert m.bounds == ((0, 3), (3, 5))
         assert m.n_rules == 6
-        assert m.coeffs.shape == (6, 3)
+        assert m.coeffs.shape == (1, 6, 3)
 
     def test_scalar_mf_count_broadcast(self):
         m = grid_partition_init(RANGES_2D, 2)
@@ -117,46 +117,62 @@ class TestForward:
     def test_constant_consequents_give_constant_output(self):
         rng = np.random.default_rng(1)
         m, ranges = random_model(rng)
-        m.coeffs[:, :-1] = 0.0
-        m.coeffs[:, -1] = 3.25
+        m.coeffs[..., :-1] = 0.0
+        m.coeffs[..., -1] = 3.25
         x = rng.uniform(ranges[:, 0], ranges[:, 1], size=(10, 2))
-        np.testing.assert_allclose(forward_batch(m, x), 3.25, atol=1e-12)
+        np.testing.assert_allclose(forward(m, x), np.full((10, 1), 3.25), atol=1e-12)
 
     def test_shared_linear_consequents_reproduce_linear_map(self):
         rng = np.random.default_rng(2)
         m, ranges = random_model(rng)
         beta = np.array([0.7, -1.2, 0.3])
-        m.coeffs = np.tile(beta, (m.n_rules, 1))
+        m.coeffs = np.tile(beta, (1, m.n_rules, 1))
         x = rng.uniform(ranges[:, 0], ranges[:, 1], size=(30, 2))
         want = x @ beta[:-1] + beta[-1]
-        np.testing.assert_allclose(forward_batch(m, x), want, atol=1e-12)
+        np.testing.assert_allclose(forward(m, x), want[:, None], atol=1e-12)
 
     def test_single_sample_matches_batch(self):
         rng = np.random.default_rng(3)
         m, ranges = random_model(rng)
         x = rng.uniform(ranges[:, 0], ranges[:, 1], size=(5, 2))
-        batch = forward_batch(m, x)
+        batch = forward(m, x)[:, 0]
         for row, y_batch in zip(x, batch):
             # a sample's output does not depend on the batch it is in
-            assert forward_batch(m, row)[0] == forward_batch(m, row[None, :])[0] == y_batch
+            assert forward(m, row)[0, 0] == forward(m, row[None, :])[0, 0] == y_batch
             wbar = normalized_firing(m, row)[0]                    # layer 3
             assert wbar.sum() == pytest.approx(1.0)
-            weighted = wbar * (m.coeffs @ np.append(row, 1.0))     # layer 4
+            weighted = wbar * (m.coeffs[0] @ np.append(row, 1.0))  # layer 4
             assert weighted.sum() == pytest.approx(y_batch)
 
     def test_wrong_input_count_rejected(self):
         rng = np.random.default_rng(4)
         m, _ = random_model(rng)
         with pytest.raises(ValueError):
-            forward_batch(m, np.zeros((3, 5)))
+            forward(m, np.zeros((3, 5)))
 
     def test_underflow_falls_back_to_uniform(self):
         m = grid_partition_init(np.array([[-1.0, 1.0]]), 2)
         m.b[:] = 50.0
-        m.coeffs[:, -1] = 1.0
+        m.coeffs[..., -1] = 1.0
         with pytest.warns(UserWarning, match="underflow"):
-            y = forward_batch(m, np.array([[1e9]]))
-        assert y[0] == pytest.approx(1.0)
+            y = forward(m, np.array([[1e9]]))
+        assert y[0, 0] == pytest.approx(1.0)
+
+    def test_stack_matches_single_channel_models(self):
+        # a k = 3 stack is three single-output models over its premise.  Not
+        # bit for bit: numpy's matmul sums a single channel's weighted rules
+        # with a BLAS dot and several channels' with a gemv, whose kernels
+        # add in another order, so the tolerance is that of the sum order
+        rng = np.random.default_rng(13)
+        m, ranges = random_model(rng, n_inputs=3)
+        m.coeffs = rng.normal(size=(3,) + m.coeffs.shape[1:])
+        x = rng.uniform(ranges[:, 0] - 1.0, ranges[:, 1] + 1.0, size=(200, 3))
+        stacked = forward(m, x)
+        assert stacked.shape == (200, 3)
+        for j, table in enumerate(m.coeffs):
+            single = forward(dataclasses.replace(m, coeffs=table[None]), x)
+            np.testing.assert_allclose(single, stacked[:, j:j + 1], rtol=0.0,
+                                       atol=1e-13 * np.abs(stacked).max())
 
 
 class TestLse:
@@ -165,16 +181,16 @@ class TestLse:
         m, ranges = random_model(rng)
         x = rng.uniform(ranges[:, 0], ranges[:, 1], size=(400, 2))
         y = 0.5 * x[:, 0] - 0.25 * x[:, 1] + 0.1
-        fitted, rmse = lse_consequents(m, TrainingSet(x, y), ridge=1e-12)
-        assert rmse < 1e-6
+        _, rmse = fit_consequents(m, x, y[:, None], ridge=1e-12, linear_prior=False)
+        assert rmse.shape == (1,) and rmse[0] < 1e-6
 
     def test_design_matrix_consistent_with_forward(self):
         rng = np.random.default_rng(6)
         m, ranges = random_model(rng)
         x = rng.uniform(ranges[:, 0], ranges[:, 1], size=(20, 2))
         a_mat = design_matrix(m, x)
-        np.testing.assert_allclose(a_mat @ m.coeffs.ravel(),
-                                   forward_batch(m, x), atol=1e-12)
+        np.testing.assert_allclose(a_mat @ m.coeffs[0].ravel(),
+                                   forward(m, x)[:, 0], atol=1e-12)
 
     def test_prior_is_reproduced_with_no_signal(self):
         # shrinking toward the tiled global linear fit: with a huge ridge the
@@ -184,22 +200,30 @@ class TestLse:
         x = rng.uniform(ranges[:, 0], ranges[:, 1], size=(300, 2))
         y = 1.5 * x[:, 0] + 0.5 * x[:, 1] - 2.0
         prior = linear_consequent_prior(m, x, y)
-        fitted, rmse = lse_consequents(m, TrainingSet(x, y), ridge=1e12,
-                                       prior=prior)
-        np.testing.assert_allclose(fitted.coeffs, prior.reshape(fitted.coeffs.shape),
-                                   atol=1e-6)
-        assert rmse < 1e-6
+        coeffs, rmse = fit_consequents(m, x, y[:, None], ridge=1e12)
+        np.testing.assert_allclose(coeffs, prior.reshape(coeffs.shape), atol=1e-6)
+        assert rmse[0] < 1e-6
 
     def test_empty_rejected(self):
         m = grid_partition_init(RANGES_2D, 2)
         with pytest.raises(ValueError):
-            lse_consequents(m, TrainingSet(np.zeros((0, 2)), np.zeros(0)))
+            fit_consequents(m, np.zeros((0, 2)), np.zeros((0, 1)), ridge=1e-8)
 
     def test_underdetermined_warns(self):
         m = grid_partition_init(RANGES_2D, 2)
         x = np.array([[0.0, 0.0], [0.5, 0.5]])
         with pytest.warns(UserWarning, match="underdetermined"):
-            lse_consequents(m, TrainingSet(x, np.array([1.0, 2.0])), ridge=1e-6)
+            fit_consequents(m, x, np.array([[1.0], [2.0]]), ridge=1e-6)
+
+    def test_targets_must_be_one_row_per_sample(self):
+        # (N,) targets would broadcast against the (N, 1) outputs
+        m = grid_partition_init(RANGES_2D, 2)
+        x = np.zeros((5, 2))
+        for y in (np.zeros(5), np.zeros((4, 1))):
+            with pytest.raises(ValueError, match="targets"):
+                fit_consequents(m, x, y, ridge=1e-6)
+            with pytest.raises(ValueError, match="targets"):
+                premise_gradient(m, x, y)
 
 
 class TestPremiseGradient:
@@ -211,12 +235,11 @@ class TestPremiseGradient:
             m, ranges = random_model(rng, n_inputs=n_in,
                                      mfs=int(rng.integers(2, 4)))
             x = rng.uniform(ranges[:, 0], ranges[:, 1], size=(20, n_in))
-            y = rng.normal(size=20)
-            data = TrainingSet(x, y)
-            ga, gb, gc = premise_gradient(m, data)
+            y = rng.normal(size=(20, 1))
+            ga, gb, gc = premise_gradient(m, x, y)
 
             def loss(mm):
-                r = forward_batch(mm, x) - y
+                r = (forward(mm, x) - y).ravel()
                 return float(r @ r)
 
             eps = 1e-6
@@ -235,10 +258,37 @@ class TestPremiseGradient:
         rng = np.random.default_rng(9)
         m, ranges = random_model(rng)
         x = rng.uniform(ranges[:, 0], ranges[:, 1], size=(30, 2))
-        y = forward_batch(m, x)
-        ga, gb, gc = premise_gradient(m, TrainingSet(x, y))
+        y = forward(m, x)
+        ga, gb, gc = premise_gradient(m, x, y)
         for grads in (ga, gb, gc):
             np.testing.assert_allclose(grads, 0.0, atol=1e-9)
+
+    @pytest.mark.filterwarnings("ignore:.*underflow")
+    def test_sample_firing_no_rule_adds_nothing(self):
+        # the first sample fires no rule, so forward gives it uniform weights,
+        # which do not depend on the premise: the gradient is that of the
+        # second sample alone.  At 0.3 the steep bells leave a gradient near
+        # 1e-10, below what differences of the loss resolve, so the finite
+        # differences are taken at 0.01, row by row (the first row's loss
+        # is the same bits on both sides and cancels exactly)
+        m = grid_partition_init(np.array([[-1.0, 1.0]]), 2)
+        m.b[:] = 50.0
+        m.coeffs[0] = [[1.0, 1.0], [-2.0, 0.5]]
+        eps = 1e-6
+        for x1, check_fd in ((0.3, False), (0.01, True)):
+            x, y = np.array([[1e9], [x1]]), np.array([[1.0], [0.2]])
+            grads = premise_gradient(m, x, y)
+            alone = premise_gradient(m, x[1:], y[1:])
+            for which, got, want in zip("abc", grads, alone):
+                assert np.isfinite(got).all(), which
+                np.testing.assert_array_equal(got, want)
+                for j, an in enumerate(got if check_fd else ()):
+                    mp, mn = m.copy(), m.copy()
+                    getattr(mp, which)[j] += eps
+                    getattr(mn, which)[j] -= eps
+                    fd = np.sum((forward(mp, x) - y) ** 2
+                                - (forward(mn, x) - y) ** 2) / (2.0 * eps)
+                    assert abs(fd - an) <= 1e-5 * max(1e-8, abs(fd), abs(an)), (which, j)
 
 
 class TestTrain:
@@ -247,9 +297,8 @@ class TestTrain:
         truth = grid_partition_init(RANGES_2D, 3)
         truth.coeffs = rng.normal(0.0, 1.0, truth.coeffs.shape)
         x = rng.uniform(RANGES_2D[:, 0], RANGES_2D[:, 1], size=(500, 2))
-        y = forward_batch(truth, x)
-        model, history = train(grid_partition_init(RANGES_2D, 3),
-                               TrainingSet(x, y),
+        y = forward(truth, x)
+        model, history = train(grid_partition_init(RANGES_2D, 3), x, y,
                                TrainConfig(epochs=50, learning_rate=0.005,
                                            ridge=0.0, linear_prior=False))
         assert min(history) < 1e-6
@@ -259,11 +308,20 @@ class TestTrain:
         rng = np.random.default_rng(11)
         m, ranges = random_model(rng)
         x = rng.uniform(ranges[:, 0], ranges[:, 1], size=(200, 2))
-        y = np.sin(x[:, 0]) * np.cos(x[:, 1])
-        model, history = train(grid_partition_init(ranges, 2), TrainingSet(x, y),
+        y = (np.sin(x[:, 0]) * np.cos(x[:, 1]))[:, None]
+        model, history = train(grid_partition_init(ranges, 2), x, y,
                                TrainConfig(epochs=8, learning_rate=0.05))
-        final = float(np.sqrt(np.mean((forward_batch(model, x) - y) ** 2)))
+        final = float(np.sqrt(np.mean((forward(model, x) - y) ** 2)))
         assert final <= min(history) + 1e-12
+
+    def test_non_finite_gradient_stops_training(self, monkeypatch):
+        # a premise step that cannot be taken is an error, not a skipped step
+        m = grid_partition_init(RANGES_2D, 2)
+        x = np.random.default_rng(14).uniform(-1.0, 1.0, size=(50, 2))
+        nan = np.full(4, np.nan)
+        monkeypatch.setattr(anfis, "premise_gradient", lambda *_: (nan, nan, nan))
+        with pytest.raises(anfis.TrainingDivergedError, match="gradient"):
+            train(m, x, x[:, :1], TrainConfig(epochs=3))
 
     def test_invalid_config_rejected(self):
         with pytest.raises(ValueError):
@@ -280,7 +338,7 @@ class TestPersistence:
         m, _ = random_model(rng, n_inputs=3, mfs=2)
         m.metadata["note"] = "fixture"
         # a single table, and a stack of two channels over the same premise
-        for coeffs in (m.coeffs, rng.normal(size=(2,) + m.coeffs.shape)):
+        for coeffs in (m.coeffs, rng.normal(size=(2,) + m.coeffs.shape[1:])):
             m.coeffs = coeffs
             path = tmp_path / "model.json"
             anfis.save_model(m, path)
@@ -323,6 +381,18 @@ class TestPersistence:
             path.write_text(json.dumps(doc))
             with pytest.raises(ModelFormatError, match="membership functions"):
                 anfis.load_model(path)
+
+    def test_consequents_must_be_a_stack(self, tmp_path):
+        # a bare (n_rules, n_inputs + 1) table is not a model's consequents
+        m = grid_partition_init(RANGES_2D, 2)
+        with pytest.raises(ValueError, match="consequents"):
+            dataclasses.replace(m, coeffs=m.coeffs[0])
+        path = tmp_path / "model.json"
+        anfis.save_model(m, path)
+        doc = json.loads(path.read_text())
+        path.write_text(json.dumps(dict(doc, consequents=doc["consequents"][0])))
+        with pytest.raises(ModelFormatError, match="consequents"):
+            anfis.load_model(path)
 
     def test_version_mismatch_rejected(self, tmp_path):
         path = tmp_path / "bad.json"

@@ -6,6 +6,7 @@ must produce byte-identical artifacts.
 
 import filecmp
 import json
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -204,6 +205,21 @@ class TestDiagnostics:
         cfg.write_text(text)
         assert main(["simulate", "--config", str(cfg)]) == 1
         assert "nowhere" in capsys.readouterr().err
+
+    def test_malformed_bundle_manifest(self, workdir, tmp_path, capsys):
+        bundles = tmp_path / "bundles"
+        shutil.copytree(workdir / "bundles", bundles)
+        manifest = bundles / "controller" / "manifest.json"
+        doc = json.loads(manifest.read_text())
+        del doc["output_names"]
+        manifest.write_text(json.dumps(doc))
+        cfg = tmp_path / "run.ini"
+        cfg.write_text((workdir / "run.ini").read_text().replace(
+            "controller = pid", "controller = anfis").replace(
+            str(workdir / "bundles"), str(bundles)))
+        assert main(["simulate", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and str(manifest) in err
 
     def test_unknown_subcommand_exits_nonzero(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -237,7 +237,7 @@ class TestMonteCarlo:
         # on its first step; the campaign still completes and counts them
         ranges = np.tile([-1.5, 1.5], (len(PRUNED_COLUMNS), 1))
         model = anfis.grid_partition_init(ranges, 2)
-        model.coeffs = np.zeros((len(STATE_CHANNELS),) + model.coeffs.shape)
+        model.coeffs = np.zeros((len(STATE_CHANNELS),) + model.coeffs.shape[1:])
         names = tuple(f"in{i}" for i in PRUNED_COLUMNS)
         bundle = RoleBundle("estimator", model, names, STATE_CHANNELS, PRUNED_COLUMNS)
         mc = MonteCarloConfig(base=SimConfig(duration=1.0, estimator="anfis"),

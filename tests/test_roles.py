@@ -252,12 +252,24 @@ class TestBundlePersistence:
             with pytest.raises(ValueError, match="unsupported bundle format version"):
                 load_bundle(d)
 
+    def test_malformed_manifest_names_file(self, tmp_path, controller_art):
+        d = tmp_path / "ctrl"
+        save_bundle(controller_art["bundle"], d)
+        manifest = d / "manifest.json"
+        good = json.loads(manifest.read_text())
+        missing = {k: v for k, v in good.items() if k != "output_names"}
+        for text in (json.dumps(missing), json.dumps(dict(good, mc_max=None)), "[]", "{"):
+            manifest.write_text(text)
+            with pytest.raises(ValueError, match="malformed bundle manifest") as exc:
+                load_bundle(d)
+            assert str(manifest) in str(exc.value)
+
     @pytest.mark.filterwarnings("ignore:.*training envelope")
     def test_shared_premise_fast_path_matches_generic(self, bundles):
         # the single-sample path the closed loop uses must agree with the
         # batch path bit for bit, inside and well outside the training
-        # envelope, and every channel must match a single-output model
-        # rebuilt from the bundle's premise and that channel's table
+        # envelope, and every channel must match a per-rule reference: the
+        # normalized firing times each rule's explicit linear consequent
         rng = np.random.default_rng(1)
         for role in ("integrated", "estimator", "controller"):
             # a fresh bundle, so the session one keeps its one-time warning
@@ -270,17 +282,17 @@ class TestBundlePersistence:
             fast = np.array([bundle.predict(row) for row in x])
             batch = bundle.predict_batch(x)
             np.testing.assert_array_equal(fast, batch)
-            ref = np.column_stack([
-                anfis.forward_batch(dataclasses.replace(bundle.model, coeffs=table), x)
-                for table in bundle.model.coeffs])
-            # the consequent stack sums in another order than forward_batch
+            wbar = anfis.normalized_firing(bundle.model, x)
+            ref = np.column_stack([(wbar * (x @ table[:, :-1].T + table[:, -1])).sum(axis=1)
+                                   for table in bundle.model.coeffs])
+            # the reference sums in another order than the forward pass
             np.testing.assert_allclose(batch, ref, rtol=0.0,
                                        atol=1e-13 * np.abs(ref).max())
 
     def test_shared_premise_underflow_falls_back_to_uniform(self):
         model = anfis.grid_partition_init(np.array([[-1.0, 1.0]]), 2)
         model.b[:] = 50.0
-        model.coeffs = np.zeros((2,) + model.coeffs.shape)
+        model.coeffs = np.zeros((2,) + model.coeffs.shape[1:])
         model.coeffs[:, :, -1] = [[1.0, 3.0], [-2.0, 0.0]]
         bundle = RoleBundle("integrated", model, ("x",), ("y1", "y2"))
         with pytest.warns(UserWarning, match="underflow"):
@@ -290,7 +302,7 @@ class TestBundlePersistence:
     def test_mismatched_channels_rejected(self, tmp_path):
         # the consequent stack holds one table per output channel
         model = anfis.grid_partition_init(np.array([[-1.0, 1.0], [0.0, 1.0]]), 2)
-        for coeffs in (model.coeffs, np.zeros((3, 4, 3)), np.zeros((2, 3, 3)),
+        for coeffs in (model.coeffs[0], np.zeros((3, 4, 3)), np.zeros((2, 3, 3)),
                        np.zeros((2, 4, 2))):
             with pytest.raises(ValueError, match="consequent"):
                 RoleBundle("controller", dataclasses.replace(model, coeffs=coeffs),
