@@ -197,8 +197,9 @@ def integrate_step(state: BodyState, inertia: InertiaTensor,
                      AngularVelocity(w1, w2, w3))
 
 
-def quat_to_dcm(q: Quaternion) -> np.ndarray:
-    """Direction cosine matrix C_I^B: rotates inertial vectors into the body frame."""
+def quat_to_dcm(q) -> np.ndarray:
+    """Direction cosine matrix C_I^B, which rotates inertial vectors into the
+    body frame: (3, 3) for one quaternion, (3, 3, n) for (4, n) columns."""
     q1, q2, q3, q4 = q
     return np.array([
         [1.0 - 2.0 * (q2 * q2 + q3 * q3), 2.0 * (q1 * q2 + q3 * q4), 2.0 * (q1 * q3 - q2 * q4)],
@@ -240,27 +241,26 @@ def euler_to_quat(e: EulerAngles) -> Quaternion:
     return q.normalized()
 
 
-def quat_to_euler(q: Quaternion) -> EulerAngles:
-    """3-2-1 Euler angles of a unit quaternion.
+def quat_to_euler(q) -> np.ndarray:
+    """3-2-1 Euler angles (phi, theta, psi) in degrees: (3,) for one unit
+    quaternion, (n, 3) for a record's (4, n) quaternion columns.
 
-    Near pitch = +/-90 deg the sequence is singular; within 0.01 deg of the
-    singularity a warning is emitted and yaw is conventionally set to zero
-    (the roll angle absorbs the full in-plane rotation).
+    Near pitch = +/-90 deg the sequence is singular; samples within 0.01 deg
+    of it get yaw set to zero (roll absorbs the in-plane rotation), and one
+    warning counts them.
     """
     c = quat_to_dcm(q)
-    s_theta = -c[0, 2]
-    s_theta = min(1.0, max(-1.0, s_theta))
-    theta = math.asin(s_theta)
-    if abs(math.degrees(theta)) > GIMBAL_LOCK_DEG:
-        warnings.warn("pitch within 0.01 deg of gimbal lock; yaw set to zero",
-                      stacklevel=2)
-        psi = 0.0
+    theta = np.arcsin(np.clip(-c[0, 2], -1.0, 1.0))
+    phi = np.arctan2(c[1, 2], c[2, 2])
+    psi = np.arctan2(c[0, 1], c[0, 0])
+    locked = np.abs(np.degrees(theta)) > GIMBAL_LOCK_DEG
+    if locked.any():
+        warnings.warn(f"pitch within 0.01 deg of gimbal lock at {np.count_nonzero(locked)} "
+                      "sample(s); yaw set to zero", stacklevel=2)
         # at theta = +/-90 only phi -/+ psi is observable; fold it all into phi
-        phi = math.atan2(c[1, 0], c[1, 1]) if theta > 0 else math.atan2(-c[1, 0], c[1, 1])
-        return EulerAngles(math.degrees(phi), math.degrees(theta), math.degrees(psi))
-    phi = math.atan2(c[1, 2], c[2, 2])
-    psi = math.atan2(c[0, 1], c[0, 0])
-    return EulerAngles(math.degrees(phi), math.degrees(theta), math.degrees(psi))
+        phi = np.where(locked, np.arctan2(np.where(theta > 0, c[1, 0], -c[1, 0]), c[1, 1]), phi)
+        psi = np.where(locked, 0.0, psi)
+    return np.degrees(np.stack([phi, theta, psi], axis=-1))
 
 
 def quaternion_error(q: Quaternion, qc: Quaternion) -> Quaternion:

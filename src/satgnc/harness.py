@@ -6,9 +6,9 @@ A run wires together: sensor sampling of the true state, an estimator
 commanded attitude, one of the three controllers, optional PWPF
 modulation, and RK4 plant propagation with the true inertia.  Everything
 is logged on a uniform time grid so all metrics derive from the record: a
-run record is one (samples, 27) matrix in CSV_COLUMNS order, written one
-row per step, and its named fields (t, q, w, qe, ...) are column views.
-The tuning cost is computed from the record's qe and w columns.
+run record is one (samples, 27) matrix in CSV_COLUMNS order, whose time and
+Euler columns are filled over the whole run and the rest one row per step;
+its named fields (t, q, w, qe, ...) are column views.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ import csv
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
@@ -31,8 +32,8 @@ from .roles import (ROLES, EstimateInvalidError, RoleBundle, anfis_control,
                     anfis_estimate, anfis_integrated)
 from .sensors import (GYRO, MAG_BODY, REFERENCES, SENSOR_CHANNELS, SUN_BODY,
                       NoiseSpec, TiltedDipoleField, gyro_reading, julian_date,
-                      magnetometer_reading, reference_norm, sun_direction_inertial,
-                      sun_sensor_reading)
+                      magnetometer_reading, sensor_noise, sun_direction_inertial,
+                      sun_sensor_reading, unit)
 
 __all__ = [
     "CSV_COLUMNS",
@@ -57,6 +58,11 @@ CSV_COLUMNS = ("t", "q1", "q2", "q3", "q4", "w1", "w2", "w3",
                "phi", "theta", "psi",
                "est_q1", "est_q2", "est_q3", "est_q4",
                "est_w1", "est_w2", "est_w3")
+
+
+# the columns a step writes: the true state to the applied torque, the estimate
+_STEP = slice(CSV_COLUMNS.index("q1"), CSV_COLUMNS.index("phi"))
+_ESTIMATE = slice(CSV_COLUMNS.index("est_q1"), None)
 
 
 class MissingBundleError(RuntimeError):
@@ -159,17 +165,18 @@ def run_closed_loop(config: SimConfig, gains: PidGains | None = None,
         loop.get("controller"), loop.get("estimator"), loop.get("integrated"))
     need_sensors = record_sensors or any(ROLES[r].inputs == SENSOR_CHANNELS for r in loop)
 
-    data = np.empty((n + 1, len(CSV_COLUMNS)))
     sense = np.empty((n + 1, len(SENSOR_CHANNELS))) if need_sensors else None
     raw = np.empty((n + 1, 3)) if config.controller == "pid" else None
+    record = RunRecord(np.empty((n + 1, len(CSV_COLUMNS))), config, sense, raw)
+    record.t[:] = np.arange(n + 1) * dt
+    data = record.data
     if need_sensors:
-        b_inertial = TiltedDipoleField().field(config.geo, config.epoch)
-        b_norm = reference_norm(b_inertial)
+        b_inertial = TiltedDipoleField().field(config.geo)
         u_s_inertial = sun_direction_inertial(julian_date(config.epoch))
-        s_norm = reference_norm(u_s_inertial)
-        sense[:, REFERENCES] = np.concatenate([b_inertial / b_norm, u_s_inertial])
-        rng = np.random.default_rng(
-            np.random.SeedSequence([config.seed & 0x7FFFFFFF, config.noise.seed]))
+        sense[:, REFERENCES] = np.concatenate([unit(b_inertial), u_s_inertial])
+        rng = np.random.default_rng([config.seed & 0x7FFFFFFF, config.noise.seed])
+        mag_noise, sun_noise, gyro_noise = sensor_noise(config.noise, b_inertial,
+                                                        u_s_inertial, n + 1, rng)
 
     state = BodyState(euler_to_quat(config.initial_euler), config.initial_omega)
     pid_state = PidState()
@@ -178,20 +185,16 @@ def run_closed_loop(config: SimConfig, gains: PidGains | None = None,
     dc, da, df = config.disturbance_const, config.disturbance_amp, config.disturbance_freq_hz
 
     for k in range(n + 1):
-        t = k * dt
         q, w = state
 
         if need_sensors:
             row = sense[k]
             dcm = quat_to_dcm(q)
-            row[MAG_BODY] = magnetometer_reading(b_inertial, b_norm, dcm, config.noise, rng)
-            row[SUN_BODY] = sun_sensor_reading(u_s_inertial, s_norm, dcm, config.noise, rng)
-            row[GYRO] = gyro_reading(w, config.noise, rng)
+            row[MAG_BODY] = magnetometer_reading(b_inertial, dcm, mag_noise[k])
+            row[SUN_BODY] = sun_sensor_reading(u_s_inertial, dcm, sun_noise[k])
+            row[GYRO] = gyro_reading(w, gyro_noise[k])
 
-        if config.estimator == "anfis":
-            q_hat, w_hat = anfis_estimate(est_bundle, row)
-        else:
-            q_hat, w_hat = q, w
+        q_hat, w_hat = anfis_estimate(est_bundle, row) if est_bundle else (q, w)
 
         qe = quaternion_error(q_hat, q_desired)
         qe_vec = (qe.q1, qe.q2, qe.q3) if qe.q4 >= 0.0 else (-qe.q1, -qe.q2, -qe.q3)
@@ -203,19 +206,20 @@ def run_closed_loop(config: SimConfig, gains: PidGains | None = None,
         else:
             mc = anfis_integrated(int_bundle, row)
 
+        applied = mc
         if pwpf_state is not None:
             pwpf_state, applied = pwpf_mod.pwpf_step(pwpf_state, mc, dt, config.pwpf)
-        else:
-            applied = mc
 
-        data[k] = (t, *q, *w, *qe_vec, *mc, *applied, *quat_to_euler(q), *q_hat, *w_hat)
+        data[k, _STEP] = (*q, *w, *qe_vec, *mc, *applied)
+        data[k, _ESTIMATE] = (*q_hat, *w_hat)
 
         if k < n:
-            s = math.sin(2.0 * math.pi * df * t)
+            s = math.sin(2.0 * math.pi * df * (k * dt))
             md = Torque(dc.m1 + da.m1 * s, dc.m2 + da.m2 * s, dc.m3 + da.m3 * s)
             state = integrate_step(state, config.inertia_true, applied, md, dt)
 
-    return RunRecord(data, config, sense, raw)
+    record.euler[:] = quat_to_euler(record.q.T)
+    return record
 
 
 def fuel_consumption(record: RunRecord) -> tuple[np.ndarray, float]:
@@ -348,14 +352,12 @@ def _mc_run_config(mc: MonteCarloConfig, k: int) -> SimConfig:
     )
 
 
-def _mc_single(args):
-    mc, k, gains, bundles = args
-    cfg = _mc_run_config(mc, k)
+def _mc_final_error(mc: MonteCarloConfig, gains, bundles, k: int) -> np.ndarray | None:
+    """Final Euler error of campaign run k, or None if the run failed."""
     try:
-        rec = run_closed_loop(cfg, gains=gains, bundles=bundles)
-        return k, final_euler_error(rec)
+        return final_euler_error(run_closed_loop(_mc_run_config(mc, k), gains, bundles))
     except (IntegrationDivergedError, EstimateInvalidError):
-        return k, None
+        return None
 
 
 def monte_carlo(mc: MonteCarloConfig, gains: PidGains | None = None,
@@ -365,31 +367,28 @@ def monte_carlo(mc: MonteCarloConfig, gains: PidGains | None = None,
     perturbation, fresh noise per run -- all derived from the master seed so
     results are independent of worker count and scheduling.
     """
-    tasks = [(mc, k, gains, bundles) for k in range(mc.n_runs)]
-    results: list = [None] * mc.n_runs
+    run = partial(_mc_final_error, mc, gains, bundles)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            for k, err in pool.map(_mc_single, tasks, chunksize=8):
-                results[k] = err
+            results = list(pool.map(run, range(mc.n_runs), chunksize=8))
     else:
-        for task in tasks:
-            k, err = _mc_single(task)
-            results[k] = err
+        results = list(map(run, range(mc.n_runs)))
 
-    errors = np.full((mc.n_runs, 3), np.nan)
-    mean = np.full((mc.n_runs, 3), np.nan)
-    sigma3 = np.full((mc.n_runs, 3), np.nan)
-    n_failed = 0
+    errors, mean, sigma3 = (np.full((mc.n_runs, 3), np.nan) for _ in range(3))
+    # Welford's running mean and sum of squared deviations over the successful
+    # runs so far, in one pass; a failed run repeats the statistics before it
+    n_ok, m, m2 = 0, np.zeros(3), np.zeros(3)
     for k, err in enumerate(results):
-        if err is None:
-            n_failed += 1
-        else:
+        if err is not None:
             errors[k] = err
-        ok = errors[:k + 1][~np.isnan(errors[:k + 1, 0])]
-        if len(ok):
-            mean[k] = ok.mean(axis=0)
-            sigma3[k] = 3.0 * ok.std(axis=0)
-    return MonteCarloReport(errors, mean, sigma3, n_failed, mc)
+            n_ok += 1
+            delta = err - m
+            m = m + delta / n_ok
+            m2 = m2 + delta * (err - m)
+        if n_ok:
+            mean[k] = m
+            sigma3[k] = 3.0 * np.sqrt(m2 / n_ok)
+    return MonteCarloReport(errors, mean, sigma3, mc.n_runs - n_ok, mc)
 
 
 # ---------------------------------------------------------------------------
@@ -421,15 +420,10 @@ def evaluate_controllers(gains: PidGains, bundles: dict,
                                   gains=gains, bundles=bundles)
             m = compute_metrics(rec)
             rows.append({
-                "condition": condition,
-                "controller": controller,
-                "fuel_x": float(m.fuel_per_axis[0]),
-                "fuel_y": float(m.fuel_per_axis[1]),
-                "fuel_z": float(m.fuel_per_axis[2]),
+                "condition": condition, "controller": controller,
+                **{f"fuel_{a}": float(v) for a, v in zip("xyz", m.fuel_per_axis)},
                 "fuel_total": m.fuel_total,
-                "settle_x": m.settling[0],
-                "settle_y": m.settling[1],
-                "settle_z": m.settling[2],
+                **{f"settle_{a}": v for a, v in zip("xyz", m.settling)},
                 "final_err_deg": [float(v) for v in m.final_error_deg],
             })
     return rows

@@ -29,6 +29,7 @@ __all__ = [
     "OptimizationResult",
     "pid_raw",
     "pid_step",
+    "saturate",
     "trajectory_cost",
     "optimize_gains",
     "save_gains",
@@ -93,15 +94,18 @@ def pid_step(qe_vec: Sequence[float], w: Sequence[float],
     accumulators frozen for this step (anti-windup).
     """
     raw = pid_raw(qe_vec, w, state, gains)
-    mc = [0.0, 0.0, 0.0]
     for i in range(3):
         sat = abs(raw[i]) > gains.mc_max
         state.saturated[i] = sat
         if not sat:
             state.int_qe[i] += dt * qe_vec[i]
             state.int_w[i] += dt * w[i]
-        mc[i] = min(gains.mc_max, max(-gains.mc_max, raw[i]))
-    return Torque(*mc), raw
+    return saturate(raw, gains.mc_max), raw
+
+
+def saturate(command: Sequence[float], mc_max: float) -> Torque:
+    """The actuator's torque: each axis of command clamped to +/-mc_max."""
+    return Torque(*(min(mc_max, max(-mc_max, float(v))) for v in command))
 
 
 def trajectory_cost(qe: np.ndarray, w: np.ndarray, dt: float) -> float:

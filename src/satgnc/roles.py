@@ -32,8 +32,8 @@ from . import anfis
 from .anfis import AnfisModel
 from .config import NOMINAL_INERTIA, SimConfig
 from .dynamics import AngularVelocity, EulerAngles, Quaternion, Torque
-from .pid import PidGains
-from .sensors import SENSOR_CHANNELS
+from .pid import PidGains, saturate
+from .sensors import GYRO, MAG_BODY, SENSOR_CHANNELS, SUN_BODY
 
 __all__ = [
     "RoleBundle",
@@ -63,7 +63,8 @@ TORQUE_CHANNELS = ("mc1", "mc2", "mc3")
 STATE_CHANNELS = ("q1", "q2", "q3", "q4", "w1", "w2", "w3")
 
 # body-frame magnetometer + sun sensor + gyro; inertial references dropped
-PRUNED_COLUMNS = (0, 1, 2, 3, 4, 5, 12, 13, 14)
+PRUNED_COLUMNS = tuple(i for block in (MAG_BODY, SUN_BODY, GYRO)
+                       for i in range(block.start, block.stop))
 
 MFS_PER_INPUT = 2          # membership functions per input, every role
 HOLDOUT_FRACTION = 0.1     # share of a dataset's runs held out from training
@@ -345,7 +346,7 @@ def anfis_control(bundle: RoleBundle, qe_vec, w) -> Torque:
     if bundle.role != "controller":
         raise ValueError(f"expected a controller bundle, got {bundle.role!r}")
     x = np.array([qe_vec[0], qe_vec[1], qe_vec[2], w[0], w[1], w[2]])
-    return _saturated(bundle, bundle.predict(x))
+    return saturate(bundle.predict(x), bundle.mc_max)
 
 
 def anfis_estimate(bundle: RoleBundle, row: np.ndarray
@@ -366,13 +367,7 @@ def anfis_integrated(bundle: RoleBundle, row: np.ndarray) -> Torque:
     """Sensor row straight to saturated control torque."""
     if bundle.role != "integrated":
         raise ValueError(f"expected an integrated bundle, got {bundle.role!r}")
-    return _saturated(bundle, bundle.predict(row[bundle._columns]))
-
-
-def _saturated(bundle: RoleBundle, y: np.ndarray) -> Torque:
-    """The torque channels y, each clamped to the bundle's training bound."""
-    m = bundle.mc_max
-    return Torque(*(min(m, max(-m, float(v))) for v in y))
+    return saturate(bundle.predict(row[bundle._columns]), bundle.mc_max)
 
 
 def save_bundle(bundle: RoleBundle, dirpath) -> None:

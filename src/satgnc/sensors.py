@@ -3,8 +3,8 @@ reference vectors (geomagnetic field direction, sun direction) they measure.
 
 One sampling instant is one 15-channel row laid out by SENSOR_CHANNELS,
 which the closed loop fills block by block and the neuro-fuzzy roles read.
-The direction sensors take the step's direction cosine matrix and the norm
-of their constant inertial reference, taken once per run.
+A run's sensor noise is drawn once (sensor_noise), and each reading takes
+its step's row of it; the direction sensors also take the step's DCM.
 
 The geomagnetic field is a tilted centered dipole (TiltedDipoleField), the
 one field model the closed loop uses.  The sun ephemeris is the low-precision Vallado algorithm
@@ -37,6 +37,7 @@ __all__ = [
     "magnetometer_reading",
     "sun_sensor_reading",
     "gyro_reading",
+    "sensor_noise",
     "reference_norm",
     "unit",
 ]
@@ -188,7 +189,7 @@ class TiltedDipoleField:
                          math.sin(tilt) * math.sin(lon),
                          math.cos(tilt)])
 
-    def field(self, pos: GeoPosition, instant: CalendarInstant) -> np.ndarray:
+    def field(self, pos: GeoPosition) -> np.ndarray:
         lat, lon, alt = pos.validated()
         lat_r = math.radians(lat)
         lon_r = math.radians(lon)
@@ -210,31 +211,35 @@ def reference_norm(v_inertial) -> float:
     return mag
 
 
-def _direction_with_noise(v_inertial: np.ndarray, mag: float, dcm: np.ndarray,
-                          sigma: float, rng: np.random.Generator) -> np.ndarray:
-    body = dcm @ v_inertial
-    if sigma > 0.0:
-        body = body + rng.normal(0.0, sigma * mag, size=3)
-    return unit(body)
+def sensor_noise(noise: NoiseSpec, b_inertial: np.ndarray, u_s_inertial: np.ndarray,
+                 n: int, rng: np.random.Generator) -> list:
+    """A run's additive noise for n steps: the magnetometer's and the sun
+    sensor's (each scaled by the magnitude of its inertial reference) and the
+    gyro's, each (n, 3), or n Nones for a zero-sigma sensor.  One
+    standard-normal block holds what per-step draws in that order would give."""
+    drawn = [sigma > 0.0 for sigma in (noise.sigma_mag, noise.sigma_sun, noise.sigma_gyro)]
+    scales = (noise.sigma_mag * reference_norm(b_inertial),
+              noise.sigma_sun * reference_norm(u_s_inertial), noise.sigma_gyro)
+    blocks = iter(rng.standard_normal((n, sum(drawn), 3)).transpose(1, 0, 2))
+    return [next(blocks) * scale if d else (None,) * n for d, scale in zip(drawn, scales)]
 
 
-def magnetometer_reading(b_inertial: np.ndarray, b_norm: float, dcm: np.ndarray,
-                         noise: NoiseSpec, rng: np.random.Generator) -> np.ndarray:
+def magnetometer_reading(b_inertial: np.ndarray, dcm: np.ndarray,
+                         noise: np.ndarray | None) -> np.ndarray:
     """Unit magnetic-field direction in the body frame (dcm = C_I^B), with
-    additive white noise scaled by the field magnitude b_norm."""
-    return _direction_with_noise(b_inertial, b_norm, dcm, noise.sigma_mag, rng)
+    the step's additive noise (None: noiseless)."""
+    body = dcm @ b_inertial
+    return unit(body if noise is None else body + noise)
 
 
-def sun_sensor_reading(u_s_inertial: np.ndarray, s_norm: float, dcm: np.ndarray,
-                       noise: NoiseSpec, rng: np.random.Generator) -> np.ndarray:
-    """Unit sun direction in the body frame (dcm = C_I^B), with additive white noise."""
-    return _direction_with_noise(u_s_inertial, s_norm, dcm, noise.sigma_sun, rng)
+def sun_sensor_reading(u_s_inertial: np.ndarray, dcm: np.ndarray,
+                       noise: np.ndarray | None) -> np.ndarray:
+    """Unit sun direction in the body frame (dcm = C_I^B), with the step's
+    additive noise (None: noiseless)."""
+    body = dcm @ u_s_inertial
+    return unit(body if noise is None else body + noise)
 
 
-def gyro_reading(w: AngularVelocity, noise: NoiseSpec,
-                 rng: np.random.Generator) -> AngularVelocity:
-    """Rate-gyro measurement: true rate plus per-axis white noise."""
-    if noise.sigma_gyro == 0.0:
-        return w
-    n = rng.normal(0.0, noise.sigma_gyro, size=3)
-    return AngularVelocity(w.w1 + n[0], w.w2 + n[1], w.w3 + n[2])
+def gyro_reading(w: AngularVelocity, noise: np.ndarray | None) -> AngularVelocity:
+    """Rate-gyro measurement: true rate plus the step's noise (None: noiseless)."""
+    return w if noise is None else AngularVelocity(*(v + n for v, n in zip(w, noise)))

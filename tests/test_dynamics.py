@@ -2,10 +2,11 @@
 
 import math
 import time
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from satgnc.dynamics import (AngularVelocity, BodyState, EulerAngles,
@@ -15,6 +16,11 @@ from satgnc.dynamics import (AngularVelocity, BodyState, EulerAngles,
                              quat_to_euler, quaternion_error)
 
 NOMINAL = InertiaTensor(1.5, 2.6, 3.0)
+
+RATES = st.tuples(*[st.floats(-1.0, 1.0)] * 3).map(lambda w: AngularVelocity(*w))
+MOMENTS = st.tuples(*[st.floats(0.1, 10.0)] * 3).map(lambda i: InertiaTensor(*i))
+UNIT_VECTORS = st.tuples(*[st.floats(-1.0, 1.0)] * 4).filter(
+    lambda v: sum(x * x for x in v) > 1e-3).map(lambda v: Quaternion(*v).normalized())
 
 
 def random_quaternion(rng):
@@ -90,18 +96,42 @@ class TestEulerConversions:
     def test_round_trip_property(self, phi, theta, psi):
         e = EulerAngles(phi, theta, psi)
         back = quat_to_euler(euler_to_quat(e))
-        assert back.phi == pytest.approx(phi, abs=1e-8)
-        assert back.theta == pytest.approx(theta, abs=1e-8)
-        assert back.psi == pytest.approx(psi, abs=1e-8)
+        np.testing.assert_allclose(back, [phi, theta, psi], rtol=0.0, atol=1e-8)
 
     def test_gimbal_lock_warns_and_zeros_yaw(self):
         e = EulerAngles(20.0, 90.0, 0.0)
-        with pytest.warns(UserWarning, match="gimbal lock"):
-            back = quat_to_euler(euler_to_quat(e))
-        assert back.psi == 0.0
-        assert back.theta == pytest.approx(90.0, abs=1e-6)
+        with pytest.warns(UserWarning, match="gimbal lock at 1 sample"):
+            phi, theta, psi = quat_to_euler(euler_to_quat(e))
+        assert psi == 0.0
+        assert theta == pytest.approx(90.0, abs=1e-6)
         # the full in-plane rotation folds into roll at the singularity
-        assert back.phi == pytest.approx(20.0, abs=1e-6)
+        assert phi == pytest.approx(20.0, abs=1e-6)
+
+    def test_columns_match_single_attitudes(self):
+        # a record's (4, n) quaternion columns convert as each attitude does,
+        # including the samples at the singularity, with one warning for all
+        rng = np.random.default_rng(8)
+        qs = [random_quaternion(rng) for _ in range(50)]
+        qs += [euler_to_quat(EulerAngles(20.0, 90.0, 0.0)),
+               euler_to_quat(EulerAngles(-35.0, -90.0, 10.0))]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            table = quat_to_euler(np.array(qs).T)
+        assert [str(w.message) for w in caught] == [
+            "pitch within 0.01 deg of gimbal lock at 2 sample(s); yaw set to zero"]
+        assert table.shape == (len(qs), 3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            single = np.array([quat_to_euler(q) for q in qs])
+        np.testing.assert_allclose(table, single, rtol=0.0, atol=1e-12)
+
+    def test_dcm_columns_match_single_attitudes(self):
+        rng = np.random.default_rng(9)
+        qs = [random_quaternion(rng) for _ in range(20)]
+        stacked = quat_to_dcm(np.array(qs).T)
+        assert stacked.shape == (3, 3, len(qs))
+        for i, q in enumerate(qs):
+            np.testing.assert_array_equal(stacked[:, :, i], quat_to_dcm(q))
 
 
 class TestQuaternionError:
@@ -150,6 +180,21 @@ class TestRhs:
 
 
 class TestIntegration:
+    @given(q=UNIT_VECTORS, w=RATES, inertia=MOMENTS)
+    @settings(max_examples=60, deadline=None)
+    def test_torque_free_properties(self, q, w, inertia):
+        # over random attitudes, rates and realizable inertias: a unit
+        # quaternion after every step, and energy and momentum conserved
+        assume(inertia.realizable())
+        state = BodyState(q, w)
+        e0 = kinetic_energy(state, inertia)
+        h0 = angular_momentum(state, inertia)
+        for _ in range(200):
+            state = integrate_step(state, inertia, Torque.zero(), Torque.zero(), 0.01)
+            assert abs(state.q.norm() - 1.0) < 1e-12
+        assert abs(kinetic_energy(state, inertia) - e0) <= 1e-6 * e0 + 1e-15
+        assert abs(angular_momentum(state, inertia) - h0) <= 1e-6 * h0 + 1e-15
+
     def test_conservation_torque_free(self):
         state = BodyState(euler_to_quat(EulerAngles(10.0, 5.0, 10.0)),
                           AngularVelocity(0.0125, 0.05, 0.075))
@@ -168,7 +213,7 @@ class TestIntegration:
         for _ in range(1000):
             state = integrate_step(state, NOMINAL, Torque.zero(), Torque.zero(), 0.01)
         expected = math.degrees(w * 10.0)
-        assert quat_to_euler(state.q).psi == pytest.approx(expected, abs=1e-8)
+        assert quat_to_euler(state.q)[2] == pytest.approx(expected, abs=1e-8)
 
     def test_rk4_fourth_order_convergence(self):
         def propagate(dt, n):

@@ -7,7 +7,8 @@ import pytest
 
 from satgnc import anfis
 from satgnc.config import MonteCarloConfig, SimConfig, UNCERTAIN_INERTIA
-from satgnc.dynamics import AngularVelocity, EulerAngles, InertiaTensor, Torque
+from satgnc.dynamics import (AngularVelocity, EulerAngles, InertiaTensor, Quaternion,
+                             Torque, quat_to_euler)
 from satgnc.harness import (CSV_COLUMNS, MissingBundleError, Metrics, RunRecord,
                             _mc_run_config, compute_metrics, evaluate_controllers,
                             final_euler_error, format_evaluation,
@@ -106,6 +107,25 @@ class TestRunClosedLoop:
             SimConfig(disturbance_const=Torque(0.05, 0.0, 0.0)), gains=GAINS)
         assert (abs(final_euler_error(pushed)[0])
                 > abs(final_euler_error(quiet)[0]))
+
+    def test_gimbal_lock_warns_once_per_run(self):
+        # a run commanded to 90 deg pitch spends many samples at the
+        # singularity; the record reports them in one warning with their count
+        cfg = SimConfig(initial_euler=EulerAngles(10.0, 80.0, 10.0),
+                        initial_omega=AngularVelocity.zero(),
+                        desired_euler=EulerAngles(0.0, 90.0, 0.0))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rec = run_closed_loop(cfg, gains=GAINS)
+        locked = np.count_nonzero(np.abs(rec.euler[:, 1]) > 89.99)
+        assert locked > 0
+        assert [str(w.message) for w in caught if "gimbal lock" in str(w.message)] == [
+            f"pitch within 0.01 deg of gimbal lock at {locked} sample(s); yaw set to zero"]
+
+    def test_euler_columns_match_each_attitude(self):
+        rec = run_closed_loop(SimConfig(), gains=GAINS)
+        single = np.array([quat_to_euler(Quaternion(*q)) for q in rec.q])
+        np.testing.assert_allclose(rec.euler, single, rtol=0.0, atol=1e-12)
 
 
 class TestMetrics:

@@ -12,7 +12,7 @@ from satgnc.pid import PidGains
 from satgnc.sensors import (SENSOR_CHANNELS, CalendarInstant, GeoPosition,
                             NoiseSpec, TiltedDipoleField, gyro_reading,
                             julian_date, magnetometer_reading, reference_norm,
-                            solar_angles, sun_direction_inertial,
+                            sensor_noise, solar_angles, sun_direction_inertial,
                             sun_sensor_reading, unit)
 
 IDENTITY_DCM = np.eye(3)
@@ -77,77 +77,74 @@ class TestSunEphemeris:
 class TestDipoleField:
     def test_equator_magnitude(self):
         f = TiltedDipoleField(tilt_deg=0.0)
-        b = f.field(GeoPosition(0.0, 0.0, 0.0), CalendarInstant(2020, 1, 1))
+        b = f.field(GeoPosition(0.0, 0.0, 0.0))
         assert np.linalg.norm(b) == pytest.approx(30000.0)
 
     def test_pole_magnitude_doubles(self):
         f = TiltedDipoleField(tilt_deg=0.0)
-        b = f.field(GeoPosition(90.0, 0.0, 0.0), CalendarInstant(2020, 1, 1))
+        b = f.field(GeoPosition(90.0, 0.0, 0.0))
         assert np.linalg.norm(b) == pytest.approx(60000.0)
 
     def test_altitude_falloff_cubed(self):
         f = TiltedDipoleField(tilt_deg=0.0)
-        b0 = f.field(GeoPosition(0.0, 0.0, 0.0), CalendarInstant(2020, 1, 1))
+        b0 = f.field(GeoPosition(0.0, 0.0, 0.0))
         r = 6371.2
-        b1 = f.field(GeoPosition(0.0, 0.0, r), CalendarInstant(2020, 1, 1))
+        b1 = f.field(GeoPosition(0.0, 0.0, r))
         assert np.linalg.norm(b1) == pytest.approx(np.linalg.norm(b0) / 8.0)
 
     def test_equator_points_north_untitled(self):
         f = TiltedDipoleField(tilt_deg=0.0)
-        b = f.field(GeoPosition(0.0, 0.0, 500.0), CalendarInstant(2020, 1, 1))
+        b = f.field(GeoPosition(0.0, 0.0, 500.0))
         assert unit(b) == pytest.approx(np.array([0.0, 0.0, 1.0]))
 
     def test_tilt_moves_magnetic_equator(self):
         tilted = TiltedDipoleField(tilt_deg=11.5)
-        b_geo_eq = tilted.field(GeoPosition(0.0, 0.0, 0.0), CalendarInstant(2020, 1, 1))
+        b_geo_eq = tilted.field(GeoPosition(0.0, 0.0, 0.0))
         # geographic equator is no longer the magnetic equator
         assert abs(np.linalg.norm(b_geo_eq) - 30000.0) > 10.0
 
     def test_position_validated(self):
         f = TiltedDipoleField()
         with pytest.raises(ValueError):
-            f.field(GeoPosition(95.0, 0.0, 0.0), CalendarInstant(2020, 1, 1))
+            f.field(GeoPosition(95.0, 0.0, 0.0))
 
 
 class TestDirectionalSensors:
     def test_noiseless_is_rotated_reference(self):
-        rng = np.random.default_rng(0)
         q = Quaternion.from_axis_angle([0.3, -0.5, 0.8], 0.9)
         b_inertial = np.array([10000.0, -20000.0, 5000.0])
-        noise = NoiseSpec(0.0, 0.0, 0.0)
-        got = magnetometer_reading(b_inertial, reference_norm(b_inertial),
-                                   quat_to_dcm(q), noise, rng)
+        got = magnetometer_reading(b_inertial, quat_to_dcm(q), None)
         want = unit(quat_to_dcm(q) @ b_inertial)
         np.testing.assert_allclose(got, want, atol=1e-15)
 
     def test_reading_always_unit(self):
-        rng = np.random.default_rng(1)
-        noise = NoiseSpec(0.05, 0.05, 0.0)
-        for _ in range(50):
-            u = sun_sensor_reading(np.array([1.0, 0.0, 0.0]), 1.0, IDENTITY_DCM,
-                                   noise, rng)
+        ref = np.array([1.0, 0.0, 0.0])
+        noise = sensor_noise(NoiseSpec(0.05, 0.05, 0.0), ref, ref, 50,
+                             np.random.default_rng(1))[1]
+        for row in noise:
+            u = sun_sensor_reading(ref, IDENTITY_DCM, row)
             assert np.linalg.norm(u) == pytest.approx(1.0)
 
     def test_noise_scales_with_field_magnitude(self):
         # the same sigma produces the same angular scatter regardless of units
-        rng1 = np.random.default_rng(2)
-        rng2 = np.random.default_rng(2)
-        noise = NoiseSpec(sigma_mag=0.01)
+        spec = NoiseSpec(sigma_mag=0.01)
         small, large = np.array([1.0, 0.0, 0.0]), np.array([30000.0, 0.0, 0.0])
-        a = magnetometer_reading(small, reference_norm(small), IDENTITY_DCM, noise, rng1)
-        b = magnetometer_reading(large, reference_norm(large), IDENTITY_DCM, noise, rng2)
+        na = sensor_noise(spec, small, small, 1, np.random.default_rng(2))[0]
+        nb = sensor_noise(spec, large, small, 1, np.random.default_rng(2))[0]
+        a = magnetometer_reading(small, IDENTITY_DCM, na[0])
+        b = magnetometer_reading(large, IDENTITY_DCM, nb[0])
         np.testing.assert_allclose(a, b, atol=1e-14)
 
     def test_mean_angular_deviation_matches_sigma(self):
         # small-angle: deviation angle ~ Rayleigh from the two transverse
         # noise components; its mean is sigma * sqrt(pi/2)
         sigma = 0.001
-        rng = np.random.default_rng(3)
-        noise = NoiseSpec(sigma_sun=sigma)
         ref = np.array([1.0, 0.0, 0.0])
-        angles = np.empty(10000)
-        for k in range(len(angles)):
-            u = sun_sensor_reading(ref, 1.0, IDENTITY_DCM, noise, rng)
+        noise = sensor_noise(NoiseSpec(sigma_sun=sigma), ref, ref, 10000,
+                             np.random.default_rng(3))[1]
+        angles = np.empty(len(noise))
+        for k, row in enumerate(noise):
+            u = sun_sensor_reading(ref, IDENTITY_DCM, row)
             angles[k] = math.acos(min(1.0, float(u @ ref)))
         predicted = sigma * math.sqrt(math.pi / 2.0)
         assert np.mean(angles) == pytest.approx(predicted, rel=0.10)
@@ -157,17 +154,47 @@ class TestDirectionalSensors:
             reference_norm(np.zeros(3))
 
 
+class TestNoiseBlock:
+    def test_block_equals_per_step_draws(self):
+        # one block holds the numbers per-step draws in the step's order
+        # (magnetometer, sun sensor, gyro) would give; a zero-sigma sensor
+        # draws nothing
+        for spec in (NoiseSpec(0.001, 0.002, 1e-4), NoiseSpec(0.001, 0.0, 1e-4),
+                     NoiseSpec(0.0, 0.002, 0.0)):
+            b = np.array([10000.0, -20000.0, 5000.0])
+            # an ephemeris direction whose norm is 1 - 1 ulp, so the scale matters
+            s = sun_direction_inertial(julian_date(CalendarInstant(2020, 1, 1)))
+            n = 40
+            mag, sun, gyro = sensor_noise(spec, b, s, n, np.random.default_rng(4))
+            rng = np.random.default_rng(4)
+            for k in range(n):
+                for got, sigma, scale in ((mag, spec.sigma_mag, reference_norm(b)),
+                                          (sun, spec.sigma_sun, reference_norm(s)),
+                                          (gyro, spec.sigma_gyro, 1.0)):
+                    if sigma > 0.0:
+                        np.testing.assert_array_equal(
+                            got[k], rng.normal(0.0, sigma * scale, size=3))
+                    else:
+                        assert got[k] is None
+
+    def test_noiseless_draws_nothing(self):
+        rng = np.random.default_rng(5)
+        ref = np.array([1.0, 0.0, 0.0])
+        assert sensor_noise(NoiseSpec(0.0, 0.0, 0.0), ref, ref, 3, rng) == [(None,) * 3] * 3
+        assert rng.standard_normal() == np.random.default_rng(5).standard_normal()
+
+
 class TestGyro:
     def test_noiseless_passthrough(self):
-        rng = np.random.default_rng(5)
         w = AngularVelocity(0.0125, 0.05, 0.075)
-        assert gyro_reading(w, NoiseSpec(0.0, 0.0, 0.0), rng) == w
+        assert gyro_reading(w, None) == w
 
     def test_noise_statistics(self):
-        rng = np.random.default_rng(6)
-        noise = NoiseSpec(sigma_gyro=1e-3)
+        ref = np.array([1.0, 0.0, 0.0])
+        noise = sensor_noise(NoiseSpec(sigma_gyro=1e-3), ref, ref, 10000,
+                             np.random.default_rng(6))[2]
         w = AngularVelocity.zero()
-        samples = np.array([gyro_reading(w, noise, rng) for _ in range(10000)])
+        samples = np.array([gyro_reading(w, row) for row in noise])
         assert np.std(samples) == pytest.approx(1e-3, rel=0.05)
 
 
@@ -178,7 +205,7 @@ class TestReadingVector:
         gains = PidGains(kp=(-3.0, -5.2, -6.0), kd=(-3.0, -5.2, -6.0))
         cfg = SimConfig(duration=1.0, noise=NoiseSpec(0.0, 0.0, 0.0))
         rec = run_closed_loop(cfg, gains=gains, record_sensors=True)
-        b = TiltedDipoleField().field(cfg.geo, cfg.epoch)
+        b = TiltedDipoleField().field(cfg.geo)
         s = sun_direction_inertial(julian_date(cfg.epoch))
         col = {name: i for i, name in enumerate(SENSOR_CHANNELS)}
 
