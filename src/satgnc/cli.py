@@ -31,7 +31,7 @@ def _load_config(args):
         raise CliError(f"config file not found: {path}")
     cfg = load_sim_config(path)
     if args.seed is not None:
-        cfg = replace(cfg, seed=args.seed, noise=replace(cfg.noise, seed=args.seed))
+        cfg = replace(cfg, seed=args.seed)
     return cfg
 
 

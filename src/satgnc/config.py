@@ -42,7 +42,7 @@ class SimConfig:
     """One closed-loop run: plant, scenario, loop composition, artifacts."""
     dt: float = 0.01
     duration: float = 20.0
-    seed: int = 0
+    seed: int = 0                      # the run's one seed; it seeds the sensor noise
     inertia_nominal: InertiaTensor = NOMINAL_INERTIA
     inertia_true: InertiaTensor = NOMINAL_INERTIA
     initial_euler: EulerAngles = EulerAngles(10.0, 5.0, 10.0)
@@ -82,12 +82,10 @@ class SimConfig:
 
 @dataclass(frozen=True)
 class MonteCarloConfig:
-    """Robustness campaign settings layered on a base run configuration."""
+    """Robustness campaign on a base run; each run's initial conditions and
+    plant are drawn within the envelope constants of roles."""
     base: SimConfig
     n_runs: int = 200
-    angle_range_deg: float = 15.0
-    rate_range: float = 0.1
-    inertia_range: float = 1.0
     master_seed: int = 0
 
     def __post_init__(self):
@@ -115,7 +113,6 @@ LAYOUT = (
     ("noise", "sigma_mag", "noise.sigma_mag", "float"),
     ("noise", "sigma_sun", "noise.sigma_sun", "float"),
     ("noise", "sigma_gyro", "noise.sigma_gyro", "float"),
-    ("noise", "seed", "noise.seed", "int"),
     ("disturbance", "constant", "disturbance_const", "triple"),
     ("disturbance", "amplitude", "disturbance_amp", "triple"),
     ("disturbance", "frequency_hz", "disturbance_freq_hz", "float"),

@@ -24,12 +24,12 @@ import numpy as np
 from . import pwpf as pwpf_mod
 from .config import (MonteCarloConfig, SimConfig, UNCERTAIN_INERTIA, dump_sim_config,
                      parse_sim_config)
-from .dynamics import (AngularVelocity, BodyState, EulerAngles, InertiaTensor,
-                       IntegrationDivergedError, Torque, euler_to_quat,
-                       integrate_step, quat_to_dcm, quat_to_euler, quaternion_error)
+from .dynamics import (BodyState, InertiaTensor, IntegrationDivergedError, Torque,
+                       euler_to_quat, integrate_step, quat_to_dcm, quat_to_euler,
+                       quaternion_error)
 from .pid import PidGains, PidState, pid_step, trajectory_cost
-from .roles import (ROLES, EstimateInvalidError, RoleBundle, anfis_control,
-                    anfis_estimate, anfis_integrated)
+from .roles import (INERTIA_RANGE, ROLES, EstimateInvalidError, RoleBundle,
+                    _random_conditions, anfis_control, anfis_estimate, anfis_integrated)
 from .sensors import (GYRO, MAG_BODY, REFERENCES, SENSOR_CHANNELS, SUN_BODY,
                       NoiseSpec, TiltedDipoleField, gyro_reading, julian_date,
                       magnetometer_reading, sensor_noise, sun_direction_inertial,
@@ -174,7 +174,9 @@ def run_closed_loop(config: SimConfig, gains: PidGains | None = None,
         b_inertial = TiltedDipoleField().field(config.geo)
         u_s_inertial = sun_direction_inertial(julian_date(config.epoch))
         sense[:, REFERENCES] = np.concatenate([unit(b_inertial), u_s_inertial])
-        rng = np.random.default_rng([config.seed & 0x7FFFFFFF, config.noise.seed])
+        # for a seed >= 0, the stream of earlier versions, which gave the noise
+        # a second seed equal to the run's; abs() lets a negative seed run too
+        rng = np.random.default_rng([config.seed & 0x7FFFFFFF, abs(config.seed)])
         mag_noise, sun_noise, gyro_noise = sensor_noise(config.noise, b_inertial,
                                                         u_s_inertial, n + 1, rng)
 
@@ -231,10 +233,12 @@ def fuel_consumption(record: RunRecord) -> tuple[np.ndarray, float]:
 
 
 def euler_errors(record: RunRecord) -> np.ndarray:
-    """Per-sample Euler-angle error relative to the desired attitude, wrapped."""
+    """Per-sample Euler-angle error relative to the desired attitude, wrapped
+    into [-180, 180); an error already there is returned unrounded."""
     desired = np.asarray(record.config.desired_euler)
     err = record.euler - desired
-    return (err + 180.0) % 360.0 - 180.0
+    inside = (err >= -180.0) & (err < 180.0)
+    return np.where(inside, err, (err + 180.0) % 360.0 - 180.0)
 
 
 def final_euler_error(record: RunRecord) -> np.ndarray:
@@ -274,9 +278,9 @@ class Metrics:
     cost_j: float
 
 
-def compute_metrics(record: RunRecord, band: float = 0.01) -> Metrics:
+def compute_metrics(record: RunRecord) -> Metrics:
     fuel_axis, fuel_total = fuel_consumption(record)
-    return Metrics(fuel_axis, fuel_total, settling_time(record, band),
+    return Metrics(fuel_axis, fuel_total, settling_time(record),
                    final_euler_error(record), record.cost_j)
 
 
@@ -331,25 +335,17 @@ class MonteCarloReport:
 
 def _mc_run_config(mc: MonteCarloConfig, k: int) -> SimConfig:
     rng = np.random.default_rng(np.random.SeedSequence([mc.master_seed, k]))
-    angles = rng.uniform(-mc.angle_range_deg, mc.angle_range_deg, size=3)
-    rates = rng.uniform(-mc.rate_range, mc.rate_range, size=3)
+    euler, omega = _random_conditions(rng)
     base = mc.base
-    # unrealizable plants are redrawn from the same stream before the noise
+    # unrealizable plants are redrawn from the same stream before the run's
     # seed, so a run whose first draw is realizable keeps all its numbers
     while True:
-        di = rng.uniform(-mc.inertia_range, mc.inertia_range, size=3)
+        di = rng.uniform(-INERTIA_RANGE, INERTIA_RANGE, size=3)
         inertia = InertiaTensor(*(max(0.1, i + d) for i, d in zip(base.inertia_nominal, di)))
         if inertia.realizable():
             break
-    noise_seed = int(rng.integers(0, 2 ** 31))
-    return replace(
-        base,
-        seed=noise_seed,
-        initial_euler=EulerAngles(*angles),
-        initial_omega=AngularVelocity(*rates),
-        inertia_true=inertia,
-        noise=replace(base.noise, seed=noise_seed),
-    )
+    return replace(base, seed=int(rng.integers(0, 2 ** 31)), initial_euler=euler,
+                   initial_omega=omega, inertia_true=inertia)
 
 
 def _mc_final_error(mc: MonteCarloConfig, gains, bundles, k: int) -> np.ndarray | None:

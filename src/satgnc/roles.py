@@ -31,7 +31,8 @@ import numpy as np
 from . import anfis
 from .anfis import AnfisModel
 from .config import NOMINAL_INERTIA, SimConfig
-from .dynamics import AngularVelocity, EulerAngles, Quaternion, Torque
+from .dynamics import (AngularVelocity, EulerAngles, IntegrationDivergedError, Quaternion,
+                       Torque)
 from .pid import PidGains, saturate
 from .sensors import GYRO, MAG_BODY, SENSOR_CHANNELS, SUN_BODY
 
@@ -69,6 +70,12 @@ PRUNED_COLUMNS = tuple(i for block in (MAG_BODY, SUN_BODY, GYRO)
 MFS_PER_INPUT = 2          # membership functions per input, every role
 HOLDOUT_FRACTION = 0.1     # share of a dataset's runs held out from training
 MAX_TRAIN_ROWS = 12000     # training rows kept, by a uniform stride
+MAX_DIVERGED_DRAWS = 20    # diverged teacher runs redrawn before giving up
+
+# the initial-condition envelope of teacher runs and campaign runs alike
+ANGLE_RANGE_DEG = 15.0     # initial Euler angles, uniform within +-this
+RATE_RANGE = 0.1           # initial body rates, rad/s, uniform within +-this
+INERTIA_RANGE = 1.0        # campaign plant inertia, kg*m^2, nominal +-this per axis
 
 
 @dataclass(frozen=True)
@@ -112,12 +119,12 @@ class RoleDataset:
     def __len__(self) -> int:
         return self.inputs.shape[0]
 
-    def split_by_run(self, holdout_fraction: float = HOLDOUT_FRACTION):
-        """(train, holdout) split by whole runs, preserving order."""
+    def split_by_run(self):
+        """(train, holdout) split by whole runs, preserving order: the last
+        HOLDOUT_FRACTION of the runs, at least one of two or more, are held out."""
         runs = np.unique(self.run_ids)
-        n_hold = max(1, int(round(holdout_fraction * len(runs)))) if len(runs) > 1 else 0
-        hold_runs = set(runs[len(runs) - n_hold:].tolist())
-        mask = np.array([r in hold_runs for r in self.run_ids])
+        n_hold = max(1, int(round(HOLDOUT_FRACTION * len(runs)))) if len(runs) > 1 else 0
+        mask = np.isin(self.run_ids, runs[len(runs) - n_hold:])
         return self._subset(~mask), self._subset(mask)
 
     def _subset(self, mask) -> "RoleDataset":
@@ -190,27 +197,31 @@ class RoleBundle:
 
 
 def _random_conditions(rng: np.random.Generator) -> tuple[EulerAngles, AngularVelocity]:
-    """Uniform initial Euler angles (within 15 deg) and body rates (within 0.1 rad/s)."""
-    return (EulerAngles(*rng.uniform(-15.0, 15.0, size=3)),
-            AngularVelocity(*rng.uniform(-0.1, 0.1, size=3)))
+    """Uniform initial Euler angles and body rates within the envelope."""
+    return (EulerAngles(*rng.uniform(-ANGLE_RANGE_DEG, ANGLE_RANGE_DEG, size=3)),
+            AngularVelocity(*rng.uniform(-RATE_RANGE, RATE_RANGE, size=3)))
 
 
 def _teacher_runs(gains: PidGains, n_runs: int, seed: int, tag: int, draw, rows,
                   record_sensors: bool = False):
     """The one teacher-run loop: draw a config from the (seed, tag) stream,
     run the PID teacher on it, and redraw with a warning if the run
-    diverges.  rows(record) picks a run's (inputs, targets); returns them
-    stacked over the runs, with each row's run id."""
+    diverges; the MAX_DIVERGED_DRAWS-th diverged run raises.  rows(record)
+    picks a run's (inputs, targets); returns them stacked over the runs,
+    with each row's run id."""
     from .harness import run_closed_loop
-    from .dynamics import IntegrationDivergedError
 
     rng = np.random.default_rng(np.random.SeedSequence([seed, tag]))
-    inputs, targets = [], []
+    inputs, targets, diverged = [], [], 0
     while len(inputs) < n_runs:
         cfg = draw(rng)
         try:
             rec = run_closed_loop(cfg, gains=gains, record_sensors=record_sensors)
-        except IntegrationDivergedError:
+        except IntegrationDivergedError as exc:
+            diverged += 1
+            if diverged == MAX_DIVERGED_DRAWS:
+                raise IntegrationDivergedError(
+                    f"{diverged} teacher runs diverged; the gains do not hold the plant") from exc
             warnings.warn("closed-loop run diverged during data generation; "
                           "initial condition redrawn", stacklevel=3)
             continue
@@ -250,7 +261,7 @@ def generate_sensor_data(gains: PidGains, n_runs: int = ROLES["estimator"].runs,
                          base: SimConfig = SimConfig()) -> RoleDataset:
     """Sensor trajectories of the nominal plant under PID control, with both
     state and torque targets.  The scenario is base's: its step, duration,
-    sensor noise and the seed of the draws; each run gets its own noise seed.
+    sensor noise and the seed of the draws; each run gets its own seed.
 
     Targets are the 7 true-state channels followed by the teacher's 3
     unsaturated torque commands (the clamp is re-applied at inference);
@@ -258,11 +269,9 @@ def generate_sensor_data(gains: PidGains, n_runs: int = ROLES["estimator"].runs,
     """
     def draw(rng):
         euler, omega = _random_conditions(rng)
-        noise_seed = int(rng.integers(0, 2 ** 31))
-        return replace(base, seed=noise_seed,
+        return replace(base, seed=int(rng.integers(0, 2 ** 31)),
                        inertia_nominal=NOMINAL_INERTIA, inertia_true=NOMINAL_INERTIA,
                        initial_euler=euler, initial_omega=omega,
-                       noise=replace(base.noise, seed=noise_seed),
                        controller="pid", estimator="truth", modulator="none")
 
     inputs, targets, run_ids = _teacher_runs(
@@ -319,7 +328,7 @@ def _train_role(data: RoleDataset, role: str) -> RoleBundle:
     outputs on its input columns."""
     spec = ROLES[role]
     columns = slice(None) if spec.columns is None else list(spec.columns)
-    train_ds, hold_ds = data.split_by_run(HOLDOUT_FRACTION)
+    train_ds, hold_ds = data.split_by_run()
     x, y = train_ds.inputs[:, columns], train_ds.targets
     if len(x) > MAX_TRAIN_ROWS:
         stride = int(np.ceil(len(x) / MAX_TRAIN_ROWS))

@@ -43,6 +43,7 @@ __all__ = [
 ]
 
 EARTH_RADIUS_KM = 6371.2
+DIPOLE_B0_NT = 30000.0     # equatorial surface field of the dipole
 
 SENSOR_CHANNELS = (
     "ub_body_x", "ub_body_y", "ub_body_z",
@@ -112,7 +113,6 @@ class NoiseSpec:
     sigma_mag: float = 0.001
     sigma_sun: float = 0.001
     sigma_gyro: float = 1e-4
-    seed: int = 0
 
     def __post_init__(self):
         if min(self.sigma_mag, self.sigma_sun, self.sigma_gyro) < 0.0:
@@ -172,22 +172,17 @@ def sun_direction_inertial(jd: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class TiltedDipoleField:
-    """Centered dipole tilted from the rotation axis.
+    """Centered dipole tilted from the rotation axis toward longitude 0.
 
-    b0_nt is the equatorial surface field strength; the polar surface field
-    is exactly 2*b0_nt and magnitude falls off as (R/r)^3.  Earth rotation
+    The equatorial surface field is DIPOLE_B0_NT, the polar surface field
+    exactly twice it, and magnitude falls off as (R/r)^3.  Earth rotation
     is ignored: geographic coordinates are read directly as inertial.
     """
-    b0_nt: float = 30000.0
     tilt_deg: float = 11.5
-    tilt_longitude_deg: float = 0.0
 
     def _dipole_axis(self) -> np.ndarray:
         tilt = math.radians(self.tilt_deg)
-        lon = math.radians(self.tilt_longitude_deg)
-        return np.array([math.sin(tilt) * math.cos(lon),
-                         math.sin(tilt) * math.sin(lon),
-                         math.cos(tilt)])
+        return np.array([math.sin(tilt), 0.0, math.cos(tilt)])
 
     def field(self, pos: GeoPosition) -> np.ndarray:
         lat, lon, alt = pos.validated()
@@ -197,8 +192,8 @@ class TiltedDipoleField:
                           math.cos(lat_r) * math.sin(lon_r),
                           math.sin(lat_r)])
         m_hat = self._dipole_axis()
-        scale = self.b0_nt * (EARTH_RADIUS_KM / (EARTH_RADIUS_KM + alt)) ** 3
-        # dipole field, normalized so |B| = b0 at the geomagnetic equator surface
+        scale = DIPOLE_B0_NT * (EARTH_RADIUS_KM / (EARTH_RADIUS_KM + alt)) ** 3
+        # dipole field, normalized so |B| = DIPOLE_B0_NT at the geomagnetic equator surface
         return scale * (3.0 * float(m_hat @ r_hat) * r_hat - m_hat) * -1.0
 
 

@@ -28,7 +28,7 @@ from satgnc.pwpf import PwpfParams, PwpfState, pwpf_step
 from satgnc.sensors import CalendarInstant, NoiseSpec, julian_date, solar_angles
 
 NOMINAL = InertiaTensor(1.5, 2.6, 3.0)
-LOOP_NOISE = NoiseSpec(0.001, 0.001, 1e-4, seed=5)
+LOOP_NOISE = NoiseSpec(0.001, 0.001, 1e-4)
 PWPF_LOOP = PwpfParams(km=9.0, tm=0.15, u_on=0.45, u_off=0.15, thrust=0.5)
 
 

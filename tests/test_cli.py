@@ -12,7 +12,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from satgnc import roles
 from satgnc.cli import build_parser, main
+from satgnc.pid import PidGains, save_gains
 
 MINI_CONFIG = """\
 [simulation]
@@ -134,6 +136,18 @@ class TestGenDataAndTrain:
                    "--out", str(tmp_path / "bundle")])
         assert rc == 1
         assert "config has no gains_file" in capsys.readouterr().err
+
+    def test_diverging_teacher_fails(self, tmp_path, capsys):
+        # gains that diverge from every start end gen-data, not loop in it
+        cfg = tmp_path / "run.ini"
+        cfg.write_text(MINI_CONFIG.format(gains=tmp_path / "gains.ini", bundles=""))
+        save_gains(PidGains(kp=(1e6,) * 3, kd=(1e6,) * 3, mc_max=1e9), tmp_path / "gains.ini")
+        with pytest.warns(UserWarning, match="redrawn"):
+            rc = main(["gen-data", "--config", str(cfg), "--role", "controller",
+                       "--runs", "2", "--out", str(tmp_path / "c.csv")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {roles.MAX_DIVERGED_DRAWS} teacher runs diverged")
 
     def test_missing_dataset_fails(self, workdir, capsys):
         rc = main(["train", "--config", cfg_path(workdir),

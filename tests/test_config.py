@@ -1,6 +1,8 @@
 """Configuration schema round-trip and validation tests."""
 
 import configparser
+from dataclasses import fields
+from pathlib import Path
 
 import pytest
 from hypothesis import given, reject, settings, strategies as st
@@ -28,6 +30,7 @@ EPOCHS = (st.builds(CalendarInstant, st.integers(1900, 2100), st.integers(1, 12)
           | st.sampled_from([CalendarInstant(1900, 1, 1, 0, 0, 0.0),
                              CalendarInstant(2100, 12, 31, 23, 59, 59.999999999999993)]))
 PATHS = st.from_regex(r"[A-Za-z0-9_./-]{0,16}", fullmatch=True)
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 @st.composite
@@ -44,8 +47,7 @@ def sim_configs(draw):
             initial_euler=EulerAngles(*draw(TRIPLES)),
             initial_omega=AngularVelocity(*draw(TRIPLES)),
             desired_euler=EulerAngles(*draw(TRIPLES)),
-            noise=NoiseSpec(draw(SIGMAS), draw(SIGMAS), draw(SIGMAS),
-                            draw(st.integers(0, 2 ** 31))),
+            noise=NoiseSpec(draw(SIGMAS), draw(SIGMAS), draw(SIGMAS)),
             disturbance_const=Torque(*draw(TRIPLES)),
             disturbance_amp=Torque(*draw(TRIPLES)),
             disturbance_freq_hz=draw(FLOATS),
@@ -101,7 +103,7 @@ class TestRoundTrip:
             initial_euler=EulerAngles(-3.25, 7.5, 0.125),
             initial_omega=AngularVelocity(0.01, -0.02, 0.03),
             desired_euler=EulerAngles(1.0, 2.0, 3.0),
-            noise=NoiseSpec(0.002, 0.003, 2e-4, seed=7),
+            noise=NoiseSpec(0.002, 0.003, 2e-4),
             disturbance_const=Torque(1e-4, 0.0, -1e-4),
             disturbance_amp=Torque(0.0, 1e-5, 0.0),
             disturbance_freq_hz=0.25,
@@ -140,6 +142,16 @@ class TestRoundTrip:
             parse_sim_config("[inertia]\nnominal = 1.0, 2.0\n")
 
 
+@pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.ini")), ids=lambda p: p.name)
+def test_example_config_holds_only_layout_keys(path):
+    # parse_sim_config ignores any other key, so a stale one would go unnoticed
+    cp = configparser.ConfigParser()
+    cp.read(path)
+    keys = {(section, key) for section in cp.sections() for key in cp[section]}
+    assert keys <= {row[:2] for row in LAYOUT}
+    load_sim_config(path)
+
+
 @pytest.mark.filterwarnings("ignore:.*triangle inequality")   # valid, if unrealizable
 class TestRoundTripProperties:
     @settings(max_examples=300, deadline=None)
@@ -175,9 +187,9 @@ class TestRoundTripProperties:
 class TestMonteCarloConfig:
     def test_defaults(self):
         mc = MonteCarloConfig(base=SimConfig())
-        assert mc.n_runs == 200
-        assert mc.angle_range_deg == 15.0
-        assert mc.inertia_range == 1.0
+        assert (mc.n_runs, mc.master_seed) == (200, 0)
+        # the envelope is the teacher runs': no campaign field widens it
+        assert [f.name for f in fields(MonteCarloConfig)] == ["base", "n_runs", "master_seed"]
 
     def test_n_runs_floor(self):
         with pytest.raises(ValueError):

@@ -1,6 +1,7 @@
 """Closed-loop harness tests: runs, metrics, persistence, Monte Carlo."""
 
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,8 +16,8 @@ from satgnc.harness import (CSV_COLUMNS, MissingBundleError, Metrics, RunRecord,
                             fuel_consumption, monte_carlo, needed_roles,
                             run_closed_loop, settling_time, tuning_objective)
 from satgnc.pid import PidGains
-from satgnc.roles import PRUNED_COLUMNS, STATE_CHANNELS, RoleBundle
-from satgnc.sensors import NoiseSpec
+from satgnc.roles import PRUNED_COLUMNS, STATE_CHANNELS, RoleBundle, _random_conditions
+from satgnc.sensors import GYRO, NoiseSpec
 
 GAINS = PidGains(kp=(-3.0, -5.2, -6.0), kd=(-3.0, -5.2, -6.0),
                  kq=(-0.01, -0.01, -0.01), kw=(-0.01, -0.01, -0.01))
@@ -50,6 +51,18 @@ class TestRunClosedLoop:
         rec = run_closed_loop(SimConfig(), gains=GAINS)
         settle = settling_time(rec)
         assert all(s is not None and s <= 20.0 for s in settle)
+
+    def test_noise_stream_of_run_seed(self):
+        # the gyro noise is the standard-normal block of the [seed, seed]
+        # stream: what a noise seed equal to the run's seed drew
+        cfg = SimConfig(duration=1.0, seed=7, noise=NoiseSpec())
+        rec = run_closed_loop(cfg, gains=GAINS, record_sensors=True)
+        block = np.random.default_rng([7, 7]).standard_normal((len(rec), 3, 3))
+        np.testing.assert_allclose(rec.sensor[:, GYRO] - rec.w, 1e-4 * block[:, 2],
+                                   rtol=0.0, atol=1e-15)
+        # no seed raises: a negative one, or one above 2**31
+        for seed in (-1, 2 ** 40):
+            run_closed_loop(replace(cfg, seed=seed), gains=GAINS, record_sensors=True)
 
     def test_deterministic_records(self):
         a = run_closed_loop(SimConfig(seed=4), gains=GAINS)
@@ -181,6 +194,12 @@ class TestMetrics:
         rec.euler[:, 0] = -179.0   # two degrees away across the wrap
         assert final_euler_error(rec)[0] == pytest.approx(2.0)
 
+    def test_error_inside_wrap_not_rounded(self):
+        # (err + 180) % 360 - 180 would round 1e-15 to the ulp of 180, 0.0
+        t = np.linspace(0.0, 1.0, 11)
+        rec = synthetic_record(t, np.full((11, 3), 1e-15))
+        assert (final_euler_error(rec) == 1e-15).all()
+
     def test_compute_metrics_bundles_everything(self):
         rec = run_closed_loop(SimConfig(duration=5.0), gains=GAINS)
         m = compute_metrics(rec)
@@ -296,13 +315,14 @@ class TestMonteCarlo:
         with pytest.raises(ValueError, match="triangle"):
             MonteCarloConfig(base=base)
 
-    def test_degenerate_distribution_zero_sigma(self):
-        mc = MonteCarloConfig(base=SimConfig(duration=2.0), n_runs=4,
-                              angle_range_deg=0.0, rate_range=0.0,
-                              inertia_range=0.0, master_seed=1)
-        rep = monte_carlo(mc, gains=GAINS)
-        np.testing.assert_allclose(rep.sigma3[-1], 0.0, atol=1e-12)
-        assert np.ptp(rep.errors, axis=0) == pytest.approx((0.0, 0.0, 0.0))
+    def test_runs_start_within_teacher_envelope(self):
+        # a campaign run's attitude and rates are the teacher runs' draw on
+        # the run's stream
+        mc = MonteCarloConfig(base=SimConfig(), master_seed=2024)
+        for k in range(20):
+            rng = np.random.default_rng(np.random.SeedSequence([mc.master_seed, k]))
+            cfg = _mc_run_config(mc, k)
+            assert (cfg.initial_euler, cfg.initial_omega) == _random_conditions(rng)
 
     def test_report_csv_round_trip_bytes(self, tmp_path):
         mc = MonteCarloConfig(base=SimConfig(duration=2.0), n_runs=4,

@@ -14,7 +14,7 @@ from hypothesis.extra.numpy import arrays
 from satgnc import anfis, roles
 from satgnc.anfis import AnfisModel
 from satgnc.config import SimConfig
-from satgnc.dynamics import AngularVelocity, Quaternion, Torque
+from satgnc.dynamics import AngularVelocity, IntegrationDivergedError, Quaternion, Torque
 from satgnc.pid import PidGains
 from satgnc.roles import (EstimateInvalidError, PRUNED_COLUMNS, RoleBundle,
                           RoleDataset, anfis_control, anfis_estimate,
@@ -54,9 +54,11 @@ class TestRoleDataset:
         y = np.arange(20, dtype=float).reshape(20, 1)
         ids = np.repeat(np.arange(10), 2)
         ds = RoleDataset(x, y, ids, ("a", "b"), ("t",))
-        train, hold = ds.split_by_run(0.2)
-        assert len(train) == 16 and len(hold) == 4
-        assert set(np.unique(hold.run_ids)) == {8, 9}
+        train, hold = ds.split_by_run()
+        # HOLDOUT_FRACTION of the 10 runs, the last ones
+        assert roles.HOLDOUT_FRACTION == 0.1
+        assert len(train) == 18 and len(hold) == 2
+        assert set(np.unique(hold.run_ids)) == {9}
         assert not set(np.unique(train.run_ids)) & set(np.unique(hold.run_ids))
 
     def test_csv_round_trip_exact(self, tmp_path):
@@ -87,6 +89,14 @@ class TestDataGeneration:
         assert a.targets.shape == (2 * 200, 3)
         np.testing.assert_array_equal(a.inputs, b.inputs)
         np.testing.assert_array_equal(a.targets, b.targets)
+
+    def test_diverging_teacher_gives_up(self):
+        # gains that diverge from every start: a bounded number of redraws,
+        # then an error that says how many diverged
+        bad = PidGains(kp=(1e6, 1e6, 1e6), kd=(1e6, 1e6, 1e6), mc_max=1e9)
+        with pytest.warns(UserWarning, match="redrawn"), pytest.raises(
+                IntegrationDivergedError, match=f"^{roles.MAX_DIVERGED_DRAWS} teacher runs"):
+            roles.generate_controller_data(bad, 2, SimConfig(duration=2.0))
 
     def test_targets_are_unsaturated_commands(self):
         # aggressive gains from a large error exceed the clamp in the record
