@@ -1,8 +1,8 @@
 """Command-line interface.
 
 Subcommands: simulate, tune-pid, gen-data, train, evaluate, monte-carlo.
-Every command takes a config file and honors --seed / --out overrides;
-exit status is 0 on success and nonzero with a diagnostic otherwise.
+Every command takes a config file and an --out override, and all but train
+a --seed override; exit status is 0 on success, nonzero with a diagnostic.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ def _load_config(args):
     if not path.exists():
         raise CliError(f"config file not found: {path}")
     cfg = load_sim_config(path)
-    if args.seed is not None:
+    if getattr(args, "seed", None) is not None:
         cfg = replace(cfg, seed=args.seed)
     return cfg
 
@@ -149,9 +149,10 @@ def build_parser() -> argparse.ArgumentParser:
                                 description="satellite attitude GNC toolkit")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp):
+    def common(sp, seed_help="seed override"):
         sp.add_argument("--config", required=True, help="run configuration file")
-        sp.add_argument("--seed", type=int, default=None, help="seed override")
+        if seed_help:
+            sp.add_argument("--seed", type=int, default=None, help=seed_help)
         sp.add_argument("--out", default=None, help="output path override")
 
     sp = sub.add_parser("simulate", help="one closed-loop run to CSV")
@@ -159,7 +160,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_simulate)
 
     sp = sub.add_parser("tune-pid", help="optimize the PID gains")
-    common(sp)
+    common(sp, seed_help="recorded in the gains file only: tuning runs are noise-free")
     sp.add_argument("--budget", type=int, default=500,
                     help="simulation evaluation budget")
     sp.add_argument("--mc-max", type=float, default=1.0, dest="mc_max",
@@ -174,7 +175,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_gen_data)
 
     sp = sub.add_parser("train", help="train a role bundle from a dataset")
-    common(sp)
+    common(sp, seed_help=None)
     sp.add_argument("--role", required=True, choices=tuple(roles.ROLES))
     sp.add_argument("--data", required=True, help="dataset CSV path")
     sp.set_defaults(func=cmd_train)

@@ -13,9 +13,11 @@ Each role is a bundle of output channels over one shared premise grid:
 one ANFIS model whose consequents are a (channels, rules, inputs + 1)
 stack, fit by one multi-output anfis.fit_consequents solve and evaluated
 by anfis.forward, so one firing pass serves every channel.  The
-15-channel sensor roles read a pruned 9-channel input (the two body-frame
-direction triplets plus the gyro): with a fixed position and epoch the
-inertial references are constant and carry no information.
+15-channel sensor roles read 7 channels (PRUNED_COLUMNS, so 128 rules):
+no inertial reference (constant at a fixed position and epoch), no
+ub_body_z and no us_body_x.  Their limit: a dropped component is known from
+its unit vector only up to its sign, which stays fixed only inside the
+teacher runs' envelope.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from .config import NOMINAL_INERTIA, SimConfig
 from .dynamics import (AngularVelocity, EulerAngles, IntegrationDivergedError, Quaternion,
                        Torque)
 from .pid import PidGains, saturate
-from .sensors import GYRO, MAG_BODY, SENSOR_CHANNELS, SUN_BODY
+from .sensors import SENSOR_CHANNELS
 
 __all__ = [
     "RoleBundle",
@@ -63,9 +65,9 @@ CONTROLLER_CHANNELS = ("qe1", "qe2", "qe3", "w1", "w2", "w3")
 TORQUE_CHANNELS = ("mc1", "mc2", "mc3")
 STATE_CHANNELS = ("q1", "q2", "q3", "q4", "w1", "w2", "w3")
 
-# body-frame magnetometer + sun sensor + gyro; inertial references dropped
-PRUNED_COLUMNS = tuple(i for block in (MAG_BODY, SUN_BODY, GYRO)
-                       for i in range(block.start, block.stop))
+# the sensor roles' inputs, chosen by holdout and campaign scores of candidate sets
+PRUNED_COLUMNS = tuple(SENSOR_CHANNELS.index(name) for name in (
+    "ub_body_x", "ub_body_y", "us_body_y", "us_body_z", "gyro_x", "gyro_y", "gyro_z"))
 
 MFS_PER_INPUT = 2          # membership functions per input, every role
 HOLDOUT_FRACTION = 0.1     # share of a dataset's runs held out from training
@@ -296,17 +298,6 @@ def role_view(data: RoleDataset, role: str) -> RoleDataset:
                        data.input_names, outputs, dict(data.metadata, role=role))
 
 
-def _fit_shared_lse(inputs: np.ndarray, targets: np.ndarray, ridge: float) -> AnfisModel:
-    """All channels share fixed grid premises over the padded input ranges;
-    one multi-output fit shrunk toward the global linear fit of each channel."""
-    lo, hi = inputs.min(axis=0), inputs.max(axis=0)
-    pad = np.maximum(1e-6, 0.05 * (hi - lo))
-    model = anfis.grid_partition_init(np.column_stack([lo - pad, hi + pad]), MFS_PER_INPUT)
-    model.coeffs, rmse = anfis.fit_consequents(model, inputs, targets, ridge)
-    model.metadata["train_rmse"] = rmse.tolist()
-    return model
-
-
 def train_controller(data: RoleDataset) -> RoleBundle:
     """Three torque channels fit on (q_e, w)."""
     return _train_role(data, "controller")
@@ -324,8 +315,10 @@ def train_integrated(data: RoleDataset) -> RoleBundle:
 
 def _train_role(data: RoleDataset, role: str) -> RoleBundle:
     """The one training path: a run-wise holdout split, a strided cap of
-    MAX_TRAIN_ROWS training rows, and one shared-premise fit of the role's
-    outputs on its input columns."""
+    MAX_TRAIN_ROWS training rows, and one fit of the role's outputs on its
+    input columns: fixed grid premises over the padded input ranges, shared
+    by all channels, and consequents shrunk toward each channel's global
+    linear fit."""
     spec = ROLES[role]
     columns = slice(None) if spec.columns is None else list(spec.columns)
     train_ds, hold_ds = data.split_by_run()
@@ -333,7 +326,11 @@ def _train_role(data: RoleDataset, role: str) -> RoleBundle:
     if len(x) > MAX_TRAIN_ROWS:
         stride = int(np.ceil(len(x) / MAX_TRAIN_ROWS))
         x, y = x[::stride], y[::stride]
-    model = _fit_shared_lse(x, y, spec.ridge)
+    lo, hi = x.min(axis=0), x.max(axis=0)
+    pad = np.maximum(1e-6, 0.05 * (hi - lo))
+    model = anfis.grid_partition_init(np.column_stack([lo - pad, hi + pad]), MFS_PER_INPUT)
+    model.coeffs, rmse = anfis.fit_consequents(model, x, y, spec.ridge)
+    model.metadata["train_rmse"] = rmse.tolist()
     input_names = (data.input_names if spec.columns is None
                    else tuple(data.input_names[i] for i in spec.columns))
     bundle = RoleBundle(role, model, input_names, spec.outputs, spec.columns,

@@ -256,6 +256,14 @@ class TestDiagnostics:
         for argv in argvs:
             assert parser.parse_args(argv).command == argv[0]
 
+    def test_train_rejects_seed(self, capsys):
+        # the fit draws no random numbers, so train takes no seed
+        with pytest.raises(SystemExit) as exc:
+            main(["train", "--config", "c.ini", "--role", "controller",
+                  "--data", "controller.csv", "--seed", "1"])
+        assert exc.value.code != 0
+        assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
+
     def test_unknown_role_rejected(self, workdir, capsys):
         with pytest.raises(SystemExit):
             main(["gen-data", "--config", cfg_path(workdir),

@@ -15,11 +15,12 @@ from satgnc import anfis, roles
 from satgnc.anfis import AnfisModel
 from satgnc.config import SimConfig
 from satgnc.dynamics import AngularVelocity, IntegrationDivergedError, Quaternion, Torque
-from satgnc.pid import PidGains
+from satgnc.harness import final_euler_error, run_closed_loop
+from satgnc.pid import PidGains, saturate
 from satgnc.roles import (EstimateInvalidError, PRUNED_COLUMNS, RoleBundle,
                           RoleDataset, anfis_control, anfis_estimate,
                           anfis_integrated, load_bundle, save_bundle)
-from satgnc.sensors import NoiseSpec
+from satgnc.sensors import MAG_BODY, SENSOR_CHANNELS, SUN_BODY, NoiseSpec
 
 QUICK_GAINS = PidGains(kp=(-3.0, -5.2, -6.0), kd=(-3.0, -5.2, -6.0),
                        kq=(-0.01, -0.01, -0.01), kw=(-0.01, -0.01, -0.01))
@@ -211,6 +212,56 @@ class TestSensorBundles:
     def test_pruned_columns_recorded(self, sensor_art):
         assert sensor_art["estimator"].input_columns == PRUNED_COLUMNS
         assert sensor_art["estimator"].metadata["pruned_columns"] == list(PRUNED_COLUMNS)
+
+    def test_dropped_directions_keep_one_sign(self, sensor_art):
+        # a body-frame direction component the sensor roles drop is known
+        # from the unit norm only up to its sign: over the teacher data it
+        # must keep one sign, well away from zero
+        x = sensor_art["data"].inputs
+        kept = {i for role in ("estimator", "integrated") for i in roles.ROLES[role].columns}
+        dropped = [i for block in (MAG_BODY, SUN_BODY)
+                   for i in range(block.start, block.stop) if i not in kept]
+        assert dropped
+        for i in dropped:
+            assert np.all(x[:, i] >= 0.5) or np.all(x[:, i] <= -0.5), SENSOR_CHANNELS[i]
+
+    @pytest.mark.filterwarnings("ignore:.*training envelope")
+    def test_bundle_reads_its_own_columns(self, sensor_art, tuned, tmp_path):
+        # a bundle directory trained on the nine body-frame and gyro channels,
+        # before the sensor roles dropped two, still loads and flies: the
+        # bundle's own input_columns pick its inputs from the sensor row
+        nine = (0, 1, 2, 3, 4, 5, 12, 13, 14)
+        assert all(roles.ROLES[r].columns != nine for r in ("estimator", "integrated"))
+        data = sensor_art["data"]
+        x = data.inputs[:, list(nine)]
+        ranges = np.column_stack([x.min(axis=0), x.max(axis=0)])
+        bundles, rng = {}, np.random.default_rng(0)
+        for role in ("estimator", "integrated"):
+            view = roles.role_view(data, role)
+            # every rule holds the global linear fit, so the bundle is that fit
+            model = anfis.grid_partition_init(ranges, roles.MFS_PER_INPUT)
+            beta = np.linalg.lstsq(np.column_stack([x, np.ones(len(x))]), view.targets,
+                                   rcond=None)[0]
+            model.coeffs = np.ascontiguousarray(np.broadcast_to(
+                beta.T[:, None, :], (beta.shape[1], model.n_rules, len(nine) + 1)))
+            save_bundle(RoleBundle(role, model, tuple(SENSOR_CHANNELS[i] for i in nine),
+                                   view.target_names, nine, tuned["gains"].mc_max),
+                        tmp_path / role)
+            bundles[role] = load_bundle(tmp_path / role)
+            assert bundles[role].input_columns == nine
+            for row in data.inputs[rng.choice(len(data), 5)]:
+                y = np.append(row[list(nine)], 1.0) @ beta
+                if role == "integrated":
+                    got = anfis_integrated(bundles[role], row)
+                    want = saturate(y, tuned["gains"].mc_max)
+                else:
+                    q, w = anfis_estimate(bundles[role], row)
+                    got, want = (*q, *w), np.append(y[:4] / np.linalg.norm(y[:4]), y[4:])
+                np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
+        for cfg in (SimConfig(seed=3, controller="integrated"),
+                    SimConfig(seed=3, estimator="anfis")):
+            rec = run_closed_loop(cfg, tuned["gains"], bundles)
+            assert np.max(np.abs(final_euler_error(rec))) < 0.2
 
 
 class TestBundlePersistence:
