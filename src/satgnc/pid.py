@@ -104,8 +104,9 @@ def pid_step(qe_vec: Sequence[float], w: Sequence[float],
 
 
 def saturate(command: Sequence[float], mc_max: float) -> Torque:
-    """The actuator's torque: each axis of command clamped to +/-mc_max."""
-    return Torque(*(min(mc_max, max(-mc_max, float(v))) for v in command))
+    """The actuator's torque: each axis of command clamped to +/-mc_max; a NaN
+    axis stays NaN, so the run diverges and counts as failed."""
+    return Torque(*(mc_max if v > mc_max else -mc_max if v < -mc_max else v for v in command))
 
 
 def trajectory_cost(qe: np.ndarray, w: np.ndarray, dt: float) -> float:

@@ -97,14 +97,15 @@ class TestForward:
     def test_firing_matches_rule_grid_product(self):
         # reference: per-input bell rows gathered through a rule table (row-
         # major over the inputs' MF indices, the first input slowest) and
-        # multiplied input by input, then normalized; same bits required
+        # multiplied input by input, then normalized; same bits required,
+        # over a batch of several firing blocks
         rng = np.random.default_rng(8)
         m = grid_partition_init(np.array([[-1.0, 1.0], [0.0, 2.0], [3.0, 4.0]]),
                                 (2, 3, 4))
         for start, stop in m.bounds:
             m.b[start:stop] *= rng.uniform(0.8, 1.3, stop - start)
             m.c[start:stop] += rng.normal(0.0, 0.05, stop - start)
-        x = rng.uniform(-1.0, 4.0, size=(50, 3))
+        x = rng.uniform(-1.0, 4.0, size=(2 * anfis.FIRING_BLOCK + 22, 3))
         rules = np.array(list(itertools.product(*map(range, m.mfs_per_input))))
         w = np.ones((len(x), m.n_rules))
         for i, (start, stop) in enumerate(m.bounds):

@@ -16,7 +16,8 @@ from satgnc.harness import (CSV_COLUMNS, MissingBundleError, Metrics, RunRecord,
                             fuel_consumption, monte_carlo, needed_roles,
                             run_closed_loop, settling_time, tuning_objective)
 from satgnc.pid import PidGains
-from satgnc.roles import PRUNED_COLUMNS, STATE_CHANNELS, RoleBundle, _random_conditions
+from satgnc.roles import (PRUNED_COLUMNS, ROLES, STATE_CHANNELS, RoleBundle,
+                          _random_conditions)
 from satgnc.sensors import GYRO, NoiseSpec
 
 GAINS = PidGains(kp=(-3.0, -5.2, -6.0), kd=(-3.0, -5.2, -6.0),
@@ -286,6 +287,34 @@ class TestMonteCarlo:
                               workers=workers)
             assert rep.n_failed == mc.n_runs
             assert np.isnan(rep.errors).all() and np.isnan(rep.mean).all()
+
+    @pytest.mark.parametrize("role", ["estimator", "integrated"])
+    def test_nan_role_outputs_counted_as_failed_runs(self, role):
+        # a NaN estimate is invalid, and a NaN torque is not clamped to full
+        # negative torque: either way every run fails and is counted
+        outputs = ROLES[role].outputs
+        model = anfis.grid_partition_init(np.tile([-1.5, 1.5], (len(PRUNED_COLUMNS), 1)), 2)
+        model.coeffs = np.full((len(outputs),) + model.coeffs.shape[1:], np.nan)
+        bundle = RoleBundle(role, model, tuple(f"in{i}" for i in PRUNED_COLUMNS), outputs,
+                            PRUNED_COLUMNS)
+        base = SimConfig(duration=1.0, **({"estimator": "anfis"} if role == "estimator"
+                                          else {"controller": "integrated"}))
+        rep = monte_carlo(MonteCarloConfig(base=base, n_runs=3, master_seed=3), gains=GAINS,
+                          bundles={role: bundle})
+        assert rep.n_failed == 3 and np.isnan(rep.errors).all()
+
+    def test_float_and_float64_initial_conditions_fly_alike(self):
+        # the draws are Python floats; the same values as numpy scalars give
+        # the same record, sensors included
+        cfg = _mc_run_config(MonteCarloConfig(base=SimConfig(duration=2.0), master_seed=5), 0)
+        assert all(type(v) is float for v in (*cfg.initial_euler, *cfg.initial_omega))
+        as64 = replace(cfg, initial_euler=EulerAngles(*np.array(cfg.initial_euler)),
+                       initial_omega=AngularVelocity(*np.array(cfg.initial_omega)))
+        assert type(as64.initial_omega.w1) is np.float64
+        a = run_closed_loop(cfg, GAINS, record_sensors=True)
+        b = run_closed_loop(as64, GAINS, record_sensors=True)
+        np.testing.assert_array_equal(a.data, b.data)
+        np.testing.assert_array_equal(a.sensor, b.sensor)
 
     def test_sampled_plants_are_realizable(self):
         def triangle(i):

@@ -1,12 +1,14 @@
 """Controller-law and gain-search tests."""
 
+import math
+
 import numpy as np
 import pytest
 
 from satgnc.dynamics import Torque
 from satgnc.pid import (GAINS_FORMAT_VERSION, PidGains, PidState,
                         default_gain_bounds, default_initial_gains, load_gains,
-                        optimize_gains, pid_raw, pid_step, save_gains,
+                        optimize_gains, pid_raw, pid_step, saturate, save_gains,
                         trajectory_cost)
 
 GAINS = PidGains(kp=(-2.0, -2.0, -2.0), kd=(-1.0, -1.0, -1.0),
@@ -32,6 +34,20 @@ class TestSaturate:
     def test_invalid_bound(self):
         with pytest.raises(ValueError):
             PidGains(GAINS.kp, GAINS.kd, mc_max=0.0)
+
+    def test_nan_passes_through(self):
+        # a NaN command is not a full negative torque: it stays NaN, so the
+        # run diverges and is counted as failed
+        for command in ([math.nan, 0.3, -2.0], np.array([math.nan, 0.3, -2.0])):
+            mc = saturate(command, 0.5)
+            assert math.isnan(mc[0]) and mc[1:] == (0.3, -0.5)
+
+    def test_matches_min_max_clamp(self):
+        # every other value clamps as min(mc_max, max(-mc_max, v)) does
+        values = [-math.inf, -2.0, -0.5, -0.49999999999999994, -0.0, 0.0, 1e-300,
+                  0.5, 0.5000000000000001, 3.0, math.inf]
+        for v in values:
+            assert saturate((v, v, v), 0.5) == (min(0.5, max(-0.5, v)),) * 3
 
 
 class TestControlLaw:

@@ -4,6 +4,7 @@ persistence.  Heavy training shares the session fixtures from conftest."""
 import dataclasses
 import json
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -203,15 +204,25 @@ class TestSensorBundles:
         with pytest.raises(EstimateInvalidError):
             anfis_estimate(broken, np.ones(15) * 0.1)
 
+    def test_nan_estimate_raises(self, sensor_art):
+        # an all-NaN row fires every rule at NaN: its quaternion norm is NaN
+        with pytest.raises(EstimateInvalidError, match="nan"):
+            anfis_estimate(sensor_art["estimator"], np.full(15, np.nan))
+
     def test_integrated_saturates(self, sensor_art):
         bundle = sensor_art["integrated"]
         out = anfis_integrated(bundle, np.ones(15))
         assert isinstance(out, Torque)
         assert all(abs(v) <= bundle.mc_max for v in out)
 
-    def test_pruned_columns_recorded(self, sensor_art):
-        assert sensor_art["estimator"].input_columns == PRUNED_COLUMNS
-        assert sensor_art["estimator"].metadata["pruned_columns"] == list(PRUNED_COLUMNS)
+    def test_pruned_columns_recorded(self, sensor_art, tmp_path):
+        # the manifest names a sensor bundle's columns once, as input_columns
+        for role in ("estimator", "integrated"):
+            assert sensor_art[role].input_columns == PRUNED_COLUMNS
+            save_bundle(sensor_art[role], tmp_path / role)
+            manifest = json.loads((tmp_path / role / "manifest.json").read_text())
+            assert manifest["input_columns"] == list(PRUNED_COLUMNS)
+            assert "pruned_columns" not in manifest["metadata"]
 
     def test_dropped_directions_keep_one_sign(self, sensor_art):
         # a body-frame direction component the sensor roles drop is known
@@ -349,6 +360,42 @@ class TestBundlePersistence:
             # the reference sums in another order than the forward pass
             np.testing.assert_allclose(batch, ref, rtol=0.0,
                                        atol=1e-13 * np.abs(ref).max())
+
+    @pytest.mark.filterwarnings("ignore:.*(training envelope|underflow)")
+    def test_role_calls_match_batch_rows(self, bundles):
+        # each role call is its bundle's predict_batch row, clamped with
+        # min/max or renormalized by np.linalg.norm as the calls did before,
+        # bit for bit, in Python floats: inside and outside the training
+        # envelope, and on inputs that underflow every rule
+        rng = np.random.default_rng(2)
+        for role in ("integrated", "estimator", "controller"):
+            bundle = dataclasses.replace(bundles[role])
+            r = bundle.model.input_ranges
+            span = r[:, 1] - r[:, 0]
+            x = np.vstack([rng.uniform(r[:, 0], r[:, 1], size=(200, bundle.n_inputs)),
+                           rng.uniform(r[:, 0] - 2.0 * span, r[:, 1] + 2.0 * span,
+                                       size=(40, bundle.n_inputs)),
+                           r[:, 1] + 1e30 * span])
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                batch = bundle.predict_batch(x)
+            assert any("underflow" in str(w.message) for w in caught)
+            rows = np.zeros((len(x), len(SENSOR_CHANNELS)))
+            if bundle.input_columns is not None:
+                rows[:, list(bundle.input_columns)] = x
+            for xn, row, y in zip(x, rows, batch):
+                if role == "estimator":
+                    qn = float(np.linalg.norm(y[:4]))
+                    want = (*(y[:4] / qn), *y[4:])
+                    q, w = anfis_estimate(bundle, row)
+                    got = (*q, *w)
+                else:
+                    m = bundle.mc_max
+                    want = tuple(min(m, max(-m, float(v))) for v in y)
+                    got = (anfis_integrated(bundle, row) if role == "integrated"
+                           else anfis_control(bundle, tuple(xn[:3]), tuple(xn[3:])))
+                assert all(type(v) is float for v in got)
+                assert [v.hex() for v in got] == [float(v).hex() for v in want]
 
     def test_shared_premise_underflow_falls_back_to_uniform(self):
         model = anfis.grid_partition_init(np.array([[-1.0, 1.0]]), 2)

@@ -154,6 +154,19 @@ class TestDirectionalSensors:
             reference_norm(np.zeros(3))
 
 
+class TestUnit:
+    def test_equals_division_by_norm(self):
+        # bit for bit, over magnitudes from 1e-150 to 1e150
+        rng = np.random.default_rng(7)
+        for v in rng.normal(size=(2000, 3)) * 10.0 ** rng.uniform(-150, 150, (2000, 1)):
+            np.testing.assert_array_equal(unit(v), v / np.linalg.norm(v))
+
+    def test_zero_and_non_finite_rejected(self):
+        for v in (np.zeros(3), [math.nan, 0.0, 1.0], [math.inf, 0.0, 0.0]):
+            with pytest.raises(ValueError, match="zero or non-finite"):
+                unit(v)
+
+
 class TestNoiseBlock:
     def test_block_equals_per_step_draws(self):
         # one block holds the numbers per-step draws in the step's order
@@ -188,6 +201,13 @@ class TestGyro:
     def test_noiseless_passthrough(self):
         w = AngularVelocity(0.0125, 0.05, 0.075)
         assert gyro_reading(w, None) == w
+
+    def test_reading_is_rate_plus_noise(self):
+        w = AngularVelocity(0.0125, -0.05, 0.075)
+        noise = np.array([1e-4, -3e-4, 2e-4])
+        got = gyro_reading(w, noise)
+        assert isinstance(got, AngularVelocity) and all(type(v) is float for v in got)
+        np.testing.assert_array_equal(got, np.asarray(w) + noise)
 
     def test_noise_statistics(self):
         ref = np.array([1.0, 0.0, 0.0])
