@@ -18,7 +18,7 @@ from .harness import (evaluate_controllers, format_evaluation, monte_carlo,
                       needed_roles, run_closed_loop, tuning_objective)
 from .pid import (default_gain_bounds, default_initial_gains, load_gains,
                   optimize_gains, save_gains)
-from .sensors import SENSOR_CHANNELS, NoiseSpec
+from .sensors import NoiseSpec
 
 
 class CliError(RuntimeError):
@@ -88,7 +88,7 @@ def cmd_gen_data(args) -> int:
     gains = _load_run_gains(cfg)
     spec = roles.ROLES[args.role]
     n_runs = args.runs or spec.runs
-    generate = (roles.generate_sensor_data if spec.inputs == SENSOR_CHANNELS
+    generate = (roles.generate_sensor_data if args.role in roles.SENSOR_ROLES
                 else roles.generate_controller_data)
     ds = roles.role_view(generate(gains, n_runs, cfg), args.role)
     out = args.out or f"{args.role}_data.csv"
@@ -99,14 +99,10 @@ def cmd_gen_data(args) -> int:
 
 def cmd_train(args) -> int:
     cfg = _load_config(args)
-    path = Path(args.data)
-    if not path.exists():
-        raise CliError(f"dataset not found: {path}")
-    ds = roles.RoleDataset.from_csv(path, len(roles.ROLES[args.role].inputs))
-    # the torque bound comes from the gains that gen-data's teacher ran with
-    ds.metadata["mc_max"] = _load_run_gains(cfg).mc_max
-    # looked up by name at call time, so a wrapper swapped in for it is called
-    bundle = getattr(roles, f"train_{args.role}")(ds)
+    ds = roles.RoleDataset.from_csv(args.data, args.role)  # FileNotFoundError if missing
+    # the torque bound comes from the gains that gen-data's teacher ran with;
+    # train_* is looked up by name at call time, so a wrapper swapped in is called
+    bundle = getattr(roles, f"train_{args.role}")(ds, _load_run_gains(cfg).mc_max)
     out = args.out or (str(Path(cfg.bundle_dir) / args.role) if cfg.bundle_dir
                        else args.role)
     roles.save_bundle(bundle, out)

@@ -28,7 +28,7 @@ from .dynamics import (BodyState, InertiaTensor, IntegrationDivergedError, Torqu
                        euler_to_quat, integrate_step, quat_to_dcm, quat_to_euler,
                        quaternion_error)
 from .pid import PidGains, PidState, pid_step, trajectory_cost
-from .roles import (INERTIA_RANGE, ROLES, EstimateInvalidError, RoleBundle,
+from .roles import (INERTIA_RANGE, SENSOR_ROLES, EstimateInvalidError, RoleBundle,
                     _random_conditions, anfis_control, anfis_estimate, anfis_integrated)
 from .sensors import (GYRO, MAG_BODY, REFERENCES, SENSOR_CHANNELS, SUN_BODY,
                       NoiseSpec, TiltedDipoleField, gyro_reading, julian_date,
@@ -163,7 +163,7 @@ def run_closed_loop(config: SimConfig, gains: PidGains | None = None,
     loop = {role: _require_bundle(bundles, role) for role in needed_roles(config)}
     ctrl_bundle, est_bundle, int_bundle = (
         loop.get("controller"), loop.get("estimator"), loop.get("integrated"))
-    need_sensors = record_sensors or any(ROLES[r].inputs == SENSOR_CHANNELS for r in loop)
+    need_sensors = record_sensors or any(r in SENSOR_ROLES for r in loop)
 
     sense = np.empty((n + 1, len(SENSOR_CHANNELS))) if need_sensors else None
     raw = np.empty((n + 1, 3)) if config.controller == "pid" else None

@@ -2,9 +2,9 @@
 attitude/rate estimator, and the integrated sensors-to-torque subsystem,
 plus their training-data pipelines.
 
-ROLES states each role once: its dataset's input channels, its output
-channels, the input columns its bundle reads, its ridge and its default
-number of teacher runs; training, the dataset views and the CLI read it.
+ROLES states each role once, naming the input channels its bundle reads and
+its output channels, with its ridge and default number of teacher runs; the
+datasets, training, bundles, the harness and the CLI select channels by name.
 All three roles learn from one PID teacher-run loop: the controller from
 noise-free (q_e, w) runs, the estimator and the integrated subsystem from
 views of one sensor dataset.
@@ -12,8 +12,8 @@ views of one sensor dataset.
 Each role is a bundle of output channels over one shared premise grid:
 one ANFIS model whose consequents are a (channels, rules, inputs + 1)
 stack, fit by one multi-output anfis.fit_consequents solve and evaluated
-by anfis.forward, so one firing pass serves every channel.  The
-15-channel sensor roles read 7 channels (PRUNED_COLUMNS, so 128 rules):
+by anfis.forward, so one firing pass serves every channel.  The sensor
+roles read 7 of the 15 sensor channels (so 128 rules):
 no inertial reference (constant at a fixed position and epoch), no
 ub_body_z and no us_body_x.  Their limit: a dropped component is known from
 its unit vector only up to its sign, which stays fixed only inside the
@@ -43,7 +43,6 @@ __all__ = [
     "RoleBundle",
     "RoleDataset",
     "EstimateInvalidError",
-    "PRUNED_COLUMNS",
     "ROLES",
     "RoleSpec",
     "generate_controller_data",
@@ -66,10 +65,6 @@ CONTROLLER_CHANNELS = ("qe1", "qe2", "qe3", "w1", "w2", "w3")
 TORQUE_CHANNELS = ("mc1", "mc2", "mc3")
 STATE_CHANNELS = ("q1", "q2", "q3", "q4", "w1", "w2", "w3")
 
-# the sensor roles' inputs, chosen by holdout and campaign scores of candidate sets
-PRUNED_COLUMNS = tuple(SENSOR_CHANNELS.index(name) for name in (
-    "ub_body_x", "ub_body_y", "us_body_y", "us_body_z", "gyro_x", "gyro_y", "gyro_z"))
-
 MFS_PER_INPUT = 2          # membership functions per input, every role
 HOLDOUT_FRACTION = 0.1     # share of a dataset's runs held out from training
 MAX_TRAIN_ROWS = 12000     # training rows kept, by a uniform stride
@@ -83,21 +78,31 @@ INERTIA_RANGE = 1.0        # campaign plant inertia, kg*m^2, nominal +-this per 
 
 @dataclass(frozen=True)
 class RoleSpec:
-    """One role: its dataset's input channels, the output channels it
-    learns, the dataset columns its bundle reads (None: all of them), the
-    ridge of its fit, and its default number of teacher runs."""
+    """One role: the input channels its bundle reads, the output channels it
+    learns, the ridge of its fit, and its default number of teacher runs."""
     inputs: tuple[str, ...]
     outputs: tuple[str, ...]
-    columns: tuple[int, ...] | None
     ridge: float
     runs: int
 
 
+# the sensor roles' inputs, chosen by holdout and campaign scores of candidate sets
+SENSED = ("ub_body_x", "ub_body_y", "us_body_y", "us_body_z", "gyro_x", "gyro_y", "gyro_z")
 ROLES = {
-    "controller": RoleSpec(CONTROLLER_CHANNELS, TORQUE_CHANNELS, None, 1e-2, 15),
-    "estimator": RoleSpec(SENSOR_CHANNELS, STATE_CHANNELS, PRUNED_COLUMNS, 0.1, 12),
-    "integrated": RoleSpec(SENSOR_CHANNELS, TORQUE_CHANNELS, PRUNED_COLUMNS, 0.1, 12),
+    "controller": RoleSpec(CONTROLLER_CHANNELS, TORQUE_CHANNELS, 1e-2, 15),
+    "estimator": RoleSpec(SENSED, STATE_CHANNELS, 0.1, 12),
+    "integrated": RoleSpec(SENSED, TORQUE_CHANNELS, 0.1, 12),
 }
+# the roles that read the sensor row; the controller reads (q_e, w)
+SENSOR_ROLES = tuple(r for r, spec in ROLES.items() if set(spec.inputs) <= set(SENSOR_CHANNELS))
+
+
+def _positions(channels: tuple, names: tuple, where: str) -> list[int]:
+    """Each of names' position among channels, or a ValueError naming where."""
+    if not set(names) <= set(channels):
+        raise ValueError(f"{where}: expected channels {', '.join(names)}, "
+                         f"found {', '.join(channels)}")
+    return [channels.index(name) for name in names]
 
 
 class EstimateInvalidError(RuntimeError):
@@ -112,7 +117,6 @@ class RoleDataset:
     run_ids: np.ndarray
     input_names: tuple[str, ...]
     target_names: tuple[str, ...]
-    metadata: dict = field(default_factory=dict)
 
     def __post_init__(self):
         self.inputs = np.atleast_2d(np.asarray(self.inputs, dtype=float))
@@ -132,7 +136,7 @@ class RoleDataset:
 
     def _subset(self, mask) -> "RoleDataset":
         return RoleDataset(self.inputs[mask], self.targets[mask], self.run_ids[mask],
-                           self.input_names, self.target_names, dict(self.metadata))
+                           self.input_names, self.target_names)
 
     def to_csv(self, path) -> None:
         with open(path, "w", newline="") as fh:
@@ -143,9 +147,15 @@ class RoleDataset:
                 self.run_ids.tolist(), self.inputs.tolist(), self.targets.tolist()))
 
     @staticmethod
-    def from_csv(path, n_inputs: int) -> "RoleDataset":
+    def from_csv(path, role: str) -> "RoleDataset":
+        """A role's dataset: the role's outputs last, every channel it reads before."""
+        spec = ROLES[role]
         with open(path, newline="") as fh:
             names = tuple(next(csv.reader(fh))[1:])
+        n_inputs = len(names) - len(spec.outputs)
+        if names[n_inputs:] != spec.outputs or not set(spec.inputs) <= set(names[:n_inputs]):
+            raise ValueError(f"{path}, the {role} role's dataset: expected channels "
+                             f"{', '.join(spec.inputs + spec.outputs)}, found {', '.join(names)}")
         data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
         return RoleDataset(data[:, 1:n_inputs + 1], data[:, n_inputs + 1:],
                            data[:, 0].astype(np.intp), names[:n_inputs], names[n_inputs:])
@@ -159,23 +169,29 @@ class RoleBundle:
     model: AnfisModel
     input_names: tuple[str, ...]
     output_names: tuple[str, ...]
-    input_columns: tuple[int, ...] | None = None   # selection from the sensor row
     mc_max: float = 1.0
     metadata: dict = field(default_factory=dict)
 
     def __post_init__(self):
         m = self.model
-        if len(m.coeffs) != len(self.output_names):
-            raise ValueError(f"{self.role} bundle holds {len(m.coeffs)} consequent tables "
-                             f"for its {len(self.output_names)} outputs")
+        if (len(m.coeffs), len(self.input_names)) != (len(self.output_names), m.n_inputs):
+            raise ValueError(f"{self.role} bundle holds {len(m.coeffs)} consequent tables for "
+                             f"its {len(self.output_names)} outputs and names "
+                             f"{len(self.input_names)} inputs for its model's {m.n_inputs}")
         # all predict() needs that does not depend on the input (the envelope in floats)
         self._extrapolation_warned = False
         r = m.input_ranges
         self._center = (0.5 * (r[:, 0] + r[:, 1])).tolist()
         self._limit = (1.5 * np.maximum(0.5 * (r[:, 1] - r[:, 0]), 1e-12)).tolist()
-        # the bundle's inputs within a 15-channel sensor row (SENSOR_CHANNELS)
-        self._columns = np.array(range(len(SENSOR_CHANNELS)) if self.input_columns is None
-                                 else self.input_columns, dtype=np.intp)
+        # the bundle's inputs within a sensor row, for a role that reads one
+        self._columns = (np.array(_positions(SENSOR_CHANNELS, self.input_names,
+                                             f"{self.role} bundle inputs"), dtype=np.intp)
+                         if self.role in SENSOR_ROLES else None)
+
+    @property
+    def input_columns(self) -> tuple[int, ...] | None:
+        """The inputs' positions in a SENSOR_CHANNELS row; None for the controller."""
+        return None if self._columns is None else tuple(self._columns.tolist())
 
     @property
     def n_inputs(self) -> int:
@@ -256,9 +272,7 @@ def generate_controller_data(gains: PidGains, n_runs: int = ROLES["controller"].
     inputs, targets, run_ids = _teacher_runs(
         gains, n_runs, base.seed, 0xC0, draw,
         lambda rec: (np.column_stack([rec.qe[:-1], rec.w[:-1]]), rec.mc_raw[:-1]))
-    return RoleDataset(inputs, targets, run_ids, CONTROLLER_CHANNELS, TORQUE_CHANNELS,
-                       {"role": "controller", "seed": base.seed, "n_runs": n_runs,
-                        "mc_max": gains.mc_max})
+    return RoleDataset(inputs, targets, run_ids, CONTROLLER_CHANNELS, TORQUE_CHANNELS)
 
 
 def generate_sensor_data(gains: PidGains, n_runs: int = ROLES["estimator"].runs,
@@ -283,46 +297,40 @@ def generate_sensor_data(gains: PidGains, n_runs: int = ROLES["estimator"].runs,
         lambda rec: (rec.sensor[:-1],
                      np.column_stack([rec.q[:-1], rec.w[:-1], rec.mc_raw[:-1]])),
         record_sensors=True)
-    return RoleDataset(inputs, targets, run_ids,
-                       SENSOR_CHANNELS, STATE_CHANNELS + TORQUE_CHANNELS,
-                       {"role": "sensor", "seed": base.seed, "n_runs": n_runs,
-                        "mc_max": gains.mc_max,
-                        "noise": (base.noise.sigma_mag, base.noise.sigma_sun,
-                                  base.noise.sigma_gyro)})
+    return RoleDataset(inputs, targets, run_ids, SENSOR_CHANNELS, STATE_CHANNELS + TORQUE_CHANNELS)
 
 
 def role_view(data: RoleDataset, role: str) -> RoleDataset:
     """The role's dataset: data with its targets narrowed, by name, to the
     role's output channels (a sensor dataset holds the state and the torque)."""
     outputs = ROLES[role].outputs
-    cols = [data.target_names.index(name) for name in outputs]
-    return RoleDataset(data.inputs, data.targets[:, cols], data.run_ids,
-                       data.input_names, outputs, dict(data.metadata, role=role))
+    cols = _positions(data.target_names, outputs, f"the {role} role's targets")
+    return RoleDataset(data.inputs, data.targets[:, cols], data.run_ids, data.input_names, outputs)
 
 
-def train_controller(data: RoleDataset) -> RoleBundle:
+def train_controller(data: RoleDataset, mc_max: float) -> RoleBundle:
     """Three torque channels fit on (q_e, w)."""
-    return _train_role(data, "controller")
+    return _train_role(data, "controller", mc_max)
 
 
-def train_estimator(data: RoleDataset) -> RoleBundle:
-    """Seven state channels fit on the pruned sensor inputs."""
-    return _train_role(data, "estimator")
+def train_estimator(data: RoleDataset, mc_max: float) -> RoleBundle:
+    """Seven state channels fit on the selected sensor inputs."""
+    return _train_role(data, "estimator", mc_max)
 
 
-def train_integrated(data: RoleDataset) -> RoleBundle:
-    """Three torque channels fit on the pruned sensor inputs."""
-    return _train_role(data, "integrated")
+def train_integrated(data: RoleDataset, mc_max: float) -> RoleBundle:
+    """Three torque channels fit on the selected sensor inputs."""
+    return _train_role(data, "integrated", mc_max)
 
 
-def _train_role(data: RoleDataset, role: str) -> RoleBundle:
+def _train_role(data: RoleDataset, role: str, mc_max: float) -> RoleBundle:
     """The one training path: a run-wise holdout split, a strided cap of
-    MAX_TRAIN_ROWS training rows, and one fit of the role's outputs on its
-    input columns: fixed grid premises over the padded input ranges, shared
-    by all channels, and consequents shrunk toward each channel's global
-    linear fit."""
+    MAX_TRAIN_ROWS training rows, and one fit of the role's outputs on the
+    input channels it names: fixed grid premises over the padded input
+    ranges, shared by all channels, and consequents shrunk toward each
+    channel's global linear fit.  mc_max: the teacher gains' torque bound."""
     spec = ROLES[role]
-    columns = slice(None) if spec.columns is None else list(spec.columns)
+    columns = _positions(data.input_names, spec.inputs, f"the {role} role's dataset")
     train_ds, hold_ds = data.split_by_run()
     x, y = train_ds.inputs[:, columns], train_ds.targets
     if len(x) > MAX_TRAIN_ROWS:
@@ -333,10 +341,7 @@ def _train_role(data: RoleDataset, role: str) -> RoleBundle:
     model = anfis.grid_partition_init(np.column_stack([lo - pad, hi + pad]), MFS_PER_INPUT)
     model.coeffs, rmse = anfis.fit_consequents(model, x, y, spec.ridge)
     model.metadata["train_rmse"] = rmse.tolist()
-    input_names = (data.input_names if spec.columns is None
-                   else tuple(data.input_names[i] for i in spec.columns))
-    bundle = RoleBundle(role, model, input_names, spec.outputs, spec.columns,
-                        float(data.metadata.get("mc_max", 1.0)))
+    bundle = RoleBundle(role, model, spec.inputs, spec.outputs, float(mc_max))
     if len(hold_ds):
         err = bundle.predict_batch(hold_ds.inputs[:, columns]) - hold_ds.targets
         holdout_rmse = [float(np.sqrt(np.mean(e ** 2))) for e in err.T]
@@ -387,8 +392,6 @@ def save_bundle(bundle: RoleBundle, dirpath) -> None:
         "role": bundle.role,
         "input_names": list(bundle.input_names),
         "output_names": list(bundle.output_names),
-        "input_columns": (list(bundle.input_columns)
-                          if bundle.input_columns is not None else None),
         "mc_max": bundle.mc_max,
         "metadata": bundle.metadata,
     }
@@ -399,24 +402,21 @@ def save_bundle(bundle: RoleBundle, dirpath) -> None:
 
 def load_bundle(dirpath) -> RoleBundle:
     d = Path(dirpath)
-    manifest_path = d / "manifest.json"
-    if not manifest_path.exists():
-        raise FileNotFoundError(f"bundle manifest not found: {manifest_path}")
+    manifest_path = d / "manifest.json"     # a missing one raises FileNotFoundError
     try:
-        with open(manifest_path) as fh:
-            manifest = json.load(fh)
+        manifest = json.loads(manifest_path.read_text())
         version = manifest.get("format_version")
-        if version == BUNDLE_FORMAT_VERSION:
-            cols = manifest["input_columns"]
-            fields = dict(role=manifest["role"],
-                          input_names=tuple(manifest["input_names"]),
-                          output_names=tuple(manifest["output_names"]),
-                          input_columns=tuple(cols) if cols is not None else None,
-                          mc_max=float(manifest["mc_max"]),
-                          metadata=manifest.get("metadata", {}))
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
-        # not JSON, not an object, or a missing or mistyped entry
+    except (AttributeError, ValueError) as exc:     # not JSON, or not an object
         raise ValueError(f"malformed bundle manifest {manifest_path}: {exc!r}") from exc
     if version != BUNDLE_FORMAT_VERSION:
         raise ValueError(f"unsupported bundle format version in {manifest_path}")
-    return RoleBundle(model=anfis.load_model(d / MODEL_FILE), **fields)
+    model = anfis.load_model(d / MODEL_FILE)
+    try:
+        # input_names say what the bundle reads; an input_columns entry,
+        # which earlier versions wrote, is not read
+        return RoleBundle(manifest["role"], model, tuple(manifest["input_names"]),
+                          tuple(manifest["output_names"]), float(manifest["mc_max"]),
+                          manifest.get("metadata", {}))
+    except (KeyError, TypeError, ValueError) as exc:
+        # a missing or mistyped entry, or one that does not fit the model
+        raise ValueError(f"malformed bundle manifest {manifest_path}: {exc!r}") from exc

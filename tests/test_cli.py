@@ -137,6 +137,21 @@ class TestGenDataAndTrain:
         assert rc == 1
         assert "config has no gains_file" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("role, data", [
+        ("estimator", "controller"), ("integrated", "estimator"), ("controller", "estimator"),
+        ("integrated", "controller"), ("controller", "integrated")])
+    def test_train_rejects_another_roles_dataset(self, workdir, tmp_path, capsys,
+                                                 monkeypatch, role, data):
+        # refused before any fit, naming the file and the expected and found channels
+        monkeypatch.setattr(roles, f"train_{role}", lambda *args: pytest.fail("fit started"))
+        path = workdir / f"{data}.csv"
+        assert main(["train", "--config", cfg_path(workdir), "--role", role,
+                     "--data", str(path), "--out", str(tmp_path / "bundle")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}, the {role} role's")
+        assert "expected channels" in err and "found" in err
+        assert not (tmp_path / "bundle").exists()
+
     def test_diverging_teacher_fails(self, tmp_path, capsys):
         # gains that diverge from every start end gen-data, not loop in it
         cfg = tmp_path / "run.ini"

@@ -16,7 +16,7 @@ from satgnc.harness import (CSV_COLUMNS, MissingBundleError, Metrics, RunRecord,
                             fuel_consumption, monte_carlo, needed_roles,
                             run_closed_loop, settling_time, tuning_objective)
 from satgnc.pid import PidGains
-from satgnc.roles import (PRUNED_COLUMNS, ROLES, STATE_CHANNELS, RoleBundle,
+from satgnc.roles import (ROLES, STATE_CHANNELS, RoleBundle,
                           _random_conditions)
 from satgnc.sensors import GYRO, NoiseSpec
 
@@ -275,11 +275,10 @@ class TestMonteCarlo:
     def test_invalid_estimates_counted_as_failed_runs(self):
         # an estimator whose quaternion channels predict zero fails every run
         # on its first step; the campaign still completes and counts them
-        ranges = np.tile([-1.5, 1.5], (len(PRUNED_COLUMNS), 1))
-        model = anfis.grid_partition_init(ranges, 2)
+        names = ROLES["estimator"].inputs
+        model = anfis.grid_partition_init(np.tile([-1.5, 1.5], (len(names), 1)), 2)
         model.coeffs = np.zeros((len(STATE_CHANNELS),) + model.coeffs.shape[1:])
-        names = tuple(f"in{i}" for i in PRUNED_COLUMNS)
-        bundle = RoleBundle("estimator", model, names, STATE_CHANNELS, PRUNED_COLUMNS)
+        bundle = RoleBundle("estimator", model, names, STATE_CHANNELS)
         mc = MonteCarloConfig(base=SimConfig(duration=1.0, estimator="anfis"),
                               n_runs=3, master_seed=3)
         for workers in (1, 2):
@@ -292,11 +291,10 @@ class TestMonteCarlo:
     def test_nan_role_outputs_counted_as_failed_runs(self, role):
         # a NaN estimate is invalid, and a NaN torque is not clamped to full
         # negative torque: either way every run fails and is counted
-        outputs = ROLES[role].outputs
-        model = anfis.grid_partition_init(np.tile([-1.5, 1.5], (len(PRUNED_COLUMNS), 1)), 2)
-        model.coeffs = np.full((len(outputs),) + model.coeffs.shape[1:], np.nan)
-        bundle = RoleBundle(role, model, tuple(f"in{i}" for i in PRUNED_COLUMNS), outputs,
-                            PRUNED_COLUMNS)
+        spec = ROLES[role]
+        model = anfis.grid_partition_init(np.tile([-1.5, 1.5], (len(spec.inputs), 1)), 2)
+        model.coeffs = np.full((len(spec.outputs),) + model.coeffs.shape[1:], np.nan)
+        bundle = RoleBundle(role, model, spec.inputs, spec.outputs)
         base = SimConfig(duration=1.0, **({"estimator": "anfis"} if role == "estimator"
                                           else {"controller": "integrated"}))
         rep = monte_carlo(MonteCarloConfig(base=base, n_runs=3, master_seed=3), gains=GAINS,

@@ -18,7 +18,7 @@ from satgnc.config import SimConfig
 from satgnc.dynamics import AngularVelocity, IntegrationDivergedError, Quaternion, Torque
 from satgnc.harness import final_euler_error, run_closed_loop
 from satgnc.pid import PidGains, saturate
-from satgnc.roles import (EstimateInvalidError, PRUNED_COLUMNS, RoleBundle,
+from satgnc.roles import (EstimateInvalidError, RoleBundle,
                           RoleDataset, anfis_control, anfis_estimate,
                           anfis_integrated, load_bundle, save_bundle)
 from satgnc.sensors import MAG_BODY, SENSOR_CHANNELS, SUN_BODY, NoiseSpec
@@ -33,8 +33,9 @@ METADATA = st.dictionaries(st.text(max_size=4), FLOATS | st.text(max_size=4), ma
 
 @st.composite
 def role_bundles(draw):
-    """Any bundle a directory can hold: 1-4 inputs of 2-4 MFs, 1-3 output
-    channels, any premise and consequent values."""
+    """Any bundle a directory can hold: 1-4 inputs of 2-4 MFs, named by
+    sensor channels for a sensor role, 1-3 output channels, any premise and
+    consequent values."""
     mfs = tuple(draw(st.lists(st.integers(2, 4), min_size=1, max_size=4)))
     n_in, k = len(mfs), draw(st.integers(1, 3))
     model = AnfisModel(
@@ -43,11 +44,11 @@ def role_bundles(draw):
         # finite, so the bundle's envelope arithmetic stays finite
         input_ranges=draw(arrays(np.float64, (n_in, 2), elements=st.floats(-1e300, 1e300))),
         metadata=draw(METADATA))
-    columns = draw(st.none() | st.lists(st.integers(0, 14), min_size=n_in,
-                                        max_size=n_in).map(tuple))
-    return RoleBundle(draw(st.sampled_from(tuple(roles.ROLES))), model,
-                      tuple(f"x{i}" for i in range(n_in)), tuple(f"y{j}" for j in range(k)),
-                      columns, draw(FLOATS), draw(METADATA))
+    role = draw(st.sampled_from(tuple(roles.ROLES)))
+    names = (draw(st.permutations(SENSOR_CHANNELS))[:n_in] if role in roles.SENSOR_ROLES
+             else [f"x{i}" for i in range(n_in)])
+    return RoleBundle(role, model, tuple(names), tuple(f"y{j}" for j in range(k)),
+                      draw(FLOATS), draw(METADATA))
 
 
 class TestRoleDataset:
@@ -65,16 +66,16 @@ class TestRoleDataset:
 
     def test_csv_round_trip_exact(self, tmp_path):
         rng = np.random.default_rng(0)
-        extremes = np.array([[5e-324, 1.7976931348623157e308, 1e-5],
-                             [-0.0, -5e-324, -1.7976931348623157e308]])
-        for inputs in (rng.normal(size=(15, 3)),
-                       np.vstack([rng.normal(size=(13, 3)), extremes])):
-            ds = RoleDataset(inputs, rng.normal(size=(15, 2)),
-                             np.repeat([0, 1, 2], 5), ("x1", "x2", "x3"),
-                             ("y1", "y2"))
+        extremes = np.tile([[5e-324, 1.7976931348623157e308, 1e-5],
+                            [-0.0, -5e-324, -1.7976931348623157e308]], 2)
+        for inputs in (rng.normal(size=(15, 6)),
+                       np.vstack([rng.normal(size=(13, 6)), extremes])):
+            ds = RoleDataset(inputs, rng.normal(size=(15, 3)),
+                             np.repeat([0, 1, 2], 5), roles.CONTROLLER_CHANNELS,
+                             roles.TORQUE_CHANNELS)
             path = tmp_path / "data.csv"
             ds.to_csv(path)
-            back = RoleDataset.from_csv(path, 3)
+            back = RoleDataset.from_csv(path, "controller")
             # bit for bit, which also tells -0.0 from 0.0
             assert back.inputs.tobytes() == ds.inputs.tobytes()
             assert back.targets.tobytes() == ds.targets.tobytes()
@@ -125,7 +126,6 @@ class TestDataGeneration:
         np.testing.assert_array_equal(est.targets, ds.targets[:, :7])
         np.testing.assert_array_equal(intg.targets, ds.targets[:, 7:])
         assert est.inputs is ds.inputs and intg.inputs is ds.inputs
-        assert est.metadata["role"] == "estimator"
         # a controller dataset is its own view
         ctrl = roles.generate_controller_data(QUICK_GAINS, 1, SimConfig(duration=1.0))
         view = roles.role_view(ctrl, "controller")
@@ -133,16 +133,16 @@ class TestDataGeneration:
         assert view.target_names == ctrl.target_names
 
     def test_role_table_matches_datasets(self):
-        # every role's dataset carries the table's input channels, and its
-        # bundle columns index into them
+        # every role's dataset carries the channels the table says its
+        # bundle reads, and the outputs it learns
         ctrl = roles.generate_controller_data(QUICK_GAINS, 1, SimConfig(duration=1.0))
         sensor = roles.generate_sensor_data(QUICK_GAINS, 1,
                                             SimConfig(duration=1.0, noise=NoiseSpec()))
+        assert ctrl.input_names == roles.ROLES["controller"].inputs
         for role, spec in roles.ROLES.items():
-            ds = ctrl if spec.inputs == ctrl.input_names else sensor
-            assert ds.input_names == spec.inputs, role
+            ds = sensor if role in roles.SENSOR_ROLES else ctrl
+            assert set(spec.inputs) <= set(ds.input_names), role
             assert set(spec.outputs) <= set(ds.target_names), role
-            assert spec.columns is None or max(spec.columns) < len(spec.inputs)
 
 
 class TestControllerBundle:
@@ -200,7 +200,7 @@ class TestSensorBundles:
         model = bundle.model.copy()
         model.coeffs[0:4] = 0.0
         broken = RoleBundle("estimator", model, bundle.input_names,
-                            bundle.output_names, bundle.input_columns, bundle.mc_max)
+                            bundle.output_names, bundle.mc_max)
         with pytest.raises(EstimateInvalidError):
             anfis_estimate(broken, np.ones(15) * 0.1)
 
@@ -215,64 +215,77 @@ class TestSensorBundles:
         assert isinstance(out, Torque)
         assert all(abs(v) <= bundle.mc_max for v in out)
 
-    def test_pruned_columns_recorded(self, sensor_art, tmp_path):
-        # the manifest names a sensor bundle's columns once, as input_columns
-        for role in ("estimator", "integrated"):
-            assert sensor_art[role].input_columns == PRUNED_COLUMNS
-            save_bundle(sensor_art[role], tmp_path / role)
+    def test_manifest_names_inputs_only(self, bundles, tmp_path):
+        # a manifest says what its bundle reads by name alone; the bundle
+        # works out the sensor-row positions from the names
+        for role, bundle in bundles.items():
+            names = roles.ROLES[role].inputs
+            save_bundle(bundle, tmp_path / role)
             manifest = json.loads((tmp_path / role / "manifest.json").read_text())
-            assert manifest["input_columns"] == list(PRUNED_COLUMNS)
+            assert manifest["input_names"] == list(names)
+            assert "input_columns" not in manifest
             assert "pruned_columns" not in manifest["metadata"]
+            assert bundle.input_columns == (
+                tuple(SENSOR_CHANNELS.index(n) for n in names) if role != "controller"
+                else None)
 
     def test_dropped_directions_keep_one_sign(self, sensor_art):
         # a body-frame direction component the sensor roles drop is known
         # from the unit norm only up to its sign: over the teacher data it
         # must keep one sign, well away from zero
         x = sensor_art["data"].inputs
-        kept = {i for role in ("estimator", "integrated") for i in roles.ROLES[role].columns}
+        kept = {n for role in ("estimator", "integrated") for n in roles.ROLES[role].inputs}
         dropped = [i for block in (MAG_BODY, SUN_BODY)
-                   for i in range(block.start, block.stop) if i not in kept]
+                   for i in range(block.start, block.stop) if SENSOR_CHANNELS[i] not in kept]
         assert dropped
         for i in dropped:
             assert np.all(x[:, i] >= 0.5) or np.all(x[:, i] <= -0.5), SENSOR_CHANNELS[i]
 
     @pytest.mark.filterwarnings("ignore:.*training envelope")
     def test_bundle_reads_its_own_columns(self, sensor_art, tuned, tmp_path):
-        # a bundle directory trained on the nine body-frame and gyro channels,
-        # before the sensor roles dropped two, still loads and flies: the
-        # bundle's own input_columns pick its inputs from the sensor row
-        nine = (0, 1, 2, 3, 4, 5, 12, 13, 14)
-        assert all(roles.ROLES[r].columns != nine for r in ("estimator", "integrated"))
+        # bundle directories in the format earlier versions wrote, whose
+        # manifest also lists input_columns: one on the nine body-frame and
+        # gyro channels, before the sensor roles dropped two, and one on
+        # today's seven.  Each loads and flies, reading the channels its
+        # input_names name from the sensor row.
+        mc_max = tuned["gains"].mc_max
         data = sensor_art["data"]
-        x = data.inputs[:, list(nine)]
-        ranges = np.column_stack([x.min(axis=0), x.max(axis=0)])
-        bundles, rng = {}, np.random.default_rng(0)
-        for role in ("estimator", "integrated"):
-            view = roles.role_view(data, role)
-            # every rule holds the global linear fit, so the bundle is that fit
-            model = anfis.grid_partition_init(ranges, roles.MFS_PER_INPUT)
-            beta = np.linalg.lstsq(np.column_stack([x, np.ones(len(x))]), view.targets,
-                                   rcond=None)[0]
-            model.coeffs = np.ascontiguousarray(np.broadcast_to(
-                beta.T[:, None, :], (beta.shape[1], model.n_rules, len(nine) + 1)))
-            save_bundle(RoleBundle(role, model, tuple(SENSOR_CHANNELS[i] for i in nine),
-                                   view.target_names, nine, tuned["gains"].mc_max),
-                        tmp_path / role)
-            bundles[role] = load_bundle(tmp_path / role)
-            assert bundles[role].input_columns == nine
-            for row in data.inputs[rng.choice(len(data), 5)]:
-                y = np.append(row[list(nine)], 1.0) @ beta
-                if role == "integrated":
-                    got = anfis_integrated(bundles[role], row)
-                    want = saturate(y, tuned["gains"].mc_max)
-                else:
-                    q, w = anfis_estimate(bundles[role], row)
-                    got, want = (*q, *w), np.append(y[:4] / np.linalg.norm(y[:4]), y[4:])
-                np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
-        for cfg in (SimConfig(seed=3, controller="integrated"),
-                    SimConfig(seed=3, estimator="anfis")):
-            rec = run_closed_loop(cfg, tuned["gains"], bundles)
-            assert np.max(np.abs(final_euler_error(rec))) < 0.2
+        rng = np.random.default_rng(0)
+        for cols in ((0, 1, 2, 3, 4, 5, 12, 13, 14), (0, 1, 4, 5, 12, 13, 14)):
+            x = data.inputs[:, list(cols)]
+            ranges = np.column_stack([x.min(axis=0), x.max(axis=0)])
+            bundles = {}
+            for role in ("estimator", "integrated"):
+                view = roles.role_view(data, role)
+                # every rule holds the global linear fit, so the bundle is that fit
+                model = anfis.grid_partition_init(ranges, roles.MFS_PER_INPUT)
+                beta = np.linalg.lstsq(np.column_stack([x, np.ones(len(x))]), view.targets,
+                                       rcond=None)[0]
+                model.coeffs = np.ascontiguousarray(np.broadcast_to(
+                    beta.T[:, None, :], (beta.shape[1], model.n_rules, len(cols) + 1)))
+                d = tmp_path / f"{len(cols)}" / role
+                d.mkdir(parents=True)
+                anfis.save_model(model, d / roles.MODEL_FILE)
+                (d / "manifest.json").write_text(json.dumps({
+                    "format_version": 2, "role": role,
+                    "input_names": [SENSOR_CHANNELS[i] for i in cols],
+                    "output_names": list(view.target_names), "input_columns": list(cols),
+                    "mc_max": mc_max, "metadata": {"mfs_per_input": 2}}, indent=1) + "\n")
+                bundles[role] = load_bundle(d)
+                assert bundles[role].input_columns == cols
+                for row in data.inputs[rng.choice(len(data), 5)]:
+                    y = np.append(row[list(cols)], 1.0) @ beta
+                    if role == "integrated":
+                        got = anfis_integrated(bundles[role], row)
+                        want = saturate(y, mc_max)
+                    else:
+                        q, w = anfis_estimate(bundles[role], row)
+                        got, want = (*q, *w), np.append(y[:4] / np.linalg.norm(y[:4]), y[4:])
+                    np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
+            for cfg in (SimConfig(seed=3, controller="integrated"),
+                        SimConfig(seed=3, estimator="anfis")):
+                rec = run_closed_loop(cfg, tuned["gains"], bundles)
+                assert np.max(np.abs(final_euler_error(rec))) < 0.2, (cols, cfg)
 
 
 class TestBundlePersistence:
@@ -402,7 +415,7 @@ class TestBundlePersistence:
         model.b[:] = 50.0
         model.coeffs = np.zeros((2,) + model.coeffs.shape[1:])
         model.coeffs[:, :, -1] = [[1.0, 3.0], [-2.0, 0.0]]
-        bundle = RoleBundle("integrated", model, ("x",), ("y1", "y2"))
+        bundle = RoleBundle("integrated", model, ("gyro_x",), ("y1", "y2"))
         with pytest.warns(UserWarning, match="underflow"):
             y = bundle.predict(np.array([1e9]))
         np.testing.assert_array_equal(y, [2.0, -1.0])
@@ -425,3 +438,24 @@ class TestBundlePersistence:
             path.write_text(json.dumps(dict(good, consequents=coeffs.tolist())))
             with pytest.raises(ValueError, match="consequent"):
                 load_bundle(tmp_path)
+
+    def test_input_names_checked(self, tmp_path):
+        # a bundle names one input per model input, and a sensor role's
+        # bundle names only sensor channels; a hand-edited manifest that
+        # breaks either is rejected on load, naming the manifest
+        model = anfis.grid_partition_init(np.array([[-1.0, 1.0], [0.0, 1.0]]), 2)
+        model.coeffs = np.zeros((3, 4, 3))
+        outputs = roles.TORQUE_CHANNELS
+        for role, names, match in (("controller", ("x1",), "names 1 inputs"),
+                                   ("integrated", ("gyro_x", "gyro_y", "gyro_z"), "names 3"),
+                                   ("integrated", ("gyro_x", "gyro_w"), "gyro_w")):
+            with pytest.raises(ValueError, match=match):
+                RoleBundle(role, model, names, outputs)
+        save_bundle(RoleBundle("integrated", model, ("gyro_x", "gyro_y"), outputs), tmp_path)
+        manifest = tmp_path / "manifest.json"
+        good = json.loads(manifest.read_text())
+        for names, match in ((["gyro_x"], "names 1 inputs"), (["gyro_x", "qe1"], "qe1")):
+            manifest.write_text(json.dumps(dict(good, input_names=names)))
+            with pytest.raises(ValueError, match=match) as exc:
+                load_bundle(tmp_path)
+            assert str(manifest) in str(exc.value)
