@@ -404,6 +404,8 @@ def load_model(path) -> AnfisModel:
             doc = json.load(fh)
     except json.JSONDecodeError as exc:
         raise ModelFormatError(f"malformed model file {path}: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise ModelFormatError(f"malformed model file {path}: not a JSON object")
     version = doc.get("format_version")
     if version != MODEL_FORMAT_VERSION:
         raise ModelFormatError(

@@ -13,7 +13,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from . import roles
-from .config import MonteCarloConfig, load_sim_config
+from .config import NOMINAL_INERTIA, MonteCarloConfig, load_sim_config
 from .harness import (evaluate_controllers, format_evaluation, monte_carlo,
                       needed_roles, run_closed_loop, tuning_objective)
 from .pid import (default_gain_bounds, default_initial_gains, load_gains,
@@ -68,9 +68,9 @@ def cmd_simulate(args) -> int:
 
 def cmd_tune_pid(args) -> int:
     cfg = _load_config(args)
-    initial = default_initial_gains(cfg.inertia_nominal, args.mc_max)
+    initial = default_initial_gains(NOMINAL_INERTIA, args.mc_max)
     result = optimize_gains(tuning_objective(cfg), initial, budget=args.budget,
-                            bounds=default_gain_bounds(cfg.inertia_nominal))
+                            bounds=default_gain_bounds(NOMINAL_INERTIA))
     out = args.out or (cfg.gains_file or "gains.ini")
     save_gains(result.gains, out, extra={
         "cost": result.cost,
@@ -193,9 +193,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except (FileNotFoundError, ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

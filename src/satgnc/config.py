@@ -1,5 +1,7 @@
 """Run configuration: the flat key = value (INI) schema shared by the CLI
-commands, plus the nominal scenario defaults used throughout.
+commands, plus the nominal scenario defaults used throughout.  The nominal
+plant, NOMINAL_INERTIA, is a constant, like the sensors' position and epoch:
+every run, teacher run, tuning run and campaign flies around it.
 
 The schema is one table, LAYOUT, which both dump_sim_config and
 parse_sim_config walk; every default is SimConfig()'s.  Every output file
@@ -11,12 +13,13 @@ from __future__ import annotations
 
 import configparser
 import io
+import warnings
 from dataclasses import dataclass, replace
 from functools import reduce
 
 from .dynamics import AngularVelocity, EulerAngles, InertiaTensor, Torque
 from .pwpf import PwpfParams
-from .sensors import CalendarInstant, GeoPosition, NoiseSpec
+from .sensors import NoiseSpec
 
 __all__ = [
     "SimConfig",
@@ -43,7 +46,6 @@ class SimConfig:
     dt: float = 0.01
     duration: float = 20.0
     seed: int = 0                      # the run's one seed; it seeds the sensor noise
-    inertia_nominal: InertiaTensor = NOMINAL_INERTIA
     inertia_true: InertiaTensor = NOMINAL_INERTIA
     initial_euler: EulerAngles = EulerAngles(10.0, 5.0, 10.0)
     initial_omega: AngularVelocity = AngularVelocity(0.0125, 0.05, 0.075)
@@ -52,8 +54,6 @@ class SimConfig:
     disturbance_const: Torque = Torque(0.0, 0.0, 0.0)
     disturbance_amp: Torque = Torque(0.0, 0.0, 0.0)
     disturbance_freq_hz: float = 0.0
-    geo: GeoPosition = GeoPosition(0.0, 0.0, 500.0)
-    epoch: CalendarInstant = CalendarInstant(2020, 3, 21, 12, 0, 0.0)
     controller: str = "pid"
     estimator: str = "truth"
     modulator: str = "none"
@@ -72,7 +72,6 @@ class SimConfig:
             raise ValueError(f"unknown estimator kind {self.estimator!r}")
         if self.modulator not in MODULATOR_KINDS:
             raise ValueError(f"unknown modulator kind {self.modulator!r}")
-        self.inertia_nominal.validated()
         self.inertia_true.validated()
 
     @property
@@ -82,8 +81,8 @@ class SimConfig:
 
 @dataclass(frozen=True)
 class MonteCarloConfig:
-    """Robustness campaign on a base run; each run's initial conditions and
-    plant are drawn within the envelope constants of roles."""
+    """Robustness campaign on a base run: each run draws its initial
+    conditions, and its plant around NOMINAL_INERTIA, in roles' envelope."""
     base: SimConfig
     n_runs: int = 200
     master_seed: int = 0
@@ -91,21 +90,17 @@ class MonteCarloConfig:
     def __post_init__(self):
         if self.n_runs < 1:
             raise ValueError("n_runs must be >= 1")
-        if not self.base.inertia_nominal.realizable():
-            # the campaign redraws perturbed plants until they are realizable
-            raise ValueError("nominal inertia violates the triangle inequality; "
-                             "no realizable plant can be drawn around it")
 
 
 # The INI layout, stated once and in file order: (section, key, field of
 # SimConfig, kind).  A dotted field is one field of a nested record.
 # dump_sim_config writes every row; parse_sim_config reads the rows present
-# and keeps SimConfig()'s value for the others.
+# and keeps SimConfig()'s value for the others; it warns of, and ignores,
+# any key outside the layout.
 LAYOUT = (
     ("simulation", "dt", "dt", "float"),
     ("simulation", "duration", "duration", "float"),
     ("simulation", "seed", "seed", "int"),
-    ("inertia", "nominal", "inertia_nominal", "triple"),
     ("inertia", "true", "inertia_true", "triple"),
     ("initial", "euler_deg", "initial_euler", "triple"),
     ("initial", "omega_rad_s", "initial_omega", "triple"),
@@ -116,10 +111,6 @@ LAYOUT = (
     ("disturbance", "constant", "disturbance_const", "triple"),
     ("disturbance", "amplitude", "disturbance_amp", "triple"),
     ("disturbance", "frequency_hz", "disturbance_freq_hz", "float"),
-    ("geo", "latitude_deg", "geo.latitude", "float"),
-    ("geo", "longitude_deg", "geo.longitude", "float"),
-    ("geo", "altitude_km", "geo.altitude", "float"),
-    ("geo", "epoch", "epoch", "epoch"),
     ("loop", "controller", "controller", "str"),
     ("loop", "estimator", "estimator", "str"),
     ("loop", "modulator", "modulator", "str"),
@@ -144,16 +135,6 @@ def _triple(s: str) -> tuple[float, float, float]:
     return tuple(parts)
 
 
-def _epoch(s: str) -> CalendarInstant:
-    try:
-        date_part, time_part = s.split()
-        y, mo, d = (int(p) for p in date_part.split("-"))
-        hh, mm, ss = time_part.split(":")
-        return CalendarInstant(y, mo, d, int(hh), int(mm), float(ss))
-    except ValueError as exc:
-        raise ValueError(f"malformed epoch {s!r}") from exc
-
-
 # kind -> (value to text, (text, SimConfig() value) to value)
 _KINDS = {
     "float": (_fmt, lambda s, _: float(s)),
@@ -161,8 +142,6 @@ _KINDS = {
     "str": (str, lambda s, _: s),
     "triple": (lambda v: ", ".join(_fmt(x) for x in v),
                lambda s, default: type(default)(*_triple(s))),
-    "epoch": (lambda e: "{}-{:02d}-{:02d} {:02d}:{:02d}:{}".format(*e[:5], _fmt(e.second)),
-              lambda s, _: _epoch(s)),
 }
 
 
@@ -190,12 +169,14 @@ def parse_sim_config(text: str) -> SimConfig:
             record, _, name = path.rpartition(".")
             records.setdefault(record, {})[name] = _KINDS[kind][1](
                 cp.get(section, key), reduce(getattr, path.split("."), base))
-    fields = records.pop("", {})
-    for record, values in records.items():
-        old = getattr(base, record)
-        fields[record] = (old._replace(**values) if isinstance(old, tuple)
-                          else replace(old, **values))
-    return replace(base, **fields)
+    known = {row[:2] for row in LAYOUT}
+    ignored = [f"[{s}] {k}" for s in cp.sections() for k in cp[s] if (s, k) not in known]
+    if ignored:
+        warnings.warn(f"ignored configuration keys outside the layout: {', '.join(ignored)}",
+                      stacklevel=2)
+    nested = {record: replace(getattr(base, record), **values)
+              for record, values in records.items() if record}
+    return replace(base, **records.get("", {}), **nested)
 
 
 def load_sim_config(path) -> SimConfig:

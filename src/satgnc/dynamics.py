@@ -39,7 +39,6 @@ __all__ = [
     "angular_momentum",
 ]
 
-UNIT_NORM_TOL = 1e-9
 GIMBAL_LOCK_DEG = 89.99
 
 

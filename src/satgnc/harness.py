@@ -22,18 +22,17 @@ from functools import partial
 import numpy as np
 
 from . import pwpf as pwpf_mod
-from .config import (MonteCarloConfig, SimConfig, UNCERTAIN_INERTIA, dump_sim_config,
-                     parse_sim_config)
+from .config import (NOMINAL_INERTIA, UNCERTAIN_INERTIA, MonteCarloConfig, SimConfig,
+                     dump_sim_config, parse_sim_config)
 from .dynamics import (BodyState, InertiaTensor, IntegrationDivergedError, Torque,
                        euler_to_quat, integrate_step, quat_to_dcm, quat_to_euler,
                        quaternion_error)
 from .pid import PidGains, PidState, pid_step, trajectory_cost
 from .roles import (INERTIA_RANGE, SENSOR_ROLES, EstimateInvalidError, RoleBundle,
                     _random_conditions, anfis_control, anfis_estimate, anfis_integrated)
-from .sensors import (GYRO, MAG_BODY, REFERENCES, SENSOR_CHANNELS, SUN_BODY,
-                      NoiseSpec, TiltedDipoleField, gyro_reading, julian_date,
-                      magnetometer_reading, sensor_noise, sun_direction_inertial,
-                      sun_sensor_reading, unit)
+from .sensors import (B_INERTIAL, GYRO, MAG_BODY, REFERENCES, SENSOR_CHANNELS, SUN_BODY,
+                      SUN_INERTIAL, NoiseSpec, gyro_reading, magnetometer_reading,
+                      sensor_noise, sun_sensor_reading, unit)
 
 __all__ = [
     "CSV_COLUMNS",
@@ -171,14 +170,12 @@ def run_closed_loop(config: SimConfig, gains: PidGains | None = None,
     record.t[:] = np.arange(n + 1) * dt
     data = record.data
     if need_sensors:
-        b_inertial = TiltedDipoleField().field(config.geo)
-        u_s_inertial = sun_direction_inertial(julian_date(config.epoch))
-        sense[:, REFERENCES] = np.concatenate([unit(b_inertial), u_s_inertial])
+        sense[:, REFERENCES] = np.concatenate([unit(B_INERTIAL), SUN_INERTIAL])
         # for a seed >= 0, the stream of earlier versions, which gave the noise
         # a second seed equal to the run's; abs() lets a negative seed run too
         rng = np.random.default_rng([config.seed & 0x7FFFFFFF, abs(config.seed)])
-        mag_noise, sun_noise, gyro_noise = sensor_noise(config.noise, b_inertial,
-                                                        u_s_inertial, n + 1, rng)
+        mag_noise, sun_noise, gyro_noise = sensor_noise(config.noise, B_INERTIAL,
+                                                        SUN_INERTIAL, n + 1, rng)
 
     state = BodyState(euler_to_quat(config.initial_euler), config.initial_omega)
     pid_state = PidState()
@@ -192,8 +189,8 @@ def run_closed_loop(config: SimConfig, gains: PidGains | None = None,
         if need_sensors:
             row = sense[k]
             dcm = quat_to_dcm(q)
-            row[MAG_BODY] = magnetometer_reading(b_inertial, dcm, mag_noise[k])
-            row[SUN_BODY] = sun_sensor_reading(u_s_inertial, dcm, sun_noise[k])
+            row[MAG_BODY] = magnetometer_reading(B_INERTIAL, dcm, mag_noise[k])
+            row[SUN_BODY] = sun_sensor_reading(SUN_INERTIAL, dcm, sun_noise[k])
             row[GYRO] = gyro_reading(w, gyro_noise[k])
 
         q_hat, w_hat = anfis_estimate(est_bundle, row) if est_bundle else (q, w)
@@ -286,11 +283,10 @@ def compute_metrics(record: RunRecord) -> Metrics:
 
 def tuning_objective(base: SimConfig):
     """Cost-of-gains objective for the simplex search: one noise-free PID run
-    with the truth estimator and nominal plant inertia.
+    of the nominal plant with the truth estimator.
     """
     cfg = replace(base, controller="pid", estimator="truth", modulator="none",
-                  noise=NoiseSpec(0.0, 0.0, 0.0),
-                  inertia_true=base.inertia_nominal,
+                  noise=NoiseSpec(0.0, 0.0, 0.0), inertia_true=NOMINAL_INERTIA,
                   disturbance_const=Torque(0.0, 0.0, 0.0),
                   disturbance_amp=Torque(0.0, 0.0, 0.0))
 
@@ -336,15 +332,14 @@ class MonteCarloReport:
 def _mc_run_config(mc: MonteCarloConfig, k: int) -> SimConfig:
     rng = np.random.default_rng(np.random.SeedSequence([mc.master_seed, k]))
     euler, omega = _random_conditions(rng)
-    base = mc.base
     # unrealizable plants are redrawn from the same stream before the run's
     # seed, so a run whose first draw is realizable keeps all its numbers
     while True:
         di = rng.uniform(-INERTIA_RANGE, INERTIA_RANGE, size=3)
-        inertia = InertiaTensor(*(max(0.1, i + d) for i, d in zip(base.inertia_nominal, di)))
+        inertia = InertiaTensor(*(max(0.1, i + d) for i, d in zip(NOMINAL_INERTIA, di)))
         if inertia.realizable():
             break
-    return replace(base, seed=int(rng.integers(0, 2 ** 31)), initial_euler=euler,
+    return replace(mc.base, seed=int(rng.integers(0, 2 ** 31)), initial_euler=euler,
                    initial_omega=omega, inertia_true=inertia)
 
 
@@ -406,7 +401,7 @@ def evaluate_controllers(gains: PidGains, bundles: dict,
     rows = []
     for condition in EVAL_CONDITIONS:
         cfg = replace(base, noise=NoiseSpec(0.0, 0.0, 0.0), estimator="truth",
-                      inertia_true=base.inertia_nominal)
+                      inertia_true=NOMINAL_INERTIA)
         if condition == "considering noise":
             cfg = replace(cfg, noise=noise, estimator="anfis")
         elif condition == "considering uncertainty":

@@ -214,13 +214,18 @@ def save_gains(gains: PidGains, path, extra: dict | None = None) -> None:
 
 
 def load_gains(path) -> PidGains:
+    """Gains from a save_gains file; a malformed one raises ValueError naming it."""
     cp = configparser.ConfigParser()
-    if not cp.read(path):
-        raise FileNotFoundError(f"gains file not found: {path}")
-    version = cp.getint("format", "version", fallback=None)
-    if version != GAINS_FORMAT_VERSION:
-        raise ValueError(f"unsupported gains file version {version!r} in {path}")
-    g = cp["gains"]
-    def vec(name):
-        return tuple(float(g[f"{name}_{axis}"]) for axis in "xyz")
-    return PidGains(vec("kp"), vec("kd"), vec("kq"), vec("kw"), float(g["mc_max"]))
+    try:
+        if not cp.read(path):
+            raise FileNotFoundError(f"gains file not found: {path}")
+        version = cp.getint("format", "version", fallback=None)
+        if version != GAINS_FORMAT_VERSION:
+            raise ValueError(f"unsupported gains file version {version!r}")
+        g = cp["gains"]
+        def vec(name):
+            return tuple(float(g[f"{name}_{axis}"]) for axis in "xyz")
+        return PidGains(vec("kp"), vec("kd"), vec("kq"), vec("kw"), float(g["mc_max"]))
+    except (configparser.Error, KeyError, ValueError) as exc:
+        what = f"missing {exc}" if isinstance(exc, KeyError) else exc
+        raise ValueError(f"malformed gains file {path}: {what}") from exc

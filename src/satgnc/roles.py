@@ -5,19 +5,19 @@ plus their training-data pipelines.
 ROLES states each role once, naming the input channels its bundle reads and
 its output channels, with its ridge and default number of teacher runs; the
 datasets, training, bundles, the harness and the CLI select channels by name.
-All three roles learn from one PID teacher-run loop: the controller from
-noise-free (q_e, w) runs, the estimator and the integrated subsystem from
-views of one sensor dataset.
+All three roles learn from one PID teacher-run loop of the nominal plant
+(config.NOMINAL_INERTIA): the controller from noise-free (q_e, w) runs, the
+estimator and the integrated subsystem from views of one sensor dataset.
 
 Each role is a bundle of output channels over one shared premise grid:
 one ANFIS model whose consequents are a (channels, rules, inputs + 1)
 stack, fit by one multi-output anfis.fit_consequents solve and evaluated
 by anfis.forward, so one firing pass serves every channel.  The sensor
-roles read 7 of the 15 sensor channels (so 128 rules):
-no inertial reference (constant at a fixed position and epoch), no
-ub_body_z and no us_body_x.  Their limit: a dropped component is known from
-its unit vector only up to its sign, which stays fixed only inside the
-teacher runs' envelope.
+roles read 7 of the 15 sensor channels (so 128 rules): no inertial
+reference (a constant, since every run flies at sensors.POSITION and
+sensors.EPOCH), no ub_body_z and no us_body_x.  Their limit: a dropped
+component is known from its unit vector only up to its sign, which stays
+fixed only inside the teacher runs' envelope.
 """
 
 from __future__ import annotations
@@ -288,8 +288,7 @@ def generate_sensor_data(gains: PidGains, n_runs: int = ROLES["estimator"].runs,
     def draw(rng):
         euler, omega = _random_conditions(rng)
         return replace(base, seed=int(rng.integers(0, 2 ** 31)),
-                       inertia_nominal=NOMINAL_INERTIA, inertia_true=NOMINAL_INERTIA,
-                       initial_euler=euler, initial_omega=omega,
+                       inertia_true=NOMINAL_INERTIA, initial_euler=euler, initial_omega=omega,
                        controller="pid", estimator="truth", modulator="none")
 
     inputs, targets, run_ids = _teacher_runs(

@@ -9,6 +9,8 @@ its step's row of it; the direction sensors also take the step's DCM.
 The geomagnetic field is a tilted centered dipole (TiltedDipoleField), the
 one field model the closed loop uses.  The sun ephemeris is the low-precision Vallado algorithm
 (Julian date -> mean longitude -> ecliptic longitude -> unit vector).
+Every run flies at one position and epoch (POSITION, EPOCH), whose inertial
+references B_INERTIAL and SUN_INERTIAL are computed once, at import.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ __all__ = [
     "SUN_BODY",
     "REFERENCES",
     "GYRO",
+    "POSITION", "EPOCH", "B_INERTIAL", "SUN_INERTIAL",
     "TiltedDipoleField",
     "julian_date",
     "solar_angles",
@@ -204,6 +207,13 @@ def reference_norm(v) -> float:
     if mag == 0.0 or not math.isfinite(mag):
         raise ValueError(f"vector of zero or non-finite magnitude {mag}")
     return mag
+
+
+POSITION = GeoPosition(0.0, 0.0, 500.0)
+EPOCH = CalendarInstant(2020, 3, 21, 12, 0, 0.0)
+B_INERTIAL = TiltedDipoleField().field(POSITION)            # nT
+SUN_INERTIAL = sun_direction_inertial(julian_date(EPOCH))
+B_INERTIAL.flags.writeable = SUN_INERTIAL.flags.writeable = False    # every run reads them
 
 
 def sensor_noise(noise: NoiseSpec, b_inertial: np.ndarray, u_s_inertial: np.ndarray,

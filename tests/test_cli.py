@@ -250,6 +250,34 @@ class TestDiagnostics:
         err = capsys.readouterr().err
         assert err.startswith("error:") and str(manifest) in err
 
+    @pytest.mark.parametrize("fault", ["not ini", "no kp_y"])
+    def test_malformed_gains_file(self, workdir, tmp_path, capsys, fault):
+        gains = tmp_path / "gains.ini"
+        shutil.copy(workdir / "gains.ini", gains)
+        text = gains.read_text()
+        gains.write_text("not an ini file\n" if fault == "not ini" else
+                         "".join(l for l in text.splitlines(True) if not l.startswith("kp_y")))
+        cfg = tmp_path / "run.ini"
+        cfg.write_text(MINI_CONFIG.format(gains=gains, bundles=workdir / "bundles"))
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "r.csv")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: malformed gains file {gains}")
+        assert "Traceback" not in err
+
+    def test_malformed_model_file(self, workdir, tmp_path, capsys):
+        bundles = tmp_path / "bundles"
+        shutil.copytree(workdir / "bundles", bundles)
+        model = bundles / "controller" / roles.MODEL_FILE
+        model.write_text("[]")
+        cfg = tmp_path / "run.ini"
+        cfg.write_text((workdir / "run.ini").read_text().replace(
+            "controller = pid", "controller = anfis").replace(
+            str(workdir / "bundles"), str(bundles)))
+        assert main(["simulate", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: malformed model file {model}")
+        assert "Traceback" not in err
+
     def test_unknown_subcommand_exits_nonzero(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])

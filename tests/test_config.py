@@ -1,6 +1,7 @@
 """Configuration schema round-trip and validation tests."""
 
 import configparser
+import warnings
 from dataclasses import fields
 from pathlib import Path
 
@@ -13,7 +14,7 @@ from satgnc.config import (CONTROLLER_KINDS, ESTIMATOR_KINDS, LAYOUT, MODULATOR_
                            parse_sim_config)
 from satgnc.dynamics import AngularVelocity, EulerAngles, InertiaTensor, Torque
 from satgnc.pwpf import PwpfParams
-from satgnc.sensors import CalendarInstant, GeoPosition, NoiseSpec
+from satgnc.sensors import NoiseSpec
 
 # -0.0, the smallest subnormal, the smallest normal, a float with a long
 # shortest repr, and the largest finite double
@@ -24,11 +25,6 @@ POSITIVE = (st.floats(min_value=5e-324, max_value=1e6)
             | st.sampled_from([5e-324, 2.2250738585072014e-308, 0.1 / 3.0]))
 SIGMAS = st.floats(min_value=0.0, allow_infinity=False) | st.sampled_from([-0.0, 5e-324])
 TRIPLES = st.tuples(FLOATS, FLOATS, FLOATS)
-EPOCHS = (st.builds(CalendarInstant, st.integers(1900, 2100), st.integers(1, 12),
-                    st.integers(1, 31), st.integers(0, 23), st.integers(0, 59),
-                    st.floats(0.0, 60.0, exclude_max=True) | SPECIAL)
-          | st.sampled_from([CalendarInstant(1900, 1, 1, 0, 0, 0.0),
-                             CalendarInstant(2100, 12, 31, 23, 59, 59.999999999999993)]))
 PATHS = st.from_regex(r"[A-Za-z0-9_./-]{0,16}", fullmatch=True)
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -42,7 +38,6 @@ def sim_configs(draw):
         return SimConfig(
             dt=dt, duration=max(dt, draw(POSITIVE)),
             seed=draw(st.integers(-2 ** 63, 2 ** 63)),
-            inertia_nominal=InertiaTensor(*draw(st.tuples(POSITIVE, POSITIVE, POSITIVE))),
             inertia_true=InertiaTensor(*draw(st.tuples(POSITIVE, POSITIVE, POSITIVE))),
             initial_euler=EulerAngles(*draw(TRIPLES)),
             initial_omega=AngularVelocity(*draw(TRIPLES)),
@@ -51,8 +46,6 @@ def sim_configs(draw):
             disturbance_const=Torque(*draw(TRIPLES)),
             disturbance_amp=Torque(*draw(TRIPLES)),
             disturbance_freq_hz=draw(FLOATS),
-            geo=GeoPosition(draw(FLOATS), draw(FLOATS), draw(FLOATS)),
-            epoch=draw(EPOCHS),
             controller=draw(st.sampled_from(CONTROLLER_KINDS)),
             estimator=draw(st.sampled_from(ESTIMATOR_KINDS)),
             modulator=draw(st.sampled_from(MODULATOR_KINDS)),
@@ -68,7 +61,7 @@ class TestSimConfig:
     def test_defaults_sane(self):
         cfg = SimConfig()
         assert cfg.n_steps == 2000
-        assert cfg.inertia_nominal == NOMINAL_INERTIA
+        assert cfg.inertia_true == NOMINAL_INERTIA
         assert cfg.controller == "pid"
 
     def test_invalid_dt(self):
@@ -107,7 +100,6 @@ class TestRoundTrip:
             disturbance_const=Torque(1e-4, 0.0, -1e-4),
             disturbance_amp=Torque(0.0, 1e-5, 0.0),
             disturbance_freq_hz=0.25,
-            epoch=CalendarInstant(2021, 7, 4, 6, 30, 15.5),
             controller="anfis", estimator="anfis", modulator="pwpf",
             pwpf=PwpfParams(km=9.0, thrust=0.5),
             gains_file="g.ini", bundle_dir="b",
@@ -133,23 +125,38 @@ class TestRoundTrip:
         with pytest.raises(ValueError):
             parse_sim_config("not an ini file [[[")
 
-    def test_malformed_epoch_rejected(self):
-        with pytest.raises(ValueError, match="epoch"):
-            parse_sim_config("[geo]\nepoch = yesterday\n")
-
     def test_malformed_triple_rejected(self):
         with pytest.raises(ValueError):
-            parse_sim_config("[inertia]\nnominal = 1.0, 2.0\n")
+            parse_sim_config("[inertia]\ntrue = 1.0, 2.0\n")
+
+    def test_keys_outside_layout_warn_and_are_ignored(self):
+        # a configuration written for a layout that still held the nominal
+        # plant, the position and the epoch loads, naming what it ignores
+        text = ("[simulation]\nseed = 3\n[inertia]\nnominal = 1.5, 2.6, 3.0\n"
+                "[noise]\nseed = 0\n[geo]\nlatitude_deg = 0.0\nepoch = 2020-03-21 12:00:0.0\n")
+        with pytest.warns(UserWarning) as caught:
+            cfg = parse_sim_config(text)
+        assert cfg == SimConfig(seed=3)
+        assert len(caught) == 1
+        assert str(caught[0].message) == (
+            "ignored configuration keys outside the layout: [inertia] nominal, "
+            "[noise] seed, [geo] latitude_deg, [geo] epoch")
+
+    def test_nominal_plant_position_and_epoch_are_not_keys(self):
+        assert len(LAYOUT) == 23
+        assert not {"inertia_nominal", "geo", "epoch"} & {f.name for f in fields(SimConfig)}
 
 
 @pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.ini")), ids=lambda p: p.name)
 def test_example_config_holds_only_layout_keys(path):
-    # parse_sim_config ignores any other key, so a stale one would go unnoticed
+    # parse_sim_config ignores any other key, with a warning
     cp = configparser.ConfigParser()
     cp.read(path)
     keys = {(section, key) for section in cp.sections() for key in cp[section]}
     assert keys <= {row[:2] for row in LAYOUT}
-    load_sim_config(path)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        load_sim_config(path)
 
 
 @pytest.mark.filterwarnings("ignore:.*triangle inequality")   # valid, if unrealizable

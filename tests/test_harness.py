@@ -6,8 +6,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from satgnc import anfis
-from satgnc.config import MonteCarloConfig, SimConfig, UNCERTAIN_INERTIA
+from satgnc import anfis, harness
+from satgnc.config import NOMINAL_INERTIA, UNCERTAIN_INERTIA, MonteCarloConfig, SimConfig
 from satgnc.dynamics import (AngularVelocity, EulerAngles, InertiaTensor, Quaternion,
                              Torque, quat_to_euler)
 from satgnc.harness import (CSV_COLUMNS, MissingBundleError, Metrics, RunRecord,
@@ -16,8 +16,8 @@ from satgnc.harness import (CSV_COLUMNS, MissingBundleError, Metrics, RunRecord,
                             fuel_consumption, monte_carlo, needed_roles,
                             run_closed_loop, settling_time, tuning_objective)
 from satgnc.pid import PidGains
-from satgnc.roles import (ROLES, STATE_CHANNELS, RoleBundle,
-                          _random_conditions)
+from satgnc.roles import (ROLES, STATE_CHANNELS, RoleBundle, _random_conditions,
+                          generate_controller_data, generate_sensor_data)
 from satgnc.sensors import GYRO, NoiseSpec
 
 GAINS = PidGains(kp=(-3.0, -5.2, -6.0), kd=(-3.0, -5.2, -6.0),
@@ -328,19 +328,15 @@ class TestMonteCarlo:
                 # drawn after it
                 rng = np.random.default_rng(np.random.SeedSequence([seed, k]))
                 rng.uniform(size=6)
-                first = InertiaTensor(*np.maximum(0.1, np.asarray(mc.base.inertia_nominal)
+                first = InertiaTensor(*np.maximum(0.1, np.asarray(NOMINAL_INERTIA)
                                                   + rng.uniform(-1.0, 1.0, size=3)))
                 if triangle(first):
                     kept += 1
                     assert cfg.inertia_true == first
                     assert cfg.seed == int(rng.integers(0, 2 ** 31))
             assert 150 < kept < 200
-        # there is no realizable plant to draw around an unrealizable nominal one
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            base = SimConfig(inertia_nominal=InertiaTensor(1.0, 1.0, 3.0))
-        with pytest.raises(ValueError, match="triangle"):
-            MonteCarloConfig(base=base)
+        # the campaign redraws plants around the nominal one, which is realizable
+        assert NOMINAL_INERTIA.realizable()
 
     def test_runs_start_within_teacher_envelope(self):
         # a campaign run's attitude and rates are the teacher runs' draw on
@@ -378,3 +374,32 @@ class TestEvaluation:
         uncertain = [r for r in rows
                      if r["condition"] == "considering uncertainty"]
         assert nominal[0]["fuel_total"] != uncertain[0]["fuel_total"]
+
+
+def test_every_pipeline_flies_the_nominal_plant(monkeypatch):
+    # whatever plant a base config flies, tuning and the teacher runs fly
+    # NOMINAL_INERTIA, evaluation flies it but under uncertainty, and a
+    # campaign draws its plants around it
+    flown = []
+
+    def spy(cfg, gains=None, bundles=None, record_sensors=False):
+        flown.append(cfg)
+        # the evaluation's neuro-fuzzy runs fly as PID runs: no bundle needed
+        return real(replace(cfg, controller="pid", estimator="truth"), GAINS,
+                    record_sensors=record_sensors)
+
+    real = harness.run_closed_loop
+    monkeypatch.setattr(harness, "run_closed_loop", spy)
+    base = SimConfig(duration=0.5, inertia_true=UNCERTAIN_INERTIA)
+    tuning_objective(base)(GAINS)
+    generate_controller_data(GAINS, 1, base)
+    generate_sensor_data(GAINS, 1, base)
+    assert [cfg.inertia_true for cfg in flown] == [NOMINAL_INERTIA] * 3
+    flown.clear()
+    rows = evaluate_controllers(GAINS, {}, base=base)
+    assert [cfg.inertia_true for cfg in flown] == [
+        UNCERTAIN_INERTIA if row["condition"] == "considering uncertainty"
+        else NOMINAL_INERTIA for row in rows]
+    for k in range(5):
+        assert (_mc_run_config(MonteCarloConfig(base=base), k).inertia_true
+                == _mc_run_config(MonteCarloConfig(base=SimConfig()), k).inertia_true)

@@ -9,11 +9,11 @@ from satgnc.config import SimConfig
 from satgnc.dynamics import AngularVelocity, Quaternion, quat_to_dcm
 from satgnc.harness import run_closed_loop
 from satgnc.pid import PidGains
-from satgnc.sensors import (SENSOR_CHANNELS, CalendarInstant, GeoPosition,
-                            NoiseSpec, TiltedDipoleField, gyro_reading,
-                            julian_date, magnetometer_reading, reference_norm,
-                            sensor_noise, solar_angles, sun_direction_inertial,
-                            sun_sensor_reading, unit)
+from satgnc.sensors import (B_INERTIAL, EPOCH, POSITION, SENSOR_CHANNELS, SUN_INERTIAL,
+                            CalendarInstant, GeoPosition, NoiseSpec, TiltedDipoleField,
+                            gyro_reading, julian_date, magnetometer_reading,
+                            reference_norm, sensor_noise, solar_angles,
+                            sun_direction_inertial, sun_sensor_reading, unit)
 
 IDENTITY_DCM = np.eye(3)
 
@@ -225,8 +225,10 @@ class TestReadingVector:
         gains = PidGains(kp=(-3.0, -5.2, -6.0), kd=(-3.0, -5.2, -6.0))
         cfg = SimConfig(duration=1.0, noise=NoiseSpec(0.0, 0.0, 0.0))
         rec = run_closed_loop(cfg, gains=gains, record_sensors=True)
-        b = TiltedDipoleField().field(cfg.geo)
-        s = sun_direction_inertial(julian_date(cfg.epoch))
+        b = TiltedDipoleField().field(POSITION)
+        s = sun_direction_inertial(julian_date(EPOCH))
+        np.testing.assert_array_equal(B_INERTIAL, b)
+        np.testing.assert_array_equal(SUN_INERTIAL, s)
         col = {name: i for i, name in enumerate(SENSOR_CHANNELS)}
 
         def block(prefix):
