@@ -81,7 +81,8 @@ class AnfisModel:
     inputs' MF indices (the first input slowest); rule_mfs[i, r] is the
     flat index of the function input i contributes to rule r.  Consequents
     are a (k, n_rules, n_inputs + 1) stack, one table per output channel
-    with one row per rule: linear coefficients followed by the bias.
+    with one row per rule: linear coefficients followed by the bias, laid
+    out rule-major (here and by fit_consequents) as forward's table C.
     """
     mfs_per_input: tuple[int, ...]
     a: np.ndarray
@@ -106,6 +107,7 @@ class AnfisModel:
         if self.coeffs.ndim != 3 or self.coeffs.shape[1:] != (self.n_rules, len(mfs) + 1):
             raise ValueError(f"consequents of shape {self.coeffs.shape} are not a "
                              f"(k, {self.n_rules}, {len(mfs) + 1}) stack of rule tables")
+        self.coeffs = np.ascontiguousarray(self.coeffs.swapaxes(0, 1)).swapaxes(0, 1)
 
     @property
     def n_inputs(self) -> int:
@@ -164,16 +166,18 @@ def grid_partition_init(ranges, mfs_per_input) -> AnfisModel:
                       np.concatenate(c), coeffs, ranges.copy())
 
 
-def _firing(model: AnfisModel, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Layers 1-3 for the rows of a 2-D x: all memberships (N, total MFs)
-    from one bell evaluation, the (N, n_rules) normalized firing strengths
-    in rule order, and the (N, 1) mask of the rows that fired no rule.
+def _firing(model: AnfisModel, x: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Layers 1-2 for the rows of a 2-D x of n_inputs columns (else a
+    ValueError): all memberships (N, total MFs) from one bell evaluation,
+    the (N, n_rules) firing strengths, their (N, 1) sums and no-rule mask.
 
     A rule fires with the product of its memberships (gathered by rule_mfs),
     input by input, left to right; a batch goes FIRING_BLOCK rows at a time.
     A row whose every rule underflows falls back to uniform weights (with a
     diagnostic counting such rows) instead of dividing by zero.
     """
+    if x.ndim != 2 or x.shape[1] != model.n_inputs:
+        raise ValueError(f"expected rows of {model.n_inputs} inputs, got shape {x.shape}")
     # the take methods gather as indexing does, at under half the cost per call
     mu = bell(x.take(model.columns, axis=1), model.a, model.b, model.c)
     if len(mu) <= FIRING_BLOCK:
@@ -190,38 +194,34 @@ def _firing(model: AnfisModel, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, n
                       "floor; using uniform rule weights", stacklevel=3)
         w = np.where(dead, 1.0, w)
         s = np.where(dead, float(w.shape[-1]), s)
-    return mu, w / s, dead
+    return mu, w, s, dead
 
 
 def normalized_firing(model: AnfisModel, x: np.ndarray) -> np.ndarray:
     """Layer-3 outputs: (N, n_rules) normalized firing strengths of a model."""
-    return _firing(model, np.atleast_2d(np.asarray(x, dtype=float)))[1]
-
-
-def _pass(model: AnfisModel, x):
-    """Layers 1-5 for the rows of x (one row for a 1-D x), after the one
-    input-width check: x as a 2-D array, _firing's three values, the
-    (N, k, n_rules) rule consequents f and the (N, k) outputs.
-
-    Each sample and channel is its own matrix-vector product, so a row's
-    result does not depend on the batch it is evaluated in.
-    """
-    x = np.asarray(x, dtype=float)
-    x = x[None] if x.ndim == 1 else x     # one row, at half the cost of a reshape
-    if x.ndim != 2 or x.shape[1] != model.n_inputs:
-        raise ValueError(f"expected rows of {model.n_inputs} inputs, got shape {x.shape}")
-    mu, wbar, dead = _firing(model, x)
-    xaug = np.empty((len(x), model.n_inputs + 1))
-    xaug[:, :-1] = x
-    xaug[:, -1] = 1.0
-    f = (model.coeffs @ xaug[:, None, :, None])[..., 0]
-    return x, mu, wbar, dead, f, (f @ wbar[:, :, None])[..., 0]
+    return np.divide(*_firing(model, np.atleast_2d(np.asarray(x, dtype=float)))[1:3])
 
 
 def forward(model: AnfisModel, x) -> np.ndarray:
-    """(N, k) outputs of the model's k channels for the rows of x (one row
-    for a 1-D x); raises ValueError if x does not have n_inputs columns."""
-    return _pass(model, x)[-1]
+    """(N, k) outputs for the rows of x (one row for a 1-D x), each row, in any
+    batch, ((w @ C).reshape(k, n_inputs + 1) @ [x, 1]) / s with C the consequent
+    table: layers 4-5 are linear in w / s (Jang 1993), so the rules are summed
+    first.  Raises ValueError if x does not have n_inputs columns."""
+    x = np.asarray(x, dtype=float)
+    k, n_rules, width = model.coeffs.shape
+    table = model.coeffs.swapaxes(0, 1).reshape(n_rules, k * width)    # a view, no copy
+    if x.shape == (width - 1,):
+        # one row: 1-D dots cost 0.6x the 2-D path, which takes a row firing no rule
+        mu = bell(x.take(model.columns), model.a, model.b, model.c)
+        w = np.multiply.reduce(mu.take(model.rule_mfs), axis=0)
+        s = np.add.reduce(w)
+        if not s < FIRING_FLOOR:
+            return (w.dot(table).reshape(k, width).dot(np.concatenate((x, (1.0,)))) / s)[None]
+    x = x[None] if x.ndim == 1 else x     # one row, at half the cost of a reshape
+    _, w, s, _ = _firing(model, x)
+    # (N, 1, n_rules) @ table sums as w.dot(table); a 2-D GEMM rounds by N
+    v = (w[:, None, :] @ table).reshape(len(x), k, width)
+    return (v @ np.column_stack([x, np.ones(len(x))])[:, :, None])[..., 0] / s
 
 
 def design_matrix(model: AnfisModel, x: np.ndarray) -> np.ndarray:
@@ -292,7 +292,7 @@ def fit_consequents(model: AnfisModel, x, y, ridge: float,
     a_mat = design_matrix(model, x)
     prior = linear_consequent_prior(model, x, y).reshape(-1, k) if linear_prior else None
     sol = solve_consequents(a_mat, y, ridge, prior)
-    coeffs = np.ascontiguousarray(sol.T.reshape(k, model.n_rules, model.n_inputs + 1))
+    coeffs = np.ascontiguousarray(sol.reshape(model.n_rules, -1, k).swapaxes(1, 2)).swapaxes(0, 1)
     resid = a_mat @ sol - y
     return coeffs, np.sqrt(np.mean(resid ** 2, axis=0))
 
@@ -301,12 +301,17 @@ def premise_gradient(model: AnfisModel, x, y):
     """Gradient of the squared error summed over the (N, k) targets y
     w.r.t. all (a, b, c).
 
-    Analytic backpropagation through forward's own five layers.  A row that
-    fired no rule takes uniform weights, which do not depend on the
+    Analytic backpropagation through the five layers, each rule's output
+    f_r kept apart (sum_r wbar_r f_r).  A row that fired no rule takes
+    uniform weights, which do not depend on the
     premise, so it adds nothing.  Returns three flat (total MFs,) arrays in
     the layout of model.a / model.b / model.c.
     """
-    x, mu, wbar, dead, f, out = _pass(model, x)
+    x = np.atleast_2d(np.asarray(x, dtype=float))
+    mu, w, s, dead = _firing(model, x)
+    wbar = w / s
+    f = (model.coeffs @ np.column_stack([x, np.ones(len(x))])[:, None, :, None])[..., 0]
+    out = (f @ wbar[:, :, None])[..., 0]
     y = np.asarray(y, dtype=float)
     if y.shape != out.shape:
         raise ValueError(f"targets of shape {y.shape} for outputs of shape {out.shape}")

@@ -156,7 +156,7 @@ def dump_sim_config(cfg: SimConfig) -> str:
     return buf.getvalue()
 
 
-def parse_sim_config(text: str) -> SimConfig:
+def parse_sim_config(text: str, source: str | None = None) -> SimConfig:
     cp = configparser.ConfigParser()
     try:
         cp.read_string(text)
@@ -172,8 +172,9 @@ def parse_sim_config(text: str) -> SimConfig:
     known = {row[:2] for row in LAYOUT}
     ignored = [f"[{s}] {k}" for s in cp.sections() for k in cp[s] if (s, k) not in known]
     if ignored:
-        warnings.warn(f"ignored configuration keys outside the layout: {', '.join(ignored)}",
-                      stacklevel=2)
+        warnings.warn(f"ignored configuration keys outside the layout"
+                      f"{'' if source is None else f' in {source}'}: {', '.join(ignored)}",
+                      stacklevel=2 if source is None else 3)
     nested = {record: replace(getattr(base, record), **values)
               for record, values in records.items() if record}
     return replace(base, **records.get("", {}), **nested)
@@ -181,4 +182,4 @@ def parse_sim_config(text: str) -> SimConfig:
 
 def load_sim_config(path) -> SimConfig:
     with open(path) as fh:
-        return parse_sim_config(fh.read())
+        return parse_sim_config(fh.read(), str(path))

@@ -25,11 +25,11 @@ from . import pwpf as pwpf_mod
 from .config import (NOMINAL_INERTIA, UNCERTAIN_INERTIA, MonteCarloConfig, SimConfig,
                      dump_sim_config, parse_sim_config)
 from .dynamics import (BodyState, InertiaTensor, IntegrationDivergedError, Torque,
-                       euler_to_quat, integrate_step, quat_to_dcm, quat_to_euler,
-                       quaternion_error)
+                       euler_to_quat, integrate_step, quat_to_euler, quaternion_error)
 from .pid import PidGains, PidState, pid_step, trajectory_cost
 from .roles import (INERTIA_RANGE, SENSOR_ROLES, EstimateInvalidError, RoleBundle,
-                    _random_conditions, anfis_control, anfis_estimate, anfis_integrated)
+                    _random_conditions, anfis_control, anfis_estimate, anfis_integrated,
+                    write_csv)
 from .sensors import (B_INERTIAL, GYRO, MAG_BODY, REFERENCES, SENSOR_CHANNELS, SUN_BODY,
                       SUN_INERTIAL, NoiseSpec, gyro_reading, magnetometer_reading,
                       sensor_noise, sun_sensor_reading, unit)
@@ -75,9 +75,8 @@ def _columns(first: str, last: str | None = None) -> property:
     return property(lambda self: self.data[:, index])
 
 
-def _write_header(fh, config: SimConfig, *extra: str) -> None:
-    for line in dump_sim_config(config).splitlines() + list(extra):
-        fh.write(f"# {line}\n")
+def _config_echo(config: SimConfig, *extra: str) -> str:
+    return "".join(f"# {line}\n" for line in dump_sim_config(config).splitlines() + list(extra))
 
 
 @dataclass
@@ -106,12 +105,7 @@ class RunRecord:
         return trajectory_cost(self.qe, self.w, self.config.dt)
 
     def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            _write_header(fh, self.config)
-            wr = csv.writer(fh)
-            wr.writerow(CSV_COLUMNS)
-            # the writer formats Python floats with repr: shortest exact digits
-            wr.writerows(self.data.tolist())
+        write_csv(path, CSV_COLUMNS, self.data.tolist(), _config_echo(self.config))
 
     @staticmethod
     def from_csv(path) -> "RunRecord":
@@ -121,7 +115,7 @@ class RunRecord:
                       len(lines))
         if tuple(next(csv.reader(lines[n_head:n_head + 1]), ())) != CSV_COLUMNS:
             raise ValueError(f"unexpected run record columns in {path}")
-        cfg = parse_sim_config("".join(line[2:] for line in lines[:n_head]))
+        cfg = parse_sim_config("".join(line[2:] for line in lines[:n_head]), str(path))
         return RunRecord(np.loadtxt(lines[n_head + 1:], delimiter=",", ndmin=2), cfg)
 
 
@@ -188,9 +182,8 @@ def run_closed_loop(config: SimConfig, gains: PidGains | None = None,
 
         if need_sensors:
             row = sense[k]
-            dcm = quat_to_dcm(q)
-            row[MAG_BODY] = magnetometer_reading(B_INERTIAL, dcm, mag_noise[k])
-            row[SUN_BODY] = sun_sensor_reading(SUN_INERTIAL, dcm, sun_noise[k])
+            row[MAG_BODY] = magnetometer_reading(B_INERTIAL, q, mag_noise[k])
+            row[SUN_BODY] = sun_sensor_reading(SUN_INERTIAL, q, sun_noise[k])
             row[GYRO] = gyro_reading(w, gyro_noise[k])
 
         q_hat, w_hat = anfis_estimate(est_bundle, row) if est_bundle else (q, w)
@@ -317,16 +310,12 @@ class MonteCarloReport:
         return float(np.max(np.abs(ok))) if len(ok) else float("nan")
 
     def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            _write_header(fh, self.config.base, f"n_runs = {self.config.n_runs}",
-                          f"master_seed = {self.config.master_seed}",
-                          f"n_failed = {self.n_failed}")
-            wr = csv.writer(fh)
-            wr.writerow(["run", "err_phi", "err_theta", "err_psi",
-                         "mean_phi", "mean_theta", "mean_psi",
-                         "sigma3_phi", "sigma3_theta", "sigma3_psi"])
-            rows = np.column_stack([self.errors, self.mean, self.sigma3]).tolist()
-            wr.writerows([k] + row for k, row in enumerate(rows))
+        mc, rows = self.config, np.column_stack([self.errors, self.mean, self.sigma3]).tolist()
+        write_csv(path, ("run",) + tuple(f"{stat}_{angle}" for stat in ("err", "mean", "sigma3")
+                                         for angle in ("phi", "theta", "psi")),
+                  ([k] + row for k, row in enumerate(rows)),
+                  _config_echo(mc.base, f"n_runs = {mc.n_runs}", f"master_seed = {mc.master_seed}",
+                               f"n_failed = {self.n_failed}"))
 
 
 def _mc_run_config(mc: MonteCarloConfig, k: int) -> SimConfig:

@@ -105,6 +105,13 @@ def _positions(channels: tuple, names: tuple, where: str) -> list[int]:
     return [channels.index(name) for name in names]
 
 
+def write_csv(path, header, rows, preamble: str = "") -> None:
+    """Writes the preamble, a header of plain names and rows of numbers as csv.writer would."""
+    with open(path, "w", newline="") as fh:
+        fh.write("".join([preamble, ",".join(header), "\r\n"]
+                         + [f"{repr(row)[1:-1].replace(', ', ',')}\r\n" for row in rows]))
+
+
 class EstimateInvalidError(RuntimeError):
     """Raised when the predicted quaternion has near-zero norm."""
 
@@ -139,12 +146,9 @@ class RoleDataset:
                            self.input_names, self.target_names)
 
     def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            wr = csv.writer(fh)
-            wr.writerow(("run",) + self.input_names + self.target_names)
-            # the writer formats Python floats with repr: shortest exact digits
-            wr.writerows([rid] + x + y for rid, x, y in zip(
-                self.run_ids.tolist(), self.inputs.tolist(), self.targets.tolist()))
+        write_csv(path, ("run",) + self.input_names + self.target_names, (
+            [rid] + x + y for rid, x, y in zip(
+                self.run_ids.tolist(), self.inputs.tolist(), self.targets.tolist())))
 
     @staticmethod
     def from_csv(path, role: str) -> "RoleDataset":

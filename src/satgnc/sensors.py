@@ -4,7 +4,7 @@ reference vectors (geomagnetic field direction, sun direction) they measure.
 One sampling instant is one 15-channel row laid out by SENSOR_CHANNELS,
 which the closed loop fills block by block and the neuro-fuzzy roles read.
 A run's sensor noise is drawn once (sensor_noise), and each reading takes
-its step's row of it; the direction sensors also take the step's DCM.
+its step's row of it; the direction sensors also take the step's attitude.
 
 The geomagnetic field is a tilted centered dipole (TiltedDipoleField), the
 one field model the closed loop uses.  The sun ephemeris is the low-precision Vallado algorithm
@@ -229,20 +229,32 @@ def sensor_noise(noise: NoiseSpec, b_inertial: np.ndarray, u_s_inertial: np.ndar
     return [next(blocks) * scale if d else (None,) * n for d, scale in zip(drawn, scales)]
 
 
-def magnetometer_reading(b_inertial: np.ndarray, dcm: np.ndarray,
-                         noise: np.ndarray | None) -> np.ndarray:
-    """Unit magnetic-field direction in the body frame (dcm = C_I^B), with
-    the step's additive noise (None: noiseless)."""
-    body = dcm.dot(b_inertial)          # as dcm @ b_inertial, at half its cost
-    return unit(body if noise is None else body + noise)
+def _body_direction(ref: np.ndarray, q, noise: np.ndarray | None) -> tuple[float, float, float]:
+    """ref at the attitude q plus noise (None: zero) as a body-frame unit vector: in floats,
+    x = c00*r0 + c01*r1 + c02*r2 + n0 (c: quat_to_dcm's) over sqrt(x*x + y*y + z*z)."""
+    q1, q2, q3, q4 = q
+    r0, r1, r2 = ref.tolist()
+    n0, n1, n2 = (0.0, 0.0, 0.0) if noise is None else noise.tolist()
+    x = ((1.0 - 2.0 * (q2 * q2 + q3 * q3)) * r0 + 2.0 * (q1 * q2 + q3 * q4) * r1
+         + 2.0 * (q1 * q3 - q2 * q4) * r2 + n0)
+    y = (2.0 * (q1 * q2 - q3 * q4) * r0 + (1.0 - 2.0 * (q1 * q1 + q3 * q3)) * r1
+         + 2.0 * (q2 * q3 + q1 * q4) * r2 + n1)
+    z = (2.0 * (q1 * q3 + q2 * q4) * r0 + 2.0 * (q2 * q3 - q1 * q4) * r1
+         + (1.0 - 2.0 * (q1 * q1 + q2 * q2)) * r2 + n2)
+    mag = math.sqrt(x * x + y * y + z * z)
+    if mag == 0.0 or not math.isfinite(mag):
+        raise ValueError(f"vector of zero or non-finite magnitude {mag}")
+    return x / mag, y / mag, z / mag
 
 
-def sun_sensor_reading(u_s_inertial: np.ndarray, dcm: np.ndarray,
-                       noise: np.ndarray | None) -> np.ndarray:
-    """Unit sun direction in the body frame (dcm = C_I^B), with the step's
-    additive noise (None: noiseless)."""
-    body = dcm.dot(u_s_inertial)
-    return unit(body if noise is None else body + noise)
+def magnetometer_reading(b_inertial: np.ndarray, q, noise: np.ndarray | None) -> tuple:
+    """Unit magnetic-field direction in the body frame at the attitude q."""
+    return _body_direction(b_inertial, q, noise)
+
+
+def sun_sensor_reading(u_s_inertial: np.ndarray, q, noise: np.ndarray | None) -> tuple:
+    """Unit sun direction in the body frame at the attitude q."""
+    return _body_direction(u_s_inertial, q, noise)
 
 
 def gyro_reading(w: AngularVelocity, noise: np.ndarray | None) -> AngularVelocity:

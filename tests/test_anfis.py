@@ -161,9 +161,10 @@ class TestForward:
 
     def test_stack_matches_single_channel_models(self):
         # a k = 3 stack is three single-output models over its premise.  Not
-        # bit for bit: numpy's matmul sums a single channel's weighted rules
-        # with a BLAS dot and several channels' with a gemv, whose kernels
-        # add in another order, so the tolerance is that of the sum order
+        # bit for bit: the BLAS kernels that contract the firing strengths
+        # with the consequent table, and the table with [x, 1], group their
+        # terms by the table's width, so by k, and the tolerance is that of
+        # the sum order
         rng = np.random.default_rng(13)
         m, ranges = random_model(rng, n_inputs=3)
         m.coeffs = rng.normal(size=(3,) + m.coeffs.shape[1:])

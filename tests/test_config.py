@@ -142,6 +142,17 @@ class TestRoundTrip:
             "ignored configuration keys outside the layout: [inertia] nominal, "
             "[noise] seed, [geo] latitude_deg, [geo] epoch")
 
+    def test_loaded_file_warning_names_the_file_and_its_caller(self, tmp_path):
+        path = tmp_path / "old.ini"
+        path.write_text("[simulation]\nseed = 3\n[noise]\nseed = 0\n")
+        with pytest.warns(UserWarning) as caught:
+            cfg = load_sim_config(path)
+        assert cfg == SimConfig(seed=3)
+        assert len(caught) == 1
+        assert str(caught[0].message) == (
+            f"ignored configuration keys outside the layout in {path}: [noise] seed")
+        assert caught[0].filename == __file__
+
     def test_nominal_plant_position_and_epoch_are_not_keys(self):
         assert len(LAYOUT) == 23
         assert not {"inertia_nominal", "geo", "epoch"} & {f.name for f in fields(SimConfig)}

@@ -1,8 +1,10 @@
 """Role-pipeline tests: datasets, training wrappers, bundle inference and
 persistence.  Heavy training shares the session fixtures from conftest."""
 
+import csv
 import dataclasses
 import json
+import math
 import tempfile
 import warnings
 from pathlib import Path
@@ -63,6 +65,21 @@ class TestRoleDataset:
         assert len(train) == 18 and len(hold) == 2
         assert set(np.unique(hold.run_ids)) == {9}
         assert not set(np.unique(train.run_ids)) & set(np.unique(hold.run_ids))
+
+    def test_csv_bytes_are_csv_writers(self, tmp_path):
+        # write_csv writes what csv.writer writes, byte for byte, on the
+        # values whose repr is special: nan, infinities, -0.0, the smallest
+        # subnormal and a small number printed in exponent form
+        special = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e-05]
+        ds = RoleDataset(np.array([special, special[::-1]]), np.array([[1.5], [-2.0]]),
+                         [0, 7], tuple(f"x{i}" for i in range(6)), ("y",))
+        ds.to_csv(tmp_path / "fast.csv")
+        with open(tmp_path / "writer.csv", "w", newline="") as fh:
+            wr = csv.writer(fh)
+            wr.writerow(("run",) + ds.input_names + ds.target_names)
+            wr.writerows([rid] + x + y for rid, x, y in zip(
+                ds.run_ids.tolist(), ds.inputs.tolist(), ds.targets.tolist()))
+        assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "writer.csv").read_bytes()
 
     def test_csv_round_trip_exact(self, tmp_path):
         rng = np.random.default_rng(0)
@@ -373,6 +390,23 @@ class TestBundlePersistence:
             # the reference sums in another order than the forward pass
             np.testing.assert_allclose(batch, ref, rtol=0.0,
                                        atol=1e-13 * np.abs(ref).max())
+
+    @pytest.mark.filterwarnings("ignore:.*training envelope")
+    def test_row_output_does_not_depend_on_batch_size(self, bundles):
+        # each row of a batch is predict's output for that row, bit for bit,
+        # at every batch size: around FIRING_BLOCK (64) rows and at the
+        # training holdout's 1,600.  A 2-D GEMM of the firing strengths with
+        # the consequent table would round differently by batch size
+        rng = np.random.default_rng(3)
+        for role in ("integrated", "estimator", "controller"):
+            bundle = dataclasses.replace(bundles[role])
+            r = bundle.model.input_ranges
+            span = r[:, 1] - r[:, 0]
+            x = rng.uniform(r[:, 0] - 0.5 * span, r[:, 1] + 0.5 * span,
+                            size=(1600, bundle.n_inputs))
+            rows = np.array([bundle.predict(row) for row in x])
+            for n in (1, 2, 63, 64, 65, 200, 1600):
+                np.testing.assert_array_equal(bundle.predict_batch(x[:n]), rows[:n])
 
     @pytest.mark.filterwarnings("ignore:.*(training envelope|underflow)")
     def test_role_calls_match_batch_rows(self, bundles):

@@ -15,7 +15,7 @@ from satgnc.sensors import (B_INERTIAL, EPOCH, POSITION, SENSOR_CHANNELS, SUN_IN
                             reference_norm, sensor_noise, solar_angles,
                             sun_direction_inertial, sun_sensor_reading, unit)
 
-IDENTITY_DCM = np.eye(3)
+IDENTITY = Quaternion.identity()
 
 
 class TestJulianDate:
@@ -113,16 +113,46 @@ class TestDirectionalSensors:
     def test_noiseless_is_rotated_reference(self):
         q = Quaternion.from_axis_angle([0.3, -0.5, 0.8], 0.9)
         b_inertial = np.array([10000.0, -20000.0, 5000.0])
-        got = magnetometer_reading(b_inertial, quat_to_dcm(q), None)
+        got = magnetometer_reading(b_inertial, q, None)
         want = unit(quat_to_dcm(q) @ b_inertial)
         np.testing.assert_allclose(got, want, atol=1e-15)
+
+    def test_float_reading_equals_batched_form(self):
+        # a reading in Python floats equals the elementwise numpy form over
+        # (N, 3) arrays, in the same order, bit for bit, and the DCM form
+        # within 1e-15: the scalar loop and a batched loop can agree exactly
+        rng = np.random.default_rng(12)
+        q = rng.normal(size=(2000, 4))
+        q /= np.linalg.norm(q, axis=1, keepdims=True)
+        mag_noise, sun_noise, _ = sensor_noise(NoiseSpec(), B_INERTIAL, SUN_INERTIAL, 2000, rng)
+        q1, q2, q3, q4 = q.T
+        for read, ref, noise in ((magnetometer_reading, B_INERTIAL, mag_noise),
+                                 (sun_sensor_reading, SUN_INERTIAL, sun_noise)):
+            r0, r1, r2 = ref
+            x = ((1.0 - 2.0 * (q2 * q2 + q3 * q3)) * r0 + 2.0 * (q1 * q2 + q3 * q4) * r1
+                 + 2.0 * (q1 * q3 - q2 * q4) * r2) + noise[:, 0]
+            y = (2.0 * (q1 * q2 - q3 * q4) * r0 + (1.0 - 2.0 * (q1 * q1 + q3 * q3)) * r1
+                 + 2.0 * (q2 * q3 + q1 * q4) * r2) + noise[:, 1]
+            z = (2.0 * (q1 * q3 + q2 * q4) * r0 + 2.0 * (q2 * q3 - q1 * q4) * r1
+                 + (1.0 - 2.0 * (q1 * q1 + q2 * q2)) * r2) + noise[:, 2]
+            batched = np.column_stack([x, y, z]) / np.sqrt(x * x + y * y + z * z)[:, None]
+            got = np.array([read(ref, qk, nk) for qk, nk in zip(q.tolist(), noise)])
+            np.testing.assert_array_equal(got, batched)
+            dcm_form = [unit(quat_to_dcm(qk) @ ref + nk) for qk, nk in zip(q, noise)]
+            np.testing.assert_allclose(got, dcm_form, rtol=0.0, atol=1e-15)
+
+    def test_zero_or_non_finite_direction_rejected(self):
+        for ref, q in (([0.0, 0.0, 0.0], IDENTITY), ([1.0, 0.0, 0.0], (math.nan, 0.0, 0.0, 1.0)),
+                       ([math.inf, 0.0, 0.0], IDENTITY)):
+            with pytest.raises(ValueError, match="zero or non-finite"):
+                sun_sensor_reading(np.array(ref), q, None)
 
     def test_reading_always_unit(self):
         ref = np.array([1.0, 0.0, 0.0])
         noise = sensor_noise(NoiseSpec(0.05, 0.05, 0.0), ref, ref, 50,
                              np.random.default_rng(1))[1]
         for row in noise:
-            u = sun_sensor_reading(ref, IDENTITY_DCM, row)
+            u = sun_sensor_reading(ref, IDENTITY, row)
             assert np.linalg.norm(u) == pytest.approx(1.0)
 
     def test_noise_scales_with_field_magnitude(self):
@@ -131,8 +161,8 @@ class TestDirectionalSensors:
         small, large = np.array([1.0, 0.0, 0.0]), np.array([30000.0, 0.0, 0.0])
         na = sensor_noise(spec, small, small, 1, np.random.default_rng(2))[0]
         nb = sensor_noise(spec, large, small, 1, np.random.default_rng(2))[0]
-        a = magnetometer_reading(small, IDENTITY_DCM, na[0])
-        b = magnetometer_reading(large, IDENTITY_DCM, nb[0])
+        a = magnetometer_reading(small, IDENTITY, na[0])
+        b = magnetometer_reading(large, IDENTITY, nb[0])
         np.testing.assert_allclose(a, b, atol=1e-14)
 
     def test_mean_angular_deviation_matches_sigma(self):
@@ -144,7 +174,7 @@ class TestDirectionalSensors:
                              np.random.default_rng(3))[1]
         angles = np.empty(len(noise))
         for k, row in enumerate(noise):
-            u = sun_sensor_reading(ref, IDENTITY_DCM, row)
+            u = sun_sensor_reading(ref, IDENTITY, row)
             angles[k] = math.acos(min(1.0, float(u @ ref)))
         predicted = sigma * math.sqrt(math.pi / 2.0)
         assert np.mean(angles) == pytest.approx(predicted, rel=0.10)
@@ -221,7 +251,8 @@ class TestGyro:
 class TestReadingVector:
     def test_layout(self):
         # a noise-free run records [C b, C s, b/|b|, s, w] per step, in the
-        # order SENSOR_CHANNELS names them
+        # order SENSOR_CHANNELS names them; the direction readings rotate in
+        # Python floats, so C b and C s match the DCM form within 1e-15
         gains = PidGains(kp=(-3.0, -5.2, -6.0), kd=(-3.0, -5.2, -6.0))
         cfg = SimConfig(duration=1.0, noise=NoiseSpec(0.0, 0.0, 0.0))
         rec = run_closed_loop(cfg, gains=gains, record_sensors=True)
@@ -235,8 +266,12 @@ class TestReadingVector:
             return rec.sensor[:, [col[prefix + axis] for axis in ("x", "y", "z")]]
 
         dcms = [quat_to_dcm(q) for q in rec.q]
-        np.testing.assert_array_equal(block("ub_body_"), [unit(c @ b) for c in dcms])
-        np.testing.assert_array_equal(block("us_body_"), [unit(c @ s) for c in dcms])
+        np.testing.assert_array_equal(block("ub_body_"), [magnetometer_reading(b, q, None)
+                                                          for q in rec.q.tolist()])
+        np.testing.assert_array_equal(block("us_body_"), [sun_sensor_reading(s, q, None)
+                                                          for q in rec.q.tolist()])
+        np.testing.assert_allclose(block("ub_body_"), [unit(c @ b) for c in dcms], atol=1e-15)
+        np.testing.assert_allclose(block("us_body_"), [unit(c @ s) for c in dcms], atol=1e-15)
         np.testing.assert_array_equal(block("ub_inertial_"), np.tile(unit(b), (len(rec), 1)))
         np.testing.assert_array_equal(block("us_inertial_"), np.tile(s, (len(rec), 1)))
         np.testing.assert_array_equal(block("gyro_"), rec.w)
