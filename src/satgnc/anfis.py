@@ -20,7 +20,7 @@ from __future__ import annotations
 import json
 import math
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 import scipy.linalg
@@ -108,6 +108,9 @@ class AnfisModel:
             raise ValueError(f"consequents of shape {self.coeffs.shape} are not a "
                              f"(k, {self.n_rules}, {len(mfs) + 1}) stack of rule tables")
         self.coeffs = np.ascontiguousarray(self.coeffs.swapaxes(0, 1)).swapaxes(0, 1)
+
+    def __reduce__(self):     # through the constructor, which lays the stack out rule-major
+        return AnfisModel, tuple(getattr(self, f.name) for f in fields(self))
 
     @property
     def n_inputs(self) -> int:

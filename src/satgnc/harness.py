@@ -4,11 +4,11 @@ robustness campaign.
 A run wires together: sensor sampling of the true state, an estimator
 (truth bypass or the neuro-fuzzy observer), quaternion error against the
 commanded attitude, one of the three controllers, optional PWPF
-modulation, and RK4 plant propagation with the true inertia.  Everything
-is logged on a uniform time grid so all metrics derive from the record: a
-run record is one (samples, 27) matrix in CSV_COLUMNS order, whose time and
-Euler columns are filled over the whole run and the rest one row per step;
-its named fields (t, q, w, qe, ...) are column views.
+modulation, and RK4 plant propagation with the true inertia.  A logged run's
+metrics derive from its record, sampled on a uniform time grid: one
+(samples, 27) matrix in CSV_COLUMNS order, whose time and Euler columns are
+filled over the whole run and the rest one row per step; its named fields
+(t, q, w, qe, ...) are column views.  Tuning and campaigns keep a RunSummary.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from . import pwpf as pwpf_mod
 from .config import (NOMINAL_INERTIA, UNCERTAIN_INERTIA, MonteCarloConfig, SimConfig,
                      dump_sim_config, parse_sim_config)
 from .dynamics import (BodyState, InertiaTensor, IntegrationDivergedError, Torque,
-                       euler_to_quat, integrate_step, quat_to_euler, quaternion_error)
+                       euler_to_quat, integrate_step, quat_multiply, quat_to_euler)
 from .pid import PidGains, PidState, pid_step, trajectory_cost
 from .roles import (INERTIA_RANGE, SENSOR_ROLES, EstimateInvalidError, RoleBundle,
                     _random_conditions, anfis_control, anfis_estimate, anfis_integrated,
@@ -119,6 +119,17 @@ class RunRecord:
         return RunRecord(np.loadtxt(lines[n_head + 1:], delimiter=",", ndmin=2), cfg)
 
 
+@dataclass(frozen=True)
+class RunSummary:
+    """What tuning and a campaign read of a run (run_closed_loop's log=False)."""
+    config: SimConfig
+    cost_j: float           # summed in step order, as a record's
+    euler: np.ndarray       # the last sample's, (1, 3)
+
+    def __len__(self) -> int:           # the samples flown, as a record's
+        return self.config.n_steps + 1
+
+
 def needed_roles(config: SimConfig) -> list[str]:
     """The roles whose trained bundles a run of config needs."""
     return [role for role, needed in (("controller", config.controller == "anfis"),
@@ -137,32 +148,28 @@ def _require_bundle(bundles: dict | None, role: str) -> RoleBundle:
 
 
 def run_closed_loop(config: SimConfig, gains: PidGains | None = None,
-                    bundles: dict | None = None,
-                    record_sensors: bool = False) -> RunRecord:
-    """Simulate one closed loop and log every sample.
-
-    The truth estimator bypasses the sensors entirely; the neuro-fuzzy
-    estimator and the integrated controller consume noisy sensor readings.
-    The plant always integrates with the true inertia.  The controller
-    acts on the error quaternion with nonnegative scalar part, so it takes
-    the shorter way round to the commanded attitude.
+                    bundles: dict | None = None, record_sensors: bool = False,
+                    log: bool = True) -> RunRecord | RunSummary:
+    """Simulate one closed loop and log every sample, or with log False keep
+    only what tuning and a campaign read (a RunSummary).  The truth estimator
+    bypasses the sensors entirely; the neuro-fuzzy estimator and the
+    integrated controller consume noisy sensor readings.  The plant always
+    integrates with the true inertia.  The controller acts on the error
+    quaternion with nonnegative scalar part, so it takes the shorter way
+    round to the commanded attitude.
     """
-    n = config.n_steps
-    dt = config.dt
-    q_desired = euler_to_quat(config.desired_euler)
+    n, dt = config.n_steps, config.dt
+    qc_conj = euler_to_quat(config.desired_euler).conjugate()
 
     if config.controller == "pid" and gains is None:
         raise ValueError("PID run requires gains")
     loop = {role: _require_bundle(bundles, role) for role in needed_roles(config)}
-    ctrl_bundle, est_bundle, int_bundle = (
-        loop.get("controller"), loop.get("estimator"), loop.get("integrated"))
+    ctrl_bundle, est_bundle, int_bundle = map(loop.get, ("controller", "estimator", "integrated"))
     need_sensors = record_sensors or any(r in SENSOR_ROLES for r in loop)
 
-    sense = np.empty((n + 1, len(SENSOR_CHANNELS))) if need_sensors else None
-    raw = np.empty((n + 1, 3)) if config.controller == "pid" else None
-    record = RunRecord(np.empty((n + 1, len(CSV_COLUMNS))), config, sense, raw)
-    record.t[:] = np.arange(n + 1) * dt
-    data = record.data
+    sense = np.empty((n + 1 if log else 1, len(SENSOR_CHANNELS))) if need_sensors else None
+    raw = np.empty((n + 1, 3)) if log and config.controller == "pid" else None
+    data = np.empty((n + 1, len(CSV_COLUMNS))) if log else None
     if need_sensors:
         sense[:, REFERENCES] = np.concatenate([unit(B_INERTIAL), SUN_INERTIAL])
         # for a seed >= 0, the stream of earlier versions, which gave the noise
@@ -176,23 +183,26 @@ def run_closed_loop(config: SimConfig, gains: PidGains | None = None,
     pwpf_state = pwpf_mod.PwpfState() if config.modulator == "pwpf" else None
 
     dc, da, df = config.disturbance_const, config.disturbance_amp, config.disturbance_freq_hz
+    cost_j = 0.0
 
     for k in range(n + 1):
         q, w = state
 
         if need_sensors:
-            row = sense[k]
+            row = sense[k if log else 0]        # an unlogged run reuses one row
             row[MAG_BODY] = magnetometer_reading(B_INERTIAL, q, mag_noise[k])
             row[SUN_BODY] = sun_sensor_reading(SUN_INERTIAL, q, sun_noise[k])
             row[GYRO] = gyro_reading(w, gyro_noise[k])
 
         q_hat, w_hat = anfis_estimate(est_bundle, row) if est_bundle else (q, w)
 
-        qe = quaternion_error(q_hat, q_desired)
+        qe = quat_multiply(q_hat, qc_conj)      # quaternion_error, one conjugate per run
         qe_vec = (qe.q1, qe.q2, qe.q3) if qe.q4 >= 0.0 else (-qe.q1, -qe.q2, -qe.q3)
 
         if config.controller == "pid":
-            mc, raw[k] = pid_step(qe_vec, w_hat, pid_state, gains, dt)
+            mc, mc_raw = pid_step(qe_vec, w_hat, pid_state, gains, dt)
+            if log:
+                raw[k] = mc_raw
         elif config.controller == "anfis":
             mc = anfis_control(ctrl_bundle, qe_vec, w_hat)
         else:
@@ -202,14 +212,22 @@ def run_closed_loop(config: SimConfig, gains: PidGains | None = None,
         if pwpf_state is not None:
             pwpf_state, applied = pwpf_mod.pwpf_step(pwpf_state, mc, dt, config.pwpf)
 
-        data[k, _STEP] = (*q, *w, *qe_vec, *mc, *applied)
-        data[k, _ESTIMATE] = (*q_hat, *w_hat)
+        if log:
+            data[k, _STEP] = (*q, *w, *qe_vec, *mc, *applied)
+            data[k, _ESTIMATE] = (*q_hat, *w_hat)
+        elif k < n:     # in step order, as trajectory_cost sums a record
+            cost_j += dt * (abs(w[0]) + abs(w[1]) + abs(w[2])
+                            + abs(qe_vec[0]) + abs(qe_vec[1]) + abs(qe_vec[2]))
 
         if k < n:
             s = math.sin(2.0 * math.pi * df * (k * dt))
             md = Torque(dc.m1 + da.m1 * s, dc.m2 + da.m2 * s, dc.m3 + da.m3 * s)
             state = integrate_step(state, config.inertia_true, applied, md, dt)
 
+    if not log:
+        return RunSummary(config, cost_j, quat_to_euler(state.q)[None])
+    record = RunRecord(data, config, sense, raw)
+    record.t[:] = np.arange(n + 1) * dt
     record.euler[:] = quat_to_euler(record.q.T)
     return record
 
@@ -222,7 +240,7 @@ def fuel_consumption(record: RunRecord) -> tuple[np.ndarray, float]:
     return per_axis, float(per_axis.sum())
 
 
-def euler_errors(record: RunRecord) -> np.ndarray:
+def euler_errors(record: RunRecord | RunSummary) -> np.ndarray:
     """Per-sample Euler-angle error relative to the desired attitude, wrapped
     into [-180, 180); an error already there is returned unrounded."""
     desired = np.asarray(record.config.desired_euler)
@@ -231,7 +249,7 @@ def euler_errors(record: RunRecord) -> np.ndarray:
     return np.where(inside, err, (err + 180.0) % 360.0 - 180.0)
 
 
-def final_euler_error(record: RunRecord) -> np.ndarray:
+def final_euler_error(record: RunRecord | RunSummary) -> np.ndarray:
     return euler_errors(record)[-1]
 
 
@@ -285,7 +303,7 @@ def tuning_objective(base: SimConfig):
 
     def objective(gains: PidGains) -> float:
         try:
-            return run_closed_loop(cfg, gains=gains).cost_j
+            return run_closed_loop(cfg, gains=gains, log=False).cost_j
         except IntegrationDivergedError:
             return float("inf")
 
@@ -335,7 +353,7 @@ def _mc_run_config(mc: MonteCarloConfig, k: int) -> SimConfig:
 def _mc_final_error(mc: MonteCarloConfig, gains, bundles, k: int) -> np.ndarray | None:
     """Final Euler error of campaign run k, or None if the run failed."""
     try:
-        return final_euler_error(run_closed_loop(_mc_run_config(mc, k), gains, bundles))
+        return final_euler_error(run_closed_loop(_mc_run_config(mc, k), gains, bundles, log=False))
     except (IntegrationDivergedError, EstimateInvalidError):
         return None
 

@@ -79,10 +79,10 @@ class PidState:
 def pid_raw(qe_vec: Sequence[float], w: Sequence[float],
             state: PidState, gains: PidGains) -> Torque:
     """Unsaturated control command from the current error and accumulators."""
-    return Torque(*(
-        gains.kp[i] * qe_vec[i] + gains.kd[i] * w[i]
-        + gains.kq[i] * state.int_qe[i] + gains.kw[i] * state.int_w[i]
-        for i in range(3)))
+    kp, kd, kq, kw, iq, iw = gains.kp, gains.kd, gains.kq, gains.kw, state.int_qe, state.int_w
+    return Torque(kp[0] * qe_vec[0] + kd[0] * w[0] + kq[0] * iq[0] + kw[0] * iw[0],
+                  kp[1] * qe_vec[1] + kd[1] * w[1] + kq[1] * iq[1] + kw[1] * iw[1],
+                  kp[2] * qe_vec[2] + kd[2] * w[2] + kq[2] * iq[2] + kw[2] * iw[2])
 
 
 def pid_step(qe_vec: Sequence[float], w: Sequence[float],
@@ -106,7 +106,10 @@ def pid_step(qe_vec: Sequence[float], w: Sequence[float],
 def saturate(command: Sequence[float], mc_max: float) -> Torque:
     """The actuator's torque: each axis of command clamped to +/-mc_max; a NaN
     axis stays NaN, so the run diverges and counts as failed."""
-    return Torque(*(mc_max if v > mc_max else -mc_max if v < -mc_max else v for v in command))
+    v1, v2, v3 = command
+    return Torque(mc_max if v1 > mc_max else -mc_max if v1 < -mc_max else v1,
+                  mc_max if v2 > mc_max else -mc_max if v2 < -mc_max else v2,
+                  mc_max if v3 > mc_max else -mc_max if v3 < -mc_max else v3)
 
 
 def trajectory_cost(qe: np.ndarray, w: np.ndarray, dt: float) -> float:

@@ -220,21 +220,21 @@ def sensor_noise(noise: NoiseSpec, b_inertial: np.ndarray, u_s_inertial: np.ndar
                  n: int, rng: np.random.Generator) -> list:
     """A run's additive noise for n steps: the magnetometer's and the sun
     sensor's (each scaled by the magnitude of its inertial reference) and the
-    gyro's, each (n, 3), or n Nones for a zero-sigma sensor.  One
-    standard-normal block holds what per-step draws in that order would give."""
+    gyro's, each n rows of three Python floats, or n Nones for a zero-sigma
+    sensor.  One standard-normal block holds what per-step draws would give."""
     drawn = [sigma > 0.0 for sigma in (noise.sigma_mag, noise.sigma_sun, noise.sigma_gyro)]
     scales = (noise.sigma_mag * reference_norm(b_inertial),
               noise.sigma_sun * reference_norm(u_s_inertial), noise.sigma_gyro)
     blocks = iter(rng.standard_normal((n, sum(drawn), 3)).transpose(1, 0, 2))
-    return [next(blocks) * scale if d else (None,) * n for d, scale in zip(drawn, scales)]
+    return [(next(blocks) * s).tolist() if d else (None,) * n for d, s in zip(drawn, scales)]
 
 
-def _body_direction(ref: np.ndarray, q, noise: np.ndarray | None) -> tuple[float, float, float]:
+def _body_direction(ref: np.ndarray, q, noise: list | None) -> tuple[float, float, float]:
     """ref at the attitude q plus noise (None: zero) as a body-frame unit vector: in floats,
     x = c00*r0 + c01*r1 + c02*r2 + n0 (c: quat_to_dcm's) over sqrt(x*x + y*y + z*z)."""
     q1, q2, q3, q4 = q
     r0, r1, r2 = ref.tolist()
-    n0, n1, n2 = (0.0, 0.0, 0.0) if noise is None else noise.tolist()
+    n0, n1, n2 = (0.0, 0.0, 0.0) if noise is None else noise
     x = ((1.0 - 2.0 * (q2 * q2 + q3 * q3)) * r0 + 2.0 * (q1 * q2 + q3 * q4) * r1
          + 2.0 * (q1 * q3 - q2 * q4) * r2 + n0)
     y = (2.0 * (q1 * q2 - q3 * q4) * r0 + (1.0 - 2.0 * (q1 * q1 + q3 * q3)) * r1
@@ -247,16 +247,16 @@ def _body_direction(ref: np.ndarray, q, noise: np.ndarray | None) -> tuple[float
     return x / mag, y / mag, z / mag
 
 
-def magnetometer_reading(b_inertial: np.ndarray, q, noise: np.ndarray | None) -> tuple:
+def magnetometer_reading(b_inertial: np.ndarray, q, noise: list | None) -> tuple:
     """Unit magnetic-field direction in the body frame at the attitude q."""
     return _body_direction(b_inertial, q, noise)
 
 
-def sun_sensor_reading(u_s_inertial: np.ndarray, q, noise: np.ndarray | None) -> tuple:
+def sun_sensor_reading(u_s_inertial: np.ndarray, q, noise: list | None) -> tuple:
     """Unit sun direction in the body frame at the attitude q."""
     return _body_direction(u_s_inertial, q, noise)
 
 
-def gyro_reading(w: AngularVelocity, noise: np.ndarray | None) -> AngularVelocity:
+def gyro_reading(w: AngularVelocity, noise: list | None) -> AngularVelocity:
     """Rate-gyro measurement: true rate plus the step's noise (None: noiseless)."""
-    return w if noise is None else AngularVelocity(*map(operator.add, w, noise.tolist()))
+    return w if noise is None else AngularVelocity(*map(operator.add, w, noise))

@@ -3,6 +3,7 @@
 import dataclasses
 import itertools
 import json
+import pickle
 import tempfile
 from pathlib import Path
 
@@ -368,6 +369,23 @@ class TestPersistence:
             got, want = getattr(loaded, name), getattr(m, name)
             assert got.shape == want.shape and got.tobytes() == want.tobytes(), name
         assert loaded.metadata == m.metadata
+
+    def test_pickle_keeps_rule_major_layout(self):
+        # a pool task pickles its bundles; the unpickled model is laid out as
+        # the constructor lays it, so forward's table stays a view
+        rng = np.random.default_rng(14)
+        m, ranges = random_model(rng, n_inputs=3, mfs=3)
+        m = AnfisModel(m.mfs_per_input, m.a, m.b, m.c, rng.normal(size=(3,) + m.coeffs.shape[1:]),
+                       m.input_ranges, {"note": "fixture"})
+        back = pickle.loads(pickle.dumps(m))
+        assert back.coeffs.swapaxes(0, 1).flags.c_contiguous
+        for name in ("a", "b", "c", "coeffs", "input_ranges"):
+            assert getattr(back, name).tobytes() == getattr(m, name).tobytes(), name
+        assert back.metadata == m.metadata and back.mfs_per_input == m.mfs_per_input
+        x = rng.uniform(ranges[:, 0], ranges[:, 1], size=(50, 3))
+        assert forward(back, x).tobytes() == forward(m, x).tobytes()
+        for row in x[:10]:
+            assert forward(back, row).tobytes() == forward(m, row).tobytes()
 
     def test_premise_length_mismatch_rejected(self, tmp_path):
         m = grid_partition_init(RANGES_2D, 2)

@@ -23,6 +23,59 @@ UNIT_VECTORS = st.tuples(*[st.floats(-1.0, 1.0)] * 4).filter(
     lambda v: sum(x * x for x in v) > 1e-3).map(lambda v: Quaternion(*v).normalized())
 
 
+TORQUES = st.tuples(*[st.floats(-5.0, 5.0)] * 3).map(lambda m: Torque(*m))
+
+
+def closure_rk4(state, inertia, mc, md, dt):
+    """integrate_step as it was written, with a right-hand-side closure
+    called once per stage: the reference for its written-out form."""
+    if dt <= 0.0:
+        raise ValueError("dt must be positive")
+    i1, i2, i3 = inertia
+    m1 = mc.m1 + md.m1
+    m2 = mc.m2 + md.m2
+    m3 = mc.m3 + md.m3
+
+    q1, q2, q3, q4 = state.q
+    w1, w2, w3 = state.w
+
+    def rhs(q1, q2, q3, q4, w1, w2, w3):
+        return (
+            0.5 * (w3 * q2 - w2 * q3 + w1 * q4),
+            0.5 * (-w3 * q1 + w1 * q3 + w2 * q4),
+            0.5 * (w2 * q1 - w1 * q2 + w3 * q4),
+            0.5 * (-w1 * q1 - w2 * q2 - w3 * q3),
+            (m1 - (i3 - i2) * w2 * w3) / i1,
+            (m2 - (i1 - i3) * w1 * w3) / i2,
+            (m3 - (i2 - i1) * w2 * w1) / i3,
+        )
+
+    k1 = rhs(q1, q2, q3, q4, w1, w2, w3)
+    h = 0.5 * dt
+    k2 = rhs(q1 + h * k1[0], q2 + h * k1[1], q3 + h * k1[2], q4 + h * k1[3],
+             w1 + h * k1[4], w2 + h * k1[5], w3 + h * k1[6])
+    k3 = rhs(q1 + h * k2[0], q2 + h * k2[1], q3 + h * k2[2], q4 + h * k2[3],
+             w1 + h * k2[4], w2 + h * k2[5], w3 + h * k2[6])
+    k4 = rhs(q1 + dt * k3[0], q2 + dt * k3[1], q3 + dt * k3[2], q4 + dt * k3[3],
+             w1 + dt * k3[4], w2 + dt * k3[5], w3 + dt * k3[6])
+
+    s = dt / 6.0
+    q1 += s * (k1[0] + 2.0 * k2[0] + 2.0 * k3[0] + k4[0])
+    q2 += s * (k1[1] + 2.0 * k2[1] + 2.0 * k3[1] + k4[1])
+    q3 += s * (k1[2] + 2.0 * k2[2] + 2.0 * k3[2] + k4[2])
+    q4 += s * (k1[3] + 2.0 * k2[3] + 2.0 * k3[3] + k4[3])
+    w1 += s * (k1[4] + 2.0 * k2[4] + 2.0 * k3[4] + k4[4])
+    w2 += s * (k1[5] + 2.0 * k2[5] + 2.0 * k3[5] + k4[5])
+    w3 += s * (k1[6] + 2.0 * k2[6] + 2.0 * k3[6] + k4[6])
+
+    n = math.sqrt(q1 * q1 + q2 * q2 + q3 * q3 + q4 * q4)
+    if not (math.isfinite(n) and n > 0.0
+            and math.isfinite(w1) and math.isfinite(w2) and math.isfinite(w3)):
+        raise IntegrationDivergedError("state became non-finite during integration")
+    return BodyState(Quaternion(q1 / n, q2 / n, q3 / n, q4 / n),
+                     AngularVelocity(w1, w2, w3))
+
+
 def random_quaternion(rng):
     v = rng.normal(size=4)
     v /= np.linalg.norm(v)
@@ -241,6 +294,37 @@ class TestIntegration:
             for _ in range(10):
                 state = integrate_step(state, NOMINAL, Torque.zero(),
                                        Torque.zero(), 0.01)
+
+    @given(q=UNIT_VECTORS, w=st.tuples(*[st.floats(-20.0, 20.0)] * 3).map(
+        lambda w: AngularVelocity(*w)), inertia=MOMENTS, mc=TORQUES, md=TORQUES,
+        dt=st.floats(1e-4, 0.5))
+    @settings(max_examples=300, deadline=None)
+    def test_equals_closure_form(self, q, w, inertia, mc, md, dt):
+        # the written-out stages evaluate the closure's expressions in its order
+        state = BodyState(q, w)
+        got = integrate_step(state, inertia, mc, md, dt)
+        want = closure_rk4(state, inertia, mc, md, dt)
+        assert type(got) is BodyState and type(got.q) is Quaternion
+        assert np.array(got.q + got.w).tobytes() == np.array(want.q + want.w).tobytes()
+
+    def test_errors_equal_closure_form(self):
+        state = BodyState(Quaternion.identity(), AngularVelocity(0.1, 0.0, 0.0))
+        for dt in (0.0, -0.0, -0.01, -math.inf):
+            for step in (integrate_step, closure_rk4):
+                with pytest.raises(ValueError, match="dt must be positive"):
+                    step(state, NOMINAL, Torque.zero(), Torque.zero(), dt)
+        # a state or torque that overflows, and a NaN torque or step, diverge in both
+        for state, mc, dt in ((BodyState(Quaternion.identity(), AngularVelocity(1e200, 1e200, 0.0)),
+                               Torque.zero(), 0.01),
+                              (BodyState(Quaternion.identity(), AngularVelocity.zero()),
+                               Torque(1e308, -1e308, 0.0), 1e10),
+                              (BodyState(Quaternion.identity(), AngularVelocity.zero()),
+                               Torque(math.nan, 0.0, 0.0), 0.01),
+                              (BodyState(Quaternion.identity(), AngularVelocity.zero()),
+                               Torque.zero(), math.nan)):
+            for step in (integrate_step, closure_rk4):
+                with pytest.raises(IntegrationDivergedError):
+                    step(state, NOMINAL, mc, Torque.zero(), dt)
 
     def test_speed(self):
         state = BodyState(euler_to_quat(EulerAngles(10.0, 5.0, 10.0)),

@@ -8,14 +8,14 @@ import pytest
 
 from satgnc import anfis, harness
 from satgnc.config import NOMINAL_INERTIA, UNCERTAIN_INERTIA, MonteCarloConfig, SimConfig
-from satgnc.dynamics import (AngularVelocity, EulerAngles, InertiaTensor, Quaternion,
-                             Torque, quat_to_euler)
-from satgnc.harness import (CSV_COLUMNS, MissingBundleError, Metrics, RunRecord,
-                            _mc_run_config, compute_metrics, evaluate_controllers,
-                            final_euler_error, format_evaluation,
+from satgnc.dynamics import (AngularVelocity, EulerAngles, InertiaTensor,
+                             IntegrationDivergedError, Quaternion, Torque, quat_to_euler)
+from satgnc.harness import (CSV_COLUMNS, MissingBundleError, Metrics, RunRecord, RunSummary,
+                            _mc_final_error, _mc_run_config, compute_metrics,
+                            evaluate_controllers, final_euler_error, format_evaluation,
                             fuel_consumption, monte_carlo, needed_roles,
                             run_closed_loop, settling_time, tuning_objective)
-from satgnc.pid import PidGains
+from satgnc.pid import PidGains, default_initial_gains
 from satgnc.roles import (ROLES, STATE_CHANNELS, RoleBundle, _random_conditions,
                           generate_controller_data, generate_sensor_data)
 from satgnc.sensors import GYRO, NoiseSpec
@@ -356,6 +356,51 @@ class TestMonteCarlo:
         assert p1.read_bytes() == p2.read_bytes()
 
 
+class TestRecordFreeRuns:
+    """Tuning and campaign runs log no record; what they read of a run
+    equals what its full record gives, bit for bit."""
+
+    def test_tuning_cost_equals_record_cost(self, monkeypatch, tuned):
+        real, flown = harness.run_closed_loop, []
+        monkeypatch.setattr(harness, "run_closed_loop",
+                            lambda cfg, **kw: flown.append(cfg) or real(cfg, **kw))
+        objective = tuning_objective(SimConfig())
+        diverging = PidGains(kp=(1e6, 1e6, 1e6), kd=(1e6, 1e6, 1e6), mc_max=1e9)
+        for gains in (default_initial_gains(NOMINAL_INERTIA), tuned["gains"], diverging):
+            j = objective(gains)
+            try:
+                record = real(flown[-1], gains)
+            except IntegrationDivergedError:
+                assert gains is diverging and j == np.inf
+                continue
+            assert np.float64(j).tobytes() == np.float64(record.cost_j).tobytes()
+            summary = real(flown[-1], gains, log=False)
+            assert isinstance(summary, RunSummary) and len(summary) == len(record) == 2001
+        assert j == np.inf      # the diverging gains came last
+
+    @pytest.mark.parametrize("loop", [
+        {"controller": "integrated"},
+        {"controller": "anfis", "estimator": "anfis", "modulator": "pwpf"}])
+    def test_campaign_error_equals_record_error(self, tuned, bundles, loop):
+        mc = MonteCarloConfig(base=SimConfig(duration=10.0, noise=NoiseSpec(), **loop),
+                              n_runs=3, master_seed=17)
+        for k in range(mc.n_runs):
+            got = _mc_final_error(mc, tuned["gains"], bundles, k)
+            record = run_closed_loop(_mc_run_config(mc, k), tuned["gains"], bundles)
+            assert got.tobytes() == final_euler_error(record).tobytes()
+
+    def test_failed_campaign_run_is_none(self):
+        spec = ROLES["integrated"]
+        model = anfis.grid_partition_init(np.tile([-1.5, 1.5], (len(spec.inputs), 1)), 2)
+        model.coeffs = np.full((len(spec.outputs),) + model.coeffs.shape[1:], np.nan)
+        bundles = {"integrated": RoleBundle("integrated", model, spec.inputs, spec.outputs)}
+        mc = MonteCarloConfig(base=SimConfig(duration=1.0, controller="integrated"),
+                              n_runs=1, master_seed=3)
+        assert _mc_final_error(mc, GAINS, bundles, 0) is None
+        with pytest.raises(IntegrationDivergedError):
+            run_closed_loop(_mc_run_config(mc, 0), GAINS, bundles)
+
+
 class TestEvaluation:
     def test_table_layout(self, tuned, bundles):
         rows = evaluate_controllers(tuned["gains"], bundles,
@@ -382,11 +427,11 @@ def test_every_pipeline_flies_the_nominal_plant(monkeypatch):
     # campaign draws its plants around it
     flown = []
 
-    def spy(cfg, gains=None, bundles=None, record_sensors=False):
+    def spy(cfg, gains=None, bundles=None, record_sensors=False, log=True):
         flown.append(cfg)
         # the evaluation's neuro-fuzzy runs fly as PID runs: no bundle needed
         return real(replace(cfg, controller="pid", estimator="truth"), GAINS,
-                    record_sensors=record_sensors)
+                    record_sensors=record_sensors, log=log)
 
     real = harness.run_closed_loop
     monkeypatch.setattr(harness, "run_closed_loop", spy)

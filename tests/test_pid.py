@@ -1,5 +1,6 @@
 """Controller-law and gain-search tests."""
 
+import itertools
 import math
 
 import numpy as np
@@ -48,6 +49,41 @@ class TestSaturate:
                   0.5, 0.5000000000000001, 3.0, math.inf]
         for v in values:
             assert saturate((v, v, v), 0.5) == (min(0.5, max(-0.5, v)),) * 3
+
+
+def generator_saturate(command, mc_max):
+    """saturate as it was written, with a generator expression: the reference."""
+    return Torque(*(mc_max if v > mc_max else -mc_max if v < -mc_max else v for v in command))
+
+
+def generator_pid_raw(qe_vec, w, state, gains):
+    """pid_raw as it was written, with a generator expression: the reference."""
+    return Torque(*(
+        gains.kp[i] * qe_vec[i] + gains.kd[i] * w[i]
+        + gains.kq[i] * state.int_qe[i] + gains.kw[i] * state.int_w[i]
+        for i in range(3)))
+
+
+class TestWrittenOut:
+    """saturate and pid_raw are written out per axis; they equal their
+    generator forms bit for bit."""
+
+    def test_saturate_equals_generator_form(self):
+        values = [math.nan, -math.inf, math.inf, -0.5, 0.5, -0.5000000000000001,
+                  0.5000000000000001, -0.49999999999999994, -0.0, 0.0, 1e-300, -3.0, 3.0]
+        for command in itertools.product(values, repeat=3):
+            got, want = saturate(command, 0.5), generator_saturate(command, 0.5)
+            assert type(got) is Torque
+            assert np.array(got).tobytes() == np.array(want).tobytes(), command
+
+    def test_pid_raw_equals_generator_form(self):
+        rng = np.random.default_rng(3)
+        for _ in range(200):
+            gains = PidGains.from_vector(rng.normal(size=12), 1.0)
+            state = PidState(rng.normal(size=3).tolist(), rng.normal(size=3).tolist())
+            qe, w = rng.normal(size=3).tolist(), rng.normal(size=3).tolist()
+            assert (np.array(pid_raw(qe, w, state, gains)).tobytes()
+                    == np.array(generator_pid_raw(qe, w, state, gains)).tobytes())
 
 
 class TestControlLaw:

@@ -129,6 +129,7 @@ class TestDirectionalSensors:
         for read, ref, noise in ((magnetometer_reading, B_INERTIAL, mag_noise),
                                  (sun_sensor_reading, SUN_INERTIAL, sun_noise)):
             r0, r1, r2 = ref
+            rows, noise = noise, np.array(noise)      # the readings take float rows
             x = ((1.0 - 2.0 * (q2 * q2 + q3 * q3)) * r0 + 2.0 * (q1 * q2 + q3 * q4) * r1
                  + 2.0 * (q1 * q3 - q2 * q4) * r2) + noise[:, 0]
             y = (2.0 * (q1 * q2 - q3 * q4) * r0 + (1.0 - 2.0 * (q1 * q1 + q3 * q3)) * r1
@@ -136,7 +137,7 @@ class TestDirectionalSensors:
             z = (2.0 * (q1 * q3 + q2 * q4) * r0 + 2.0 * (q2 * q3 - q1 * q4) * r1
                  + (1.0 - 2.0 * (q1 * q1 + q2 * q2)) * r2) + noise[:, 2]
             batched = np.column_stack([x, y, z]) / np.sqrt(x * x + y * y + z * z)[:, None]
-            got = np.array([read(ref, qk, nk) for qk, nk in zip(q.tolist(), noise)])
+            got = np.array([read(ref, qk, nk) for qk, nk in zip(q.tolist(), rows)])
             np.testing.assert_array_equal(got, batched)
             dcm_form = [unit(quat_to_dcm(qk) @ ref + nk) for qk, nk in zip(q, noise)]
             np.testing.assert_allclose(got, dcm_form, rtol=0.0, atol=1e-15)
@@ -233,8 +234,9 @@ class TestGyro:
         assert gyro_reading(w, None) == w
 
     def test_reading_is_rate_plus_noise(self):
+        # the closed loop passes the step's noise row as Python floats
         w = AngularVelocity(0.0125, -0.05, 0.075)
-        noise = np.array([1e-4, -3e-4, 2e-4])
+        noise = [1e-4, -3e-4, 2e-4]
         got = gyro_reading(w, noise)
         assert isinstance(got, AngularVelocity) and all(type(v) is float for v in got)
         np.testing.assert_array_equal(got, np.asarray(w) + noise)
