@@ -30,9 +30,7 @@ from .pid import PidGains, PidState, pid_step, trajectory_cost
 from .roles import (INERTIA_RANGE, SENSOR_ROLES, EstimateInvalidError, RoleBundle,
                     _random_conditions, anfis_control, anfis_estimate, anfis_integrated,
                     write_csv)
-from .sensors import (B_INERTIAL, GYRO, MAG_BODY, REFERENCES, SENSOR_CHANNELS, SUN_BODY,
-                      SUN_INERTIAL, NoiseSpec, gyro_reading, magnetometer_reading,
-                      sensor_noise, sun_sensor_reading, unit)
+from .sensors import NoiseSpec, sensor_noise, sensor_row
 
 __all__ = [
     "CSV_COLUMNS",
@@ -84,7 +82,6 @@ class RunRecord:
     """Sampled closed-loop trajectory plus its configuration echo."""
     data: np.ndarray                   # (samples, 27), in CSV_COLUMNS order
     config: SimConfig
-    sensor: np.ndarray | None = None   # (samples, 15) SENSOR_CHANNELS rows, sensor runs only
     mc_raw: np.ndarray | None = None   # unsaturated commands, PID runs only
 
     t = _columns("t")
@@ -148,12 +145,12 @@ def _require_bundle(bundles: dict | None, role: str) -> RoleBundle:
 
 
 def run_closed_loop(config: SimConfig, gains: PidGains | None = None,
-                    bundles: dict | None = None, record_sensors: bool = False,
-                    log: bool = True) -> RunRecord | RunSummary:
+                    bundles: dict | None = None, log: bool = True) -> RunRecord | RunSummary:
     """Simulate one closed loop and log every sample, or with log False keep
     only what tuning and a campaign read (a RunSummary).  The truth estimator
     bypasses the sensors entirely; the neuro-fuzzy estimator and the
-    integrated controller consume noisy sensor readings.  The plant always
+    integrated controller read one noisy sensor row (sensors.sensor_row) per
+    step, and only a run with one of them builds the rows.  The plant always
     integrates with the true inertia.  The controller acts on the error
     quaternion with nonnegative scalar part, so it takes the shorter way
     round to the commanded attitude.
@@ -165,18 +162,11 @@ def run_closed_loop(config: SimConfig, gains: PidGains | None = None,
         raise ValueError("PID run requires gains")
     loop = {role: _require_bundle(bundles, role) for role in needed_roles(config)}
     ctrl_bundle, est_bundle, int_bundle = map(loop.get, ("controller", "estimator", "integrated"))
-    need_sensors = record_sensors or any(r in SENSOR_ROLES for r in loop)
+    noise = (sensor_noise(config.noise, config.seed, n + 1)
+             if any(r in SENSOR_ROLES for r in loop) else None)
 
-    sense = np.empty((n + 1 if log else 1, len(SENSOR_CHANNELS))) if need_sensors else None
     raw = np.empty((n + 1, 3)) if log and config.controller == "pid" else None
     data = np.empty((n + 1, len(CSV_COLUMNS))) if log else None
-    if need_sensors:
-        sense[:, REFERENCES] = np.concatenate([unit(B_INERTIAL), SUN_INERTIAL])
-        # for a seed >= 0, the stream of earlier versions, which gave the noise
-        # a second seed equal to the run's; abs() lets a negative seed run too
-        rng = np.random.default_rng([config.seed & 0x7FFFFFFF, abs(config.seed)])
-        mag_noise, sun_noise, gyro_noise = sensor_noise(config.noise, B_INERTIAL,
-                                                        SUN_INERTIAL, n + 1, rng)
 
     state = BodyState(euler_to_quat(config.initial_euler), config.initial_omega)
     pid_state = PidState()
@@ -188,11 +178,7 @@ def run_closed_loop(config: SimConfig, gains: PidGains | None = None,
     for k in range(n + 1):
         q, w = state
 
-        if need_sensors:
-            row = sense[k if log else 0]        # an unlogged run reuses one row
-            row[MAG_BODY] = magnetometer_reading(B_INERTIAL, q, mag_noise[k])
-            row[SUN_BODY] = sun_sensor_reading(SUN_INERTIAL, q, sun_noise[k])
-            row[GYRO] = gyro_reading(w, gyro_noise[k])
+        row = sensor_row(q, w, noise[k]) if noise else None
 
         q_hat, w_hat = anfis_estimate(est_bundle, row) if est_bundle else (q, w)
 
@@ -226,7 +212,7 @@ def run_closed_loop(config: SimConfig, gains: PidGains | None = None,
 
     if not log:
         return RunSummary(config, cost_j, quat_to_euler(state.q)[None])
-    record = RunRecord(data, config, sense, raw)
+    record = RunRecord(data, config, raw)
     record.t[:] = np.arange(n + 1) * dt
     record.euler[:] = quat_to_euler(record.q.T)
     return record

@@ -37,7 +37,7 @@ from .config import NOMINAL_INERTIA, SimConfig
 from .dynamics import (AngularVelocity, EulerAngles, IntegrationDivergedError, Quaternion,
                        Torque)
 from .pid import PidGains, saturate
-from .sensors import SENSOR_CHANNELS
+from .sensors import SENSOR_CHANNELS, sensor_rows
 
 __all__ = [
     "RoleBundle",
@@ -187,15 +187,10 @@ class RoleBundle:
         r = m.input_ranges
         self._center = (0.5 * (r[:, 0] + r[:, 1])).tolist()
         self._limit = (1.5 * np.maximum(0.5 * (r[:, 1] - r[:, 0]), 1e-12)).tolist()
-        # the bundle's inputs within a sensor row, for a role that reads one
-        self._columns = (np.array(_positions(SENSOR_CHANNELS, self.input_names,
-                                             f"{self.role} bundle inputs"), dtype=np.intp)
-                         if self.role in SENSOR_ROLES else None)
-
-    @property
-    def input_columns(self) -> tuple[int, ...] | None:
-        """The inputs' positions in a SENSOR_CHANNELS row; None for the controller."""
-        return None if self._columns is None else tuple(self._columns.tolist())
+        # the inputs' positions in a SENSOR_CHANNELS row; None for the controller
+        self.input_columns = (tuple(_positions(SENSOR_CHANNELS, self.input_names,
+                                               f"{self.role} bundle inputs"))
+                              if self.role in SENSOR_ROLES else None)
 
     @property
     def n_inputs(self) -> int:
@@ -226,13 +221,12 @@ def _random_conditions(rng: np.random.Generator) -> tuple[EulerAngles, AngularVe
             AngularVelocity(*rng.uniform(-RATE_RANGE, RATE_RANGE, size=3).tolist()))
 
 
-def _teacher_runs(gains: PidGains, n_runs: int, seed: int, tag: int, draw, rows,
-                  record_sensors: bool = False):
+def _teacher_runs(gains: PidGains, n_runs: int, seed: int, tag: int, draw, rows):
     """The one teacher-run loop: draw a config from the (seed, tag) stream,
     run the PID teacher on it, and redraw with a warning if the run
     diverges; the MAX_DIVERGED_DRAWS-th diverged run raises.  rows(record)
-    picks a run's (inputs, targets); returns them stacked over the runs,
-    with each row's run id."""
+    picks or derives a run's (inputs, targets) from its record; returns
+    them stacked over the runs, with each row's run id."""
     from .harness import run_closed_loop
 
     rng = np.random.default_rng(np.random.SeedSequence([seed, tag]))
@@ -240,7 +234,7 @@ def _teacher_runs(gains: PidGains, n_runs: int, seed: int, tag: int, draw, rows,
     while len(inputs) < n_runs:
         cfg = draw(rng)
         try:
-            rec = run_closed_loop(cfg, gains=gains, record_sensors=record_sensors)
+            rec = run_closed_loop(cfg, gains=gains)
         except IntegrationDivergedError as exc:
             diverged += 1
             if diverged == MAX_DIVERGED_DRAWS:
@@ -288,6 +282,9 @@ def generate_sensor_data(gains: PidGains, n_runs: int = ROLES["estimator"].runs,
     Targets are the 7 true-state channels followed by the teacher's 3
     unsaturated torque commands (the clamp is re-applied at inference);
     role_view narrows them to the estimator's or the integrated role's.
+    The teacher flies the true state, so its sensors feed nothing back: a
+    run's rows are derived after it, from its recorded attitudes and rates,
+    and are those a sensor role would read in the loop.
     """
     def draw(rng):
         euler, omega = _random_conditions(rng)
@@ -297,9 +294,8 @@ def generate_sensor_data(gains: PidGains, n_runs: int = ROLES["estimator"].runs,
 
     inputs, targets, run_ids = _teacher_runs(
         gains, n_runs, base.seed, 0xE5, draw,
-        lambda rec: (rec.sensor[:-1],
-                     np.column_stack([rec.q[:-1], rec.w[:-1], rec.mc_raw[:-1]])),
-        record_sensors=True)
+        lambda rec: (sensor_rows(rec.q[:-1], rec.w[:-1], rec.config.noise, rec.config.seed),
+                     np.column_stack([rec.q[:-1], rec.w[:-1], rec.mc_raw[:-1]])))
     return RoleDataset(inputs, targets, run_ids, SENSOR_CHANNELS, STATE_CHANNELS + TORQUE_CHANNELS)
 
 
@@ -363,13 +359,12 @@ def anfis_control(bundle: RoleBundle, qe_vec, w) -> Torque:
     return saturate(bundle.predict(x).tolist(), bundle.mc_max)
 
 
-def anfis_estimate(bundle: RoleBundle, row: np.ndarray
-                   ) -> tuple[Quaternion, AngularVelocity]:
+def anfis_estimate(bundle: RoleBundle, row) -> tuple[Quaternion, AngularVelocity]:
     """Attitude and rate estimate from a sensor row; the quaternion channels
     are renormalized.  A quaternion norm below 0.1, or NaN, is invalid."""
     if bundle.role != "estimator":
         raise ValueError(f"expected an estimator bundle, got {bundle.role!r}")
-    y = bundle.predict(row.take(bundle._columns))
+    y = bundle.predict([row[i] for i in bundle.input_columns])
     qn = math.sqrt(y[:4].dot(y[:4]))    # np.linalg.norm(y[:4]), at a third of its cost
     if not qn >= 0.1:
         raise EstimateInvalidError(f"predicted quaternion norm {qn:.3g} below 0.1")
@@ -377,11 +372,11 @@ def anfis_estimate(bundle: RoleBundle, row: np.ndarray
     return Quaternion(q1 / qn, q2 / qn, q3 / qn, q4 / qn), AngularVelocity(w1, w2, w3)
 
 
-def anfis_integrated(bundle: RoleBundle, row: np.ndarray) -> Torque:
+def anfis_integrated(bundle: RoleBundle, row) -> Torque:
     """Sensor row straight to saturated control torque."""
     if bundle.role != "integrated":
         raise ValueError(f"expected an integrated bundle, got {bundle.role!r}")
-    return saturate(bundle.predict(row.take(bundle._columns)).tolist(), bundle.mc_max)
+    return saturate(bundle.predict([row[i] for i in bundle.input_columns]).tolist(), bundle.mc_max)
 
 
 def save_bundle(bundle: RoleBundle, dirpath) -> None:

@@ -2,9 +2,11 @@
 reference vectors (geomagnetic field direction, sun direction) they measure.
 
 One sampling instant is one 15-channel row laid out by SENSOR_CHANNELS,
-which the closed loop fills block by block and the neuro-fuzzy roles read.
-A run's sensor noise is drawn once (sensor_noise), and each reading takes
-its step's row of it; the direction sensors also take the step's attitude.
+which sensor_row builds and the neuro-fuzzy roles read: the closed loop
+asks for one row per step, and the teacher data derives a run's rows after
+it (sensor_rows).  A run's sensor noise is drawn once from the run's seed
+(sensor_noise), and each reading takes its step's share of it; the
+direction sensors also take the step's attitude.
 
 The geomagnetic field is a tilted centered dipole (TiltedDipoleField), the
 one field model the closed loop uses.  The sun ephemeris is the low-precision Vallado algorithm
@@ -29,10 +31,6 @@ __all__ = [
     "GeoPosition",
     "NoiseSpec",
     "SENSOR_CHANNELS",
-    "MAG_BODY",
-    "SUN_BODY",
-    "REFERENCES",
-    "GYRO",
     "POSITION", "EPOCH", "B_INERTIAL", "SUN_INERTIAL",
     "TiltedDipoleField",
     "julian_date",
@@ -42,7 +40,8 @@ __all__ = [
     "sun_sensor_reading",
     "gyro_reading",
     "sensor_noise",
-    "reference_norm",
+    "sensor_row",
+    "sensor_rows",
     "unit",
 ]
 
@@ -56,14 +55,16 @@ SENSOR_CHANNELS = (
     "us_inertial_x", "us_inertial_y", "us_inertial_z",
     "gyro_x", "gyro_y", "gyro_z",
 )
-# blocks of the sensor row: magnetometer, sun sensor, both inertial references, gyro
-MAG_BODY, SUN_BODY, REFERENCES, GYRO = slice(0, 3), slice(3, 6), slice(6, 12), slice(12, 15)
 
 
 def unit(v) -> np.ndarray:
-    """Normalize a 1-D vector to a unit vector; rejects a zero or non-finite one."""
+    """Normalize a 1-D vector to a unit vector; rejects a zero or non-finite
+    one.  Its norm is sqrt(v . v), as np.linalg.norm computes it."""
     v = np.asarray(v, dtype=float)
-    return v / reference_norm(v)
+    mag = math.sqrt(v.dot(v))
+    if mag == 0.0 or not math.isfinite(mag):
+        raise ValueError(f"vector of zero or non-finite magnitude {mag}")
+    return v / mag
 
 
 class CalendarInstant(NamedTuple):
@@ -198,17 +199,6 @@ class TiltedDipoleField:
         return scale * (3.0 * float(m_hat @ r_hat) * r_hat - m_hat) * -1.0
 
 
-def reference_norm(v) -> float:
-    """Magnitude of a 1-D vector, such as a constant inertial reference, which
-    scales its sensor's noise; rejects a zero or non-finite vector.  It is
-    sqrt(v . v), as np.linalg.norm computes it, at a third of its cost."""
-    v = np.asarray(v, dtype=float)
-    mag = math.sqrt(v.dot(v))
-    if mag == 0.0 or not math.isfinite(mag):
-        raise ValueError(f"vector of zero or non-finite magnitude {mag}")
-    return mag
-
-
 POSITION = GeoPosition(0.0, 0.0, 500.0)
 EPOCH = CalendarInstant(2020, 3, 21, 12, 0, 0.0)
 B_INERTIAL = TiltedDipoleField().field(POSITION)            # nT
@@ -216,24 +206,34 @@ SUN_INERTIAL = sun_direction_inertial(julian_date(EPOCH))
 B_INERTIAL.flags.writeable = SUN_INERTIAL.flags.writeable = False    # every run reads them
 
 
-def sensor_noise(noise: NoiseSpec, b_inertial: np.ndarray, u_s_inertial: np.ndarray,
-                 n: int, rng: np.random.Generator) -> list:
-    """A run's additive noise for n steps: the magnetometer's and the sun
-    sensor's (each scaled by the magnitude of its inertial reference) and the
-    gyro's, each n rows of three Python floats, or n Nones for a zero-sigma
-    sensor.  One standard-normal block holds what per-step draws would give."""
+# what the readings read of the references: their components in floats,
+# the magnitudes that scale the direction sensors' noise, the row's block
+_B, _SUN = B_INERTIAL.tolist(), SUN_INERTIAL.tolist()
+_B_NORM, _SUN_NORM = (math.sqrt(v.dot(v)) for v in (B_INERTIAL, SUN_INERTIAL))
+_REFERENCES = (*unit(B_INERTIAL).tolist(), *_SUN)
+
+
+def sensor_noise(noise: NoiseSpec, seed: int, n: int) -> list:
+    """The additive noise of the first n samples of a run of seed: per sample,
+    the magnetometer's and the sun sensor's (each scaled by the magnitude of
+    its inertial reference) and the gyro's, three Python floats each, or None
+    for a zero-sigma sensor.  One standard-normal block holds what per-step
+    draws would give, so a run's first n samples draw the same for any length."""
+    # for a seed >= 0, the stream of earlier versions, which gave the noise
+    # a second seed equal to the run's; abs() lets a negative seed run too
+    rng = np.random.default_rng([seed & 0x7FFFFFFF, abs(seed)])
     drawn = [sigma > 0.0 for sigma in (noise.sigma_mag, noise.sigma_sun, noise.sigma_gyro)]
-    scales = (noise.sigma_mag * reference_norm(b_inertial),
-              noise.sigma_sun * reference_norm(u_s_inertial), noise.sigma_gyro)
+    scales = (noise.sigma_mag * _B_NORM, noise.sigma_sun * _SUN_NORM, noise.sigma_gyro)
     blocks = iter(rng.standard_normal((n, sum(drawn), 3)).transpose(1, 0, 2))
-    return [(next(blocks) * s).tolist() if d else (None,) * n for d, s in zip(drawn, scales)]
+    return list(zip(*[(next(blocks) * s).tolist() if d else (None,) * n
+                      for d, s in zip(drawn, scales)]))
 
 
-def _body_direction(ref: np.ndarray, q, noise: list | None) -> tuple[float, float, float]:
+def _body_direction(ref, q, noise: list | None) -> tuple[float, float, float]:
     """ref at the attitude q plus noise (None: zero) as a body-frame unit vector: in floats,
     x = c00*r0 + c01*r1 + c02*r2 + n0 (c: quat_to_dcm's) over sqrt(x*x + y*y + z*z)."""
     q1, q2, q3, q4 = q
-    r0, r1, r2 = ref.tolist()
+    r0, r1, r2 = ref
     n0, n1, n2 = (0.0, 0.0, 0.0) if noise is None else noise
     x = ((1.0 - 2.0 * (q2 * q2 + q3 * q3)) * r0 + 2.0 * (q1 * q2 + q3 * q4) * r1
          + 2.0 * (q1 * q3 - q2 * q4) * r2 + n0)
@@ -247,16 +247,32 @@ def _body_direction(ref: np.ndarray, q, noise: list | None) -> tuple[float, floa
     return x / mag, y / mag, z / mag
 
 
-def magnetometer_reading(b_inertial: np.ndarray, q, noise: list | None) -> tuple:
-    """Unit magnetic-field direction in the body frame at the attitude q."""
-    return _body_direction(b_inertial, q, noise)
+def magnetometer_reading(q, noise: list | None) -> tuple:
+    """Unit magnetic-field direction (B_INERTIAL's) in the body frame at the attitude q."""
+    return _body_direction(_B, q, noise)
 
 
-def sun_sensor_reading(u_s_inertial: np.ndarray, q, noise: list | None) -> tuple:
-    """Unit sun direction in the body frame at the attitude q."""
-    return _body_direction(u_s_inertial, q, noise)
+def sun_sensor_reading(q, noise: list | None) -> tuple:
+    """Unit sun direction (SUN_INERTIAL) in the body frame at the attitude q."""
+    return _body_direction(_SUN, q, noise)
 
 
 def gyro_reading(w: AngularVelocity, noise: list | None) -> AngularVelocity:
     """Rate-gyro measurement: true rate plus the step's noise (None: noiseless)."""
     return w if noise is None else AngularVelocity(*map(operator.add, w, noise))
+
+
+def sensor_row(q, w, noise) -> tuple:
+    """One sample in SENSOR_CHANNELS order, [C b, C s, b/|b|, s, w] with each
+    reading's noise, at the attitude q and rate w; noise is the sample's
+    entry of sensor_noise."""
+    mag, sun, gyro = noise
+    return (*magnetometer_reading(q, mag), *sun_sensor_reading(q, sun), *_REFERENCES,
+            *gyro_reading(w, gyro))
+
+
+def sensor_rows(q: np.ndarray, w: np.ndarray, noise: NoiseSpec, seed: int) -> np.ndarray:
+    """The (N, 15) rows that a run of seed reads at its first N recorded
+    attitudes q and rates w, (N, 4) and (N, 3): sensor_row's, bit for bit."""
+    return np.array([sensor_row(*sample) for sample
+                     in zip(q.tolist(), w.tolist(), sensor_noise(noise, seed, len(q)))])

@@ -93,11 +93,12 @@ class TestTunePid:
 
 
 class TestGenDataAndTrain:
-    def test_gen_data_rerun_byte_identical(self, workdir, tmp_path):
+    @pytest.mark.parametrize("role", ["controller", "estimator", "integrated"])
+    def test_gen_data_rerun_byte_identical(self, workdir, tmp_path, role):
         d1, d2 = tmp_path / "d1.csv", tmp_path / "d2.csv"
         for out in (d1, d2):
             assert main(["gen-data", "--config", cfg_path(workdir),
-                         "--role", "controller", "--runs", "2",
+                         "--role", role, "--runs", "2",
                          "--out", str(out)]) == 0
         assert d1.read_bytes() == d2.read_bytes()
 

@@ -18,10 +18,21 @@ from satgnc.harness import (CSV_COLUMNS, MissingBundleError, Metrics, RunRecord,
 from satgnc.pid import PidGains, default_initial_gains
 from satgnc.roles import (ROLES, STATE_CHANNELS, RoleBundle, _random_conditions,
                           generate_controller_data, generate_sensor_data)
-from satgnc.sensors import GYRO, NoiseSpec
+from satgnc.sensors import SENSOR_CHANNELS, NoiseSpec, sensor_rows
 
 GAINS = PidGains(kp=(-3.0, -5.2, -6.0), kd=(-3.0, -5.2, -6.0),
                  kq=(-0.01, -0.01, -0.01), kw=(-0.01, -0.01, -0.01))
+GYRO = slice(SENSOR_CHANNELS.index("gyro_x"), SENSOR_CHANNELS.index("gyro_z") + 1)
+
+
+def spy_sensor_rows(monkeypatch) -> list:
+    """The sensor rows the loop's sensor roles read, appended as they are read."""
+    read = []
+    for name in ("anfis_estimate", "anfis_integrated"):
+        real = getattr(harness, name)
+        monkeypatch.setattr(harness, name,
+                            lambda bundle, row, real=real: read.append(row) or real(bundle, row))
+    return read
 
 
 def synthetic_record(t, euler_err, desired=(0.0, 0.0, 0.0), applied=None, dt=None):
@@ -57,13 +68,11 @@ class TestRunClosedLoop:
         # the gyro noise is the standard-normal block of the [seed, seed]
         # stream: what a noise seed equal to the run's seed drew
         cfg = SimConfig(duration=1.0, seed=7, noise=NoiseSpec())
-        rec = run_closed_loop(cfg, gains=GAINS, record_sensors=True)
+        rec = run_closed_loop(cfg, gains=GAINS)
+        rows = sensor_rows(rec.q, rec.w, cfg.noise, cfg.seed)
         block = np.random.default_rng([7, 7]).standard_normal((len(rec), 3, 3))
-        np.testing.assert_allclose(rec.sensor[:, GYRO] - rec.w, 1e-4 * block[:, 2],
+        np.testing.assert_allclose(rows[:, GYRO] - rec.w, 1e-4 * block[:, 2],
                                    rtol=0.0, atol=1e-15)
-        # no seed raises: a negative one, or one above 2**31
-        for seed in (-1, 2 ** 40):
-            run_closed_loop(replace(cfg, seed=seed), gains=GAINS, record_sensors=True)
 
     def test_deterministic_records(self):
         a = run_closed_loop(SimConfig(seed=4), gains=GAINS)
@@ -301,18 +310,24 @@ class TestMonteCarlo:
                           bundles={role: bundle})
         assert rep.n_failed == 3 and np.isnan(rep.errors).all()
 
-    def test_float_and_float64_initial_conditions_fly_alike(self):
+    def test_float_and_float64_initial_conditions_fly_alike(self, monkeypatch, bundles):
         # the draws are Python floats; the same values as numpy scalars give
-        # the same record, sensors included
-        cfg = _mc_run_config(MonteCarloConfig(base=SimConfig(duration=2.0), master_seed=5), 0)
-        assert all(type(v) is float for v in (*cfg.initial_euler, *cfg.initial_omega))
-        as64 = replace(cfg, initial_euler=EulerAngles(*np.array(cfg.initial_euler)),
-                       initial_omega=AngularVelocity(*np.array(cfg.initial_omega)))
-        assert type(as64.initial_omega.w1) is np.float64
-        a = run_closed_loop(cfg, GAINS, record_sensors=True)
-        b = run_closed_loop(as64, GAINS, record_sensors=True)
-        np.testing.assert_array_equal(a.data, b.data)
-        np.testing.assert_array_equal(a.sensor, b.sensor)
+        # the same record, and the same sensor rows in a loop that reads them
+        read = spy_sensor_rows(monkeypatch)
+        for controller in ("pid", "integrated"):
+            base = SimConfig(duration=2.0, controller=controller)
+            cfg = _mc_run_config(MonteCarloConfig(base=base, master_seed=5), 0)
+            assert all(type(v) is float for v in (*cfg.initial_euler, *cfg.initial_omega))
+            as64 = replace(cfg, initial_euler=EulerAngles(*np.array(cfg.initial_euler)),
+                           initial_omega=AngularVelocity(*np.array(cfg.initial_omega)))
+            assert type(as64.initial_omega.w1) is np.float64
+            read.clear()
+            a = run_closed_loop(cfg, GAINS, bundles)
+            n_read = len(read)
+            b = run_closed_loop(as64, GAINS, bundles)
+            np.testing.assert_array_equal(a.data, b.data)
+            assert n_read == (len(a) if controller == "integrated" else 0)
+            np.testing.assert_array_equal(read[:n_read], read[n_read:])
 
     def test_sampled_plants_are_realizable(self):
         def triangle(i):
@@ -389,6 +404,23 @@ class TestRecordFreeRuns:
             record = run_closed_loop(_mc_run_config(mc, k), tuned["gains"], bundles)
             assert got.tobytes() == final_euler_error(record).tobytes()
 
+    @pytest.mark.parametrize("loop", [
+        {"controller": "integrated"},
+        {"controller": "anfis", "estimator": "anfis", "modulator": "pwpf"}])
+    def test_loop_rows_equal_after_run_rows(self, monkeypatch, tuned, bundles, loop):
+        # the rows a sensor role reads in the loop are, bit for bit, those
+        # derived after the run from its record and seed, as the teacher data
+        # derives them; the teacher data reads all but the last sample's
+        read = spy_sensor_rows(monkeypatch)
+        for seed in (7, -1, 2 ** 40):       # no seed raises
+            read.clear()
+            cfg = SimConfig(duration=2.0, seed=seed, noise=NoiseSpec(), **loop)
+            rec = run_closed_loop(cfg, tuned["gains"], bundles)
+            derived = sensor_rows(rec.q, rec.w, cfg.noise, cfg.seed)
+            assert np.array(read).tobytes() == derived.tobytes()
+            teacher = sensor_rows(rec.q[:-1], rec.w[:-1], cfg.noise, cfg.seed)
+            assert teacher.tobytes() == derived[:-1].tobytes()
+
     def test_failed_campaign_run_is_none(self):
         spec = ROLES["integrated"]
         model = anfis.grid_partition_init(np.tile([-1.5, 1.5], (len(spec.inputs), 1)), 2)
@@ -427,11 +459,10 @@ def test_every_pipeline_flies_the_nominal_plant(monkeypatch):
     # campaign draws its plants around it
     flown = []
 
-    def spy(cfg, gains=None, bundles=None, record_sensors=False, log=True):
+    def spy(cfg, gains=None, bundles=None, log=True):
         flown.append(cfg)
         # the evaluation's neuro-fuzzy runs fly as PID runs: no bundle needed
-        return real(replace(cfg, controller="pid", estimator="truth"), GAINS,
-                    record_sensors=record_sensors, log=log)
+        return real(replace(cfg, controller="pid", estimator="truth"), GAINS, log=log)
 
     real = harness.run_closed_loop
     monkeypatch.setattr(harness, "run_closed_loop", spy)

@@ -11,8 +11,8 @@ from satgnc.harness import run_closed_loop
 from satgnc.pid import PidGains
 from satgnc.sensors import (B_INERTIAL, EPOCH, POSITION, SENSOR_CHANNELS, SUN_INERTIAL,
                             CalendarInstant, GeoPosition, NoiseSpec, TiltedDipoleField,
-                            gyro_reading, julian_date, magnetometer_reading,
-                            reference_norm, sensor_noise, solar_angles,
+                            _body_direction, gyro_reading, julian_date, magnetometer_reading,
+                            sensor_noise, sensor_rows, solar_angles,
                             sun_direction_inertial, sun_sensor_reading, unit)
 
 IDENTITY = Quaternion.identity()
@@ -112,10 +112,8 @@ class TestDipoleField:
 class TestDirectionalSensors:
     def test_noiseless_is_rotated_reference(self):
         q = Quaternion.from_axis_angle([0.3, -0.5, 0.8], 0.9)
-        b_inertial = np.array([10000.0, -20000.0, 5000.0])
-        got = magnetometer_reading(b_inertial, q, None)
-        want = unit(quat_to_dcm(q) @ b_inertial)
-        np.testing.assert_allclose(got, want, atol=1e-15)
+        for read, ref in ((magnetometer_reading, B_INERTIAL), (sun_sensor_reading, SUN_INERTIAL)):
+            np.testing.assert_allclose(read(q, None), unit(quat_to_dcm(q) @ ref), atol=1e-15)
 
     def test_float_reading_equals_batched_form(self):
         # a reading in Python floats equals the elementwise numpy form over
@@ -124,7 +122,7 @@ class TestDirectionalSensors:
         rng = np.random.default_rng(12)
         q = rng.normal(size=(2000, 4))
         q /= np.linalg.norm(q, axis=1, keepdims=True)
-        mag_noise, sun_noise, _ = sensor_noise(NoiseSpec(), B_INERTIAL, SUN_INERTIAL, 2000, rng)
+        mag_noise, sun_noise, _ = zip(*sensor_noise(NoiseSpec(), 12, 2000))
         q1, q2, q3, q4 = q.T
         for read, ref, noise in ((magnetometer_reading, B_INERTIAL, mag_noise),
                                  (sun_sensor_reading, SUN_INERTIAL, sun_noise)):
@@ -137,52 +135,54 @@ class TestDirectionalSensors:
             z = (2.0 * (q1 * q3 + q2 * q4) * r0 + 2.0 * (q2 * q3 - q1 * q4) * r1
                  + (1.0 - 2.0 * (q1 * q1 + q2 * q2)) * r2) + noise[:, 2]
             batched = np.column_stack([x, y, z]) / np.sqrt(x * x + y * y + z * z)[:, None]
-            got = np.array([read(ref, qk, nk) for qk, nk in zip(q.tolist(), rows)])
+            got = np.array([read(qk, nk) for qk, nk in zip(q.tolist(), rows)])
             np.testing.assert_array_equal(got, batched)
             dcm_form = [unit(quat_to_dcm(qk) @ ref + nk) for qk, nk in zip(q, noise)]
             np.testing.assert_allclose(got, dcm_form, rtol=0.0, atol=1e-15)
 
     def test_zero_or_non_finite_direction_rejected(self):
-        for ref, q in (([0.0, 0.0, 0.0], IDENTITY), ([1.0, 0.0, 0.0], (math.nan, 0.0, 0.0, 1.0)),
-                       ([math.inf, 0.0, 0.0], IDENTITY)):
+        # a reading whose noise cancels the reference, a non-finite attitude
+        # and a non-finite noise row
+        cancel = (-SUN_INERTIAL).tolist()
+        for q, noise in ((IDENTITY, cancel), ((math.nan, 0.0, 0.0, 1.0), None),
+                         (IDENTITY, [math.inf, 0.0, 0.0])):
             with pytest.raises(ValueError, match="zero or non-finite"):
-                sun_sensor_reading(np.array(ref), q, None)
+                sun_sensor_reading(q, noise)
 
     def test_reading_always_unit(self):
-        ref = np.array([1.0, 0.0, 0.0])
-        noise = sensor_noise(NoiseSpec(0.05, 0.05, 0.0), ref, ref, 50,
-                             np.random.default_rng(1))[1]
-        for row in noise:
-            u = sun_sensor_reading(ref, IDENTITY, row)
-            assert np.linalg.norm(u) == pytest.approx(1.0)
+        for mag, sun, _ in sensor_noise(NoiseSpec(0.05, 0.05, 0.0), 1, 50):
+            for u in (magnetometer_reading(IDENTITY, mag), sun_sensor_reading(IDENTITY, sun)):
+                assert np.linalg.norm(u) == pytest.approx(1.0)
 
     def test_noise_scales_with_field_magnitude(self):
-        # the same sigma produces the same angular scatter regardless of units
-        spec = NoiseSpec(sigma_mag=0.01)
-        small, large = np.array([1.0, 0.0, 0.0]), np.array([30000.0, 0.0, 0.0])
-        na = sensor_noise(spec, small, small, 1, np.random.default_rng(2))[0]
-        nb = sensor_noise(spec, large, small, 1, np.random.default_rng(2))[0]
-        a = magnetometer_reading(small, IDENTITY, na[0])
-        b = magnetometer_reading(large, IDENTITY, nb[0])
-        np.testing.assert_allclose(a, b, atol=1e-14)
+        # the same sigma produces the same angular scatter regardless of units:
+        # from the same draws, the magnetometer's noise (in nT) is the sun
+        # sensor's scaled by |B| / |s|, so on unit vectors both read alike
+        sigma = 0.01
+        (mag, _, _), = sensor_noise(NoiseSpec(sigma, 0.0, 0.0), 2, 1)
+        (_, sun, _), = sensor_noise(NoiseSpec(0.0, sigma, 0.0), 2, 1)
+        b_norm, s_norm = np.linalg.norm(B_INERTIAL), np.linalg.norm(SUN_INERTIAL)
+        np.testing.assert_allclose(np.divide(mag, b_norm), np.divide(sun, s_norm), rtol=1e-15)
+        np.testing.assert_allclose(magnetometer_reading(IDENTITY, mag),
+                                   unit(B_INERTIAL / b_norm + np.divide(sun, s_norm)),
+                                   atol=1e-14)
 
     def test_mean_angular_deviation_matches_sigma(self):
         # small-angle: deviation angle ~ Rayleigh from the two transverse
         # noise components; its mean is sigma * sqrt(pi/2)
         sigma = 0.001
-        ref = np.array([1.0, 0.0, 0.0])
-        noise = sensor_noise(NoiseSpec(sigma_sun=sigma), ref, ref, 10000,
-                             np.random.default_rng(3))[1]
+        noise = sensor_noise(NoiseSpec(sigma_sun=sigma), 3, 10000)
         angles = np.empty(len(noise))
-        for k, row in enumerate(noise):
-            u = sun_sensor_reading(ref, IDENTITY, row)
-            angles[k] = math.acos(min(1.0, float(u @ ref)))
+        for k, (_, row, _) in enumerate(noise):
+            u = sun_sensor_reading(IDENTITY, row)
+            angles[k] = math.acos(min(1.0, float(u @ SUN_INERTIAL)))
         predicted = sigma * math.sqrt(math.pi / 2.0)
         assert np.mean(angles) == pytest.approx(predicted, rel=0.10)
 
     def test_zero_reference_rejected(self):
-        with pytest.raises(ValueError, match="zero"):
-            reference_norm(np.zeros(3))
+        for ref in ([0.0, 0.0, 0.0], [math.inf, 0.0, 0.0]):
+            with pytest.raises(ValueError, match="zero or non-finite"):
+                _body_direction(ref, IDENTITY, None)
 
 
 class TestUnit:
@@ -200,32 +200,28 @@ class TestUnit:
 
 class TestNoiseBlock:
     def test_block_equals_per_step_draws(self):
-        # one block holds the numbers per-step draws in the step's order
-        # (magnetometer, sun sensor, gyro) would give; a zero-sigma sensor
-        # draws nothing
+        # one block holds the numbers per-step draws from the run's [seed,
+        # seed] stream in the step's order (magnetometer, sun sensor, gyro)
+        # would give, each scaled by its reference's magnitude; a zero-sigma
+        # sensor draws nothing
+        scales = (np.linalg.norm(B_INERTIAL), np.linalg.norm(SUN_INERTIAL), 1.0)
         for spec in (NoiseSpec(0.001, 0.002, 1e-4), NoiseSpec(0.001, 0.0, 1e-4),
                      NoiseSpec(0.0, 0.002, 0.0)):
-            b = np.array([10000.0, -20000.0, 5000.0])
-            # an ephemeris direction whose norm is 1 - 1 ulp, so the scale matters
-            s = sun_direction_inertial(julian_date(CalendarInstant(2020, 1, 1)))
             n = 40
-            mag, sun, gyro = sensor_noise(spec, b, s, n, np.random.default_rng(4))
-            rng = np.random.default_rng(4)
+            noise = sensor_noise(spec, 4, n)
+            assert len(noise) == n
+            rng = np.random.default_rng([4, 4])
             for k in range(n):
-                for got, sigma, scale in ((mag, spec.sigma_mag, reference_norm(b)),
-                                          (sun, spec.sigma_sun, reference_norm(s)),
-                                          (gyro, spec.sigma_gyro, 1.0)):
+                for got, sigma, scale in zip(noise[k], (spec.sigma_mag, spec.sigma_sun,
+                                                        spec.sigma_gyro), scales):
                     if sigma > 0.0:
                         np.testing.assert_array_equal(
-                            got[k], rng.normal(0.0, sigma * scale, size=3))
+                            got, rng.normal(0.0, sigma * scale, size=3))
                     else:
-                        assert got[k] is None
+                        assert got is None
 
     def test_noiseless_draws_nothing(self):
-        rng = np.random.default_rng(5)
-        ref = np.array([1.0, 0.0, 0.0])
-        assert sensor_noise(NoiseSpec(0.0, 0.0, 0.0), ref, ref, 3, rng) == [(None,) * 3] * 3
-        assert rng.standard_normal() == np.random.default_rng(5).standard_normal()
+        assert sensor_noise(NoiseSpec(0.0, 0.0, 0.0), 5, 3) == [(None,) * 3] * 3
 
 
 class TestGyro:
@@ -242,22 +238,21 @@ class TestGyro:
         np.testing.assert_array_equal(got, np.asarray(w) + noise)
 
     def test_noise_statistics(self):
-        ref = np.array([1.0, 0.0, 0.0])
-        noise = sensor_noise(NoiseSpec(sigma_gyro=1e-3), ref, ref, 10000,
-                             np.random.default_rng(6))[2]
         w = AngularVelocity.zero()
-        samples = np.array([gyro_reading(w, row) for row in noise])
+        samples = np.array([gyro_reading(w, row)
+                            for _, _, row in sensor_noise(NoiseSpec(sigma_gyro=1e-3), 6, 10000)])
         assert np.std(samples) == pytest.approx(1e-3, rel=0.05)
 
 
 class TestReadingVector:
     def test_layout(self):
-        # a noise-free run records [C b, C s, b/|b|, s, w] per step, in the
-        # order SENSOR_CHANNELS names them; the direction readings rotate in
-        # Python floats, so C b and C s match the DCM form within 1e-15
+        # a noise-free trajectory reads [C b, C s, b/|b|, s, w] per step, in
+        # the order SENSOR_CHANNELS names them; the direction readings rotate
+        # in Python floats, so C b and C s match the DCM form within 1e-15
         gains = PidGains(kp=(-3.0, -5.2, -6.0), kd=(-3.0, -5.2, -6.0))
         cfg = SimConfig(duration=1.0, noise=NoiseSpec(0.0, 0.0, 0.0))
-        rec = run_closed_loop(cfg, gains=gains, record_sensors=True)
+        rec = run_closed_loop(cfg, gains=gains)
+        rows = sensor_rows(rec.q, rec.w, cfg.noise, cfg.seed)
         b = TiltedDipoleField().field(POSITION)
         s = sun_direction_inertial(julian_date(EPOCH))
         np.testing.assert_array_equal(B_INERTIAL, b)
@@ -265,19 +260,20 @@ class TestReadingVector:
         col = {name: i for i, name in enumerate(SENSOR_CHANNELS)}
 
         def block(prefix):
-            return rec.sensor[:, [col[prefix + axis] for axis in ("x", "y", "z")]]
+            return rows[:, [col[prefix + axis] for axis in ("x", "y", "z")]]
 
         dcms = [quat_to_dcm(q) for q in rec.q]
-        np.testing.assert_array_equal(block("ub_body_"), [magnetometer_reading(b, q, None)
+        np.testing.assert_array_equal(block("ub_body_"), [magnetometer_reading(q, None)
                                                           for q in rec.q.tolist()])
-        np.testing.assert_array_equal(block("us_body_"), [sun_sensor_reading(s, q, None)
+        np.testing.assert_array_equal(block("us_body_"), [sun_sensor_reading(q, None)
                                                           for q in rec.q.tolist()])
         np.testing.assert_allclose(block("ub_body_"), [unit(c @ b) for c in dcms], atol=1e-15)
         np.testing.assert_allclose(block("us_body_"), [unit(c @ s) for c in dcms], atol=1e-15)
         np.testing.assert_array_equal(block("ub_inertial_"), np.tile(unit(b), (len(rec), 1)))
         np.testing.assert_array_equal(block("us_inertial_"), np.tile(s, (len(rec), 1)))
         np.testing.assert_array_equal(block("gyro_"), rec.w)
-        assert len(SENSOR_CHANNELS) == rec.sensor.shape[1] == 15
+        assert len(SENSOR_CHANNELS) == rows.shape[1] == 15
+        assert len(rows) == len(rec)
 
 
 class TestNoiseSpecValidation:
