@@ -50,6 +50,7 @@ FIRING_FLOOR = 1e-300
 FIRING_BLOCK = 64          # samples per gathered block of rule memberships
 MIN_WIDTH = 1e-9
 MIN_SLOPE = 0.1
+DECAY = 0.5                # learning-rate factor when an epoch's RMSE worsens
 
 
 class TrainingDivergedError(RuntimeError):
@@ -130,7 +131,6 @@ class AnfisModel:
 class TrainConfig:
     epochs: int = 20
     learning_rate: float = 0.01
-    decay: float = 0.5          # step-decay factor applied when epoch RMSE worsens
     ridge: float = 1e-8
     linear_prior: bool = True   # shrink consequents toward the global linear fit
 
@@ -360,7 +360,7 @@ def train(model: AnfisModel, x, y,
             best_rmse = rmse
             best_model = current.copy()
         if rmse > prev_rmse:
-            lr *= config.decay
+            lr *= DECAY
         prev_rmse = rmse
         if lr > 0.0 and epoch < config.epochs - 1:
             ga, gb, gc = premise_gradient(current, x, y)

@@ -25,6 +25,13 @@ class CliError(RuntimeError):
     pass
 
 
+def _count(text: str) -> int:
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {n}")
+    return n
+
+
 def _load_config(args):
     path = Path(args.config)
     if not path.exists():
@@ -38,10 +45,7 @@ def _load_config(args):
 def _load_run_gains(cfg):
     if not cfg.gains_file:
         raise CliError("config has no gains_file; run tune-pid first")
-    path = Path(cfg.gains_file)
-    if not path.exists():
-        raise CliError(f"gains file not found: {path}")
-    return load_gains(path)
+    return load_gains(cfg.gains_file)       # FileNotFoundError naming it if missing
 
 
 def _load_bundles(cfg, needed):
@@ -86,8 +90,7 @@ def cmd_tune_pid(args) -> int:
 def cmd_gen_data(args) -> int:
     cfg = _load_config(args)
     gains = _load_run_gains(cfg)
-    spec = roles.ROLES[args.role]
-    n_runs = args.runs or spec.runs
+    n_runs = args.runs or roles.ROLES[args.role].runs
     generate = (roles.generate_sensor_data if args.role in roles.SENSOR_ROLES
                 else roles.generate_controller_data)
     ds = roles.role_view(generate(gains, n_runs, cfg), args.role)
@@ -121,8 +124,7 @@ def cmd_evaluate(args) -> int:
     table = format_evaluation(rows)
     print(table)
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(table + "\n")
+        Path(args.out).write_text(table + "\n")
     return 0
 
 
@@ -166,7 +168,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("gen-data", help="generate a training dataset")
     common(sp)
     sp.add_argument("--role", required=True, choices=tuple(roles.ROLES))
-    sp.add_argument("--runs", type=int, default=None,
+    sp.add_argument("--runs", type=_count, default=None,
                     help="number of teacher runs (default: the role's own)")
     sp.set_defaults(func=cmd_gen_data)
 
@@ -182,8 +184,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("monte-carlo", help="robustness campaign")
     common(sp)
-    sp.add_argument("--runs", type=int, default=200)
-    sp.add_argument("--workers", type=int, default=1, help="worker processes")
+    sp.add_argument("--runs", type=_count, default=200)
+    sp.add_argument("--workers", type=_count, default=1, help="worker processes")
     sp.set_defaults(func=cmd_monte_carlo)
     return p
 
@@ -193,7 +195,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (FileNotFoundError, ValueError, RuntimeError) as exc:
+    except (OSError, ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -80,9 +80,6 @@ class Quaternion(NamedTuple):
     def conjugate(self) -> "Quaternion":
         return Quaternion(-self.q1, -self.q2, -self.q3, self.q4)
 
-    def vector(self) -> tuple[float, float, float]:
-        return (self.q1, self.q2, self.q3)
-
 
 class AngularVelocity(NamedTuple):
     """Body-frame angular velocity, rad/s."""

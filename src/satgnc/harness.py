@@ -8,12 +8,12 @@ modulation, and RK4 plant propagation with the true inertia.  A logged run's
 metrics derive from its record, sampled on a uniform time grid: one
 (samples, 27) matrix in CSV_COLUMNS order, whose time and Euler columns are
 filled over the whole run and the rest one row per step; its named fields
-(t, q, w, qe, ...) are column views.  Tuning and campaigns keep a RunSummary.
+(t, q, w, qe, ...) are column views.  A record is written out (to_csv) and
+never read back.  Tuning and campaigns keep a RunSummary.
 """
 
 from __future__ import annotations
 
-import csv
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
@@ -23,7 +23,7 @@ import numpy as np
 
 from . import pwpf as pwpf_mod
 from .config import (NOMINAL_INERTIA, UNCERTAIN_INERTIA, MonteCarloConfig, SimConfig,
-                     dump_sim_config, parse_sim_config)
+                     dump_sim_config)
 from .dynamics import (BodyState, InertiaTensor, IntegrationDivergedError, Torque,
                        euler_to_quat, integrate_step, quat_multiply, quat_to_euler)
 from .pid import PidGains, PidState, pid_step, trajectory_cost
@@ -92,35 +92,19 @@ class RunRecord:
     applied = _columns("applied1", "applied3")
     euler = _columns("phi", "psi")
     est_q = _columns("est_q1", "est_q4")
-    est_w = _columns("est_w1", "est_w3")
 
     def __len__(self) -> int:
         return len(self.data)
 
-    @property
-    def cost_j(self) -> float:
-        return trajectory_cost(self.qe, self.w, self.config.dt)
-
     def to_csv(self, path) -> None:
         write_csv(path, CSV_COLUMNS, self.data.tolist(), _config_echo(self.config))
-
-    @staticmethod
-    def from_csv(path) -> "RunRecord":
-        with open(path, newline="") as fh:
-            lines = fh.readlines()
-        n_head = next((i for i, line in enumerate(lines) if not line.startswith("# ")),
-                      len(lines))
-        if tuple(next(csv.reader(lines[n_head:n_head + 1]), ())) != CSV_COLUMNS:
-            raise ValueError(f"unexpected run record columns in {path}")
-        cfg = parse_sim_config("".join(line[2:] for line in lines[:n_head]), str(path))
-        return RunRecord(np.loadtxt(lines[n_head + 1:], delimiter=",", ndmin=2), cfg)
 
 
 @dataclass(frozen=True)
 class RunSummary:
     """What tuning and a campaign read of a run (run_closed_loop's log=False)."""
     config: SimConfig
-    cost_j: float           # summed in step order, as a record's
+    cost_j: float           # summed in step order, as trajectory_cost sums a record
     euler: np.ndarray       # the last sample's, (1, 3)
 
     def __len__(self) -> int:           # the samples flown, as a record's
@@ -274,8 +258,8 @@ class Metrics:
 
 def compute_metrics(record: RunRecord) -> Metrics:
     fuel_axis, fuel_total = fuel_consumption(record)
-    return Metrics(fuel_axis, fuel_total, settling_time(record),
-                   final_euler_error(record), record.cost_j)
+    return Metrics(fuel_axis, fuel_total, settling_time(record), final_euler_error(record),
+                   trajectory_cost(record.qe, record.w, record.config.dt))
 
 
 def tuning_objective(base: SimConfig):

@@ -155,7 +155,12 @@ class RoleDataset:
         """A role's dataset: the role's outputs last, every channel it reads before."""
         spec = ROLES[role]
         with open(path, newline="") as fh:
-            names = tuple(next(csv.reader(fh))[1:])
+            reader = csv.reader(fh)
+            header, first = next(reader, None), next(reader, None)
+        if first is None:
+            raise ValueError(f"{path}, the {role} role's dataset: "
+                             f"no {'header' if header is None else 'data'} row")
+        names = tuple(header[1:])
         n_inputs = len(names) - len(spec.outputs)
         if names[n_inputs:] != spec.outputs or not set(spec.inputs) <= set(names[:n_inputs]):
             raise ValueError(f"{path}, the {role} role's dataset: expected channels "
@@ -258,13 +263,15 @@ def generate_controller_data(gains: PidGains, n_runs: int = ROLES["controller"].
     clamp is re-applied at inference (anfis_control), so learning the
     smooth pre-clamp map avoids wasting model capacity on the flat
     saturated regions.  Runs noise-free closed loops of the nominal plant
-    from randomized initial conditions; of base it reads only dt, duration
-    and the seed of the draws.
+    from randomized initial conditions to base's commanded attitude, the
+    manoeuvre the gains were tuned for; of base it reads only that, dt,
+    duration and the seed of the draws.
     """
     def draw(rng):
         euler, omega = _random_conditions(rng)
         return SimConfig(dt=base.dt, duration=base.duration, seed=base.seed,
-                         initial_euler=euler, initial_omega=omega)
+                         desired_euler=base.desired_euler, initial_euler=euler,
+                         initial_omega=omega)
 
     # the record's last sample has no step after it, so it is not a training row
     inputs, targets, run_ids = _teacher_runs(

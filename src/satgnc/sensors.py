@@ -8,9 +8,10 @@ it (sensor_rows).  A run's sensor noise is drawn once from the run's seed
 (sensor_noise), and each reading takes its step's share of it; the
 direction sensors also take the step's attitude.
 
-The geomagnetic field is a tilted centered dipole (TiltedDipoleField), the
-one field model the closed loop uses.  The sun ephemeris is the low-precision Vallado algorithm
-(Julian date -> mean longitude -> ecliptic longitude -> unit vector).
+The geomagnetic field is a tilted centered dipole (dipole_field), the one
+field model the closed loop uses.  The sun ephemeris is the low-precision
+Vallado algorithm (Julian date -> mean longitude -> ecliptic longitude ->
+unit vector).
 Every run flies at one position and epoch (POSITION, EPOCH), whose inertial
 references B_INERTIAL and SUN_INERTIAL are computed once, at import.
 """
@@ -32,7 +33,7 @@ __all__ = [
     "NoiseSpec",
     "SENSOR_CHANNELS",
     "POSITION", "EPOCH", "B_INERTIAL", "SUN_INERTIAL",
-    "TiltedDipoleField",
+    "dipole_field",
     "julian_date",
     "solar_angles",
     "sun_direction_inertial",
@@ -172,36 +173,30 @@ def sun_direction_inertial(jd: float) -> np.ndarray:
     ])
 
 
-@dataclass(frozen=True)
-class TiltedDipoleField:
-    """Centered dipole tilted from the rotation axis toward longitude 0.
+def dipole_field(pos: GeoPosition, tilt_deg: float = 11.5) -> np.ndarray:
+    """Field (nT) at pos of a centered dipole tilted tilt_deg from the
+    rotation axis toward longitude 0.
 
     The equatorial surface field is DIPOLE_B0_NT, the polar surface field
     exactly twice it, and magnitude falls off as (R/r)^3.  Earth rotation
     is ignored: geographic coordinates are read directly as inertial.
     """
-    tilt_deg: float = 11.5
-
-    def _dipole_axis(self) -> np.ndarray:
-        tilt = math.radians(self.tilt_deg)
-        return np.array([math.sin(tilt), 0.0, math.cos(tilt)])
-
-    def field(self, pos: GeoPosition) -> np.ndarray:
-        lat, lon, alt = pos.validated()
-        lat_r = math.radians(lat)
-        lon_r = math.radians(lon)
-        r_hat = np.array([math.cos(lat_r) * math.cos(lon_r),
-                          math.cos(lat_r) * math.sin(lon_r),
-                          math.sin(lat_r)])
-        m_hat = self._dipole_axis()
-        scale = DIPOLE_B0_NT * (EARTH_RADIUS_KM / (EARTH_RADIUS_KM + alt)) ** 3
-        # dipole field, normalized so |B| = DIPOLE_B0_NT at the geomagnetic equator surface
-        return scale * (3.0 * float(m_hat @ r_hat) * r_hat - m_hat) * -1.0
+    lat, lon, alt = pos.validated()
+    lat_r = math.radians(lat)
+    lon_r = math.radians(lon)
+    r_hat = np.array([math.cos(lat_r) * math.cos(lon_r),
+                      math.cos(lat_r) * math.sin(lon_r),
+                      math.sin(lat_r)])
+    tilt = math.radians(tilt_deg)
+    m_hat = np.array([math.sin(tilt), 0.0, math.cos(tilt)])
+    scale = DIPOLE_B0_NT * (EARTH_RADIUS_KM / (EARTH_RADIUS_KM + alt)) ** 3
+    # dipole field, normalized so |B| = DIPOLE_B0_NT at the geomagnetic equator surface
+    return scale * (3.0 * float(m_hat @ r_hat) * r_hat - m_hat) * -1.0
 
 
 POSITION = GeoPosition(0.0, 0.0, 500.0)
 EPOCH = CalendarInstant(2020, 3, 21, 12, 0, 0.0)
-B_INERTIAL = TiltedDipoleField().field(POSITION)            # nT
+B_INERTIAL = dipole_field(POSITION)                        # nT
 SUN_INERTIAL = sun_direction_inertial(julian_date(EPOCH))
 B_INERTIAL.flags.writeable = SUN_INERTIAL.flags.writeable = False    # every run reads them
 

@@ -227,6 +227,12 @@ class TestDiagnostics:
         assert main(["simulate", "--config", str(cfg)]) == 1
         assert "gains" in capsys.readouterr().err
 
+    def test_missing_gains_file_names_path(self, tmp_path, capsys):
+        cfg = tmp_path / "run.ini"
+        cfg.write_text(MINI_CONFIG.format(gains=tmp_path / "absent.ini", bundles=""))
+        assert main(["simulate", "--config", str(cfg)]) == 1
+        assert capsys.readouterr().err == f"error: gains file not found: {tmp_path / 'absent.ini'}\n"
+
     def test_missing_bundle_names_path(self, workdir, tmp_path, capsys):
         cfg = tmp_path / "run.ini"
         text = (workdir / "run.ini").read_text().replace(
@@ -278,6 +284,35 @@ class TestDiagnostics:
         err = capsys.readouterr().err
         assert err.startswith(f"error: malformed model file {model}")
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["gen-data", "--role", "controller", "--runs", "0"], "--runs"),
+        (["gen-data", "--role", "estimator", "--runs", "-3"], "--runs"),
+        (["monte-carlo", "--runs", "0"], "--runs"),
+        (["monte-carlo", "--runs", "2", "--workers", "0"], "--workers"),
+        (["monte-carlo", "--runs", "2", "--workers", "-2"], "--workers")])
+    def test_count_below_one_rejected(self, workdir, capsys, argv, flag):
+        # not the role's default run count, an empty dataset or a serial campaign
+        with pytest.raises(SystemExit) as exc:
+            main([argv[0], "--config", cfg_path(workdir), *argv[1:]])
+        assert exc.value.code != 0
+        assert f"error: argument {flag}: must be at least 1, got " in capsys.readouterr().err
+
+    def test_unwritable_output_fails(self, workdir, tmp_path, capsys):
+        # an --out that names a directory
+        assert main(["simulate", "--config", cfg_path(workdir), "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and str(tmp_path) in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("text, missing", [("", "header"), ("run,qe1\r\n", "data")])
+    def test_empty_dataset_fails(self, workdir, tmp_path, capsys, text, missing):
+        path = tmp_path / "empty.csv"
+        path.write_text(text)
+        assert main(["train", "--config", cfg_path(workdir), "--role", "controller",
+                     "--data", str(path), "--out", str(tmp_path / "bundle")]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {path}, the controller role's dataset: no {missing} row\n")
 
     def test_unknown_subcommand_exits_nonzero(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -10,8 +10,8 @@ from satgnc.dynamics import AngularVelocity, Quaternion, quat_to_dcm
 from satgnc.harness import run_closed_loop
 from satgnc.pid import PidGains
 from satgnc.sensors import (B_INERTIAL, EPOCH, POSITION, SENSOR_CHANNELS, SUN_INERTIAL,
-                            CalendarInstant, GeoPosition, NoiseSpec, TiltedDipoleField,
-                            _body_direction, gyro_reading, julian_date, magnetometer_reading,
+                            CalendarInstant, GeoPosition, NoiseSpec, _body_direction,
+                            dipole_field, gyro_reading, julian_date, magnetometer_reading,
                             sensor_noise, sensor_rows, solar_angles,
                             sun_direction_inertial, sun_sensor_reading, unit)
 
@@ -76,37 +76,41 @@ class TestSunEphemeris:
 
 class TestDipoleField:
     def test_equator_magnitude(self):
-        f = TiltedDipoleField(tilt_deg=0.0)
-        b = f.field(GeoPosition(0.0, 0.0, 0.0))
+        b = dipole_field(GeoPosition(0.0, 0.0, 0.0), tilt_deg=0.0)
         assert np.linalg.norm(b) == pytest.approx(30000.0)
 
     def test_pole_magnitude_doubles(self):
-        f = TiltedDipoleField(tilt_deg=0.0)
-        b = f.field(GeoPosition(90.0, 0.0, 0.0))
+        b = dipole_field(GeoPosition(90.0, 0.0, 0.0), tilt_deg=0.0)
         assert np.linalg.norm(b) == pytest.approx(60000.0)
 
     def test_altitude_falloff_cubed(self):
-        f = TiltedDipoleField(tilt_deg=0.0)
-        b0 = f.field(GeoPosition(0.0, 0.0, 0.0))
+        b0 = dipole_field(GeoPosition(0.0, 0.0, 0.0), tilt_deg=0.0)
         r = 6371.2
-        b1 = f.field(GeoPosition(0.0, 0.0, r))
+        b1 = dipole_field(GeoPosition(0.0, 0.0, r), tilt_deg=0.0)
         assert np.linalg.norm(b1) == pytest.approx(np.linalg.norm(b0) / 8.0)
 
     def test_equator_points_north_untitled(self):
-        f = TiltedDipoleField(tilt_deg=0.0)
-        b = f.field(GeoPosition(0.0, 0.0, 500.0))
+        b = dipole_field(GeoPosition(0.0, 0.0, 500.0), tilt_deg=0.0)
         assert unit(b) == pytest.approx(np.array([0.0, 0.0, 1.0]))
 
     def test_tilt_moves_magnetic_equator(self):
-        tilted = TiltedDipoleField(tilt_deg=11.5)
-        b_geo_eq = tilted.field(GeoPosition(0.0, 0.0, 0.0))
+        b_geo_eq = dipole_field(GeoPosition(0.0, 0.0, 0.0), tilt_deg=11.5)
         # geographic equator is no longer the magnetic equator
         assert abs(np.linalg.norm(b_geo_eq) - 30000.0) > 10.0
 
     def test_position_validated(self):
-        f = TiltedDipoleField()
         with pytest.raises(ValueError):
-            f.field(GeoPosition(95.0, 0.0, 0.0))
+            dipole_field(GeoPosition(95.0, 0.0, 0.0))
+
+
+def test_inertial_references_keep_their_bytes():
+    # every sensor dataset reads these two references; a refactor of the
+    # field model or the ephemeris must leave them bit for bit (the dipole's
+    # y component is -0.0), one little-endian float64 per component
+    assert B_INERTIAL.astype("<f8").tobytes().hex() == (
+        "eb29609a11a0c2c0" "0000000000000080" "8460f6a0f3e2d640")
+    assert SUN_INERTIAL.astype("<f8").tobytes().hex() == (
+        "5f9424c7c6fdef3f" "845f371b7ae3953f" "4320f4bd32fa823f")
 
 
 class TestDirectionalSensors:
@@ -253,7 +257,7 @@ class TestReadingVector:
         cfg = SimConfig(duration=1.0, noise=NoiseSpec(0.0, 0.0, 0.0))
         rec = run_closed_loop(cfg, gains=gains)
         rows = sensor_rows(rec.q, rec.w, cfg.noise, cfg.seed)
-        b = TiltedDipoleField().field(POSITION)
+        b = dipole_field(POSITION)
         s = sun_direction_inertial(julian_date(EPOCH))
         np.testing.assert_array_equal(B_INERTIAL, b)
         np.testing.assert_array_equal(SUN_INERTIAL, s)
