@@ -56,17 +56,6 @@ class Quaternion(NamedTuple):
     def identity() -> "Quaternion":
         return Quaternion(0.0, 0.0, 0.0, 1.0)
 
-    @staticmethod
-    def from_axis_angle(axis, angle_rad: float) -> "Quaternion":
-        """Unit quaternion for a rotation of angle_rad about a (unit) axis."""
-        ax = np.asarray(axis, dtype=float)
-        n = float(np.linalg.norm(ax))
-        if n == 0.0:
-            raise ValueError("rotation axis must be nonzero")
-        ax = ax / n
-        s = math.sin(0.5 * angle_rad)
-        return Quaternion(ax[0] * s, ax[1] * s, ax[2] * s, math.cos(0.5 * angle_rad))
-
     def norm(self) -> float:
         return math.sqrt(self.q1 * self.q1 + self.q2 * self.q2
                          + self.q3 * self.q3 + self.q4 * self.q4)

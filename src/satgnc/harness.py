@@ -29,7 +29,7 @@ from .dynamics import (BodyState, InertiaTensor, IntegrationDivergedError, Torqu
 from .pid import PidGains, PidState, pid_step, trajectory_cost
 from .roles import (INERTIA_RANGE, SENSOR_ROLES, EstimateInvalidError, RoleBundle,
                     _random_conditions, anfis_control, anfis_estimate, anfis_integrated,
-                    write_csv)
+                    pid_scenario, write_csv)
 from .sensors import NoiseSpec, sensor_noise, sensor_row
 
 __all__ = [
@@ -56,6 +56,8 @@ CSV_COLUMNS = ("t", "q1", "q2", "q3", "q4", "w1", "w2", "w3",
                "est_q1", "est_q2", "est_q3", "est_q4",
                "est_w1", "est_w2", "est_w3")
 
+
+SETTLING_BAND = 0.01        # settling: the error within this share of its initial value
 
 # the columns a step writes: the true state to the applied torque, the estimate
 _STEP = slice(CSV_COLUMNS.index("q1"), CSV_COLUMNS.index("phi"))
@@ -107,7 +109,7 @@ class RunSummary:
     cost_j: float           # summed in step order, as trajectory_cost sums a record
     euler: np.ndarray       # the last sample's, (1, 3)
 
-    def __len__(self) -> int:           # the samples flown, as a record's
+    def __len__(self) -> int:   # the samples flown, as a record's; the benchmark reads it
         return self.config.n_steps + 1
 
 
@@ -223,8 +225,8 @@ def final_euler_error(record: RunRecord | RunSummary) -> np.ndarray:
     return euler_errors(record)[-1]
 
 
-def settling_time(record: RunRecord, band: float = 0.01) -> list[float | None]:
-    """Earliest time per axis after which the error stays inside band * |initial|.
+def settling_time(record: RunRecord) -> list[float | None]:
+    """Earliest time per axis after which the error stays inside SETTLING_BAND * |initial|.
 
     None marks an axis that never settles; an axis starting with zero error
     settles at t = 0.
@@ -236,7 +238,7 @@ def settling_time(record: RunRecord, band: float = 0.01) -> list[float | None]:
         if init == 0.0:
             out.append(0.0)
             continue
-        threshold = band * init
+        threshold = SETTLING_BAND * init
         violations = np.nonzero(np.abs(err[:, axis]) > threshold)[0]
         if len(violations) == 0:
             out.append(0.0)
@@ -263,13 +265,9 @@ def compute_metrics(record: RunRecord) -> Metrics:
 
 
 def tuning_objective(base: SimConfig):
-    """Cost-of-gains objective for the simplex search: one noise-free PID run
-    of the nominal plant with the truth estimator.
-    """
-    cfg = replace(base, controller="pid", estimator="truth", modulator="none",
-                  noise=NoiseSpec(0.0, 0.0, 0.0), inertia_true=NOMINAL_INERTIA,
-                  disturbance_const=Torque(0.0, 0.0, 0.0),
-                  disturbance_amp=Torque(0.0, 0.0, 0.0))
+    """Cost-of-gains objective for the simplex search: one PID run of
+    roles.pid_scenario(base), the scenario the teacher runs fly."""
+    cfg = pid_scenario(base)
 
     def objective(gains: PidGains) -> float:
         try:

@@ -50,8 +50,8 @@ class PidGains:
     mc_max: float = 1.0
 
     def __post_init__(self):
-        if not self.mc_max > 0.0:
-            raise ValueError("mc_max must be positive")
+        if not (math.isfinite(self.mc_max) and self.mc_max > 0.0):
+            raise ValueError(f"mc_max must be finite and positive, got {self.mc_max}")
         for name in ("kp", "kd", "kq", "kw"):
             v = getattr(self, name)
             if len(v) != 3 or not all(math.isfinite(g) for g in v):

@@ -5,9 +5,9 @@ plus their training-data pipelines.
 ROLES states each role once, naming the input channels its bundle reads and
 its output channels, with its ridge and default number of teacher runs; the
 datasets, training, bundles, the harness and the CLI select channels by name.
-All three roles learn from one PID teacher-run loop of the nominal plant
-(config.NOMINAL_INERTIA): the controller from noise-free (q_e, w) runs, the
-estimator and the integrated subsystem from views of one sensor dataset.
+All three roles learn from one PID teacher-run loop in the scenario the PID
+is tuned on (pid_scenario): the controller from (q_e, w) rows, the estimator
+and the integrated subsystem from views of one sensor dataset.
 
 Each role is a bundle of output channels over one shared premise grid:
 one ANFIS model whose consequents are a (channels, rules, inputs + 1)
@@ -37,7 +37,7 @@ from .config import NOMINAL_INERTIA, SimConfig
 from .dynamics import (AngularVelocity, EulerAngles, IntegrationDivergedError, Quaternion,
                        Torque)
 from .pid import PidGains, saturate
-from .sensors import SENSOR_CHANNELS, sensor_rows
+from .sensors import SENSOR_CHANNELS, NoiseSpec, sensor_rows
 
 __all__ = [
     "RoleBundle",
@@ -45,6 +45,7 @@ __all__ = [
     "EstimateInvalidError",
     "ROLES",
     "RoleSpec",
+    "pid_scenario",
     "generate_controller_data",
     "generate_sensor_data",
     "role_view",
@@ -183,6 +184,8 @@ class RoleBundle:
 
     def __post_init__(self):
         m = self.model
+        if not (math.isfinite(self.mc_max) and self.mc_max > 0.0):
+            raise ValueError(f"{self.role} bundle: mc_max {self.mc_max} is not a finite bound > 0")
         if (len(m.coeffs), len(self.input_names)) != (len(self.output_names), m.n_inputs):
             raise ValueError(f"{self.role} bundle holds {len(m.coeffs)} consequent tables for "
                              f"its {len(self.output_names)} outputs and names "
@@ -255,6 +258,15 @@ def _teacher_runs(gains: PidGains, n_runs: int, seed: int, tag: int, draw, rows)
     return np.vstack(inputs), np.vstack(targets), run_ids
 
 
+def pid_scenario(base: SimConfig) -> SimConfig:
+    """The optimal PID's scenario, which tuning flies and the teacher runs
+    draw from: base's manoeuvre, step and duration on the nominal plant, with
+    the true state, no modulator, no sensor noise and no disturbance."""
+    return replace(base, inertia_true=NOMINAL_INERTIA, noise=NoiseSpec(0.0, 0.0, 0.0),
+                   disturbance_const=Torque.zero(), disturbance_amp=Torque.zero(),
+                   controller="pid", estimator="truth", modulator="none")
+
+
 def generate_controller_data(gains: PidGains, n_runs: int = ROLES["controller"].runs,
                              base: SimConfig = SimConfig()) -> RoleDataset:
     """PID teacher trajectories: (q_e, w) -> commanded torque at every step.
@@ -262,16 +274,13 @@ def generate_controller_data(gains: PidGains, n_runs: int = ROLES["controller"].
     The targets are the teacher's unsaturated commands: the saturation
     clamp is re-applied at inference (anfis_control), so learning the
     smooth pre-clamp map avoids wasting model capacity on the flat
-    saturated regions.  Runs noise-free closed loops of the nominal plant
-    from randomized initial conditions to base's commanded attitude, the
-    manoeuvre the gains were tuned for; of base it reads only that, dt,
-    duration and the seed of the draws.
+    saturated regions.  Each run flies pid_scenario(base), the scenario the
+    gains were tuned on, from randomized initial conditions; base's seed
+    seeds the draws.
     """
     def draw(rng):
         euler, omega = _random_conditions(rng)
-        return SimConfig(dt=base.dt, duration=base.duration, seed=base.seed,
-                         desired_euler=base.desired_euler, initial_euler=euler,
-                         initial_omega=omega)
+        return replace(pid_scenario(base), initial_euler=euler, initial_omega=omega)
 
     # the record's last sample has no step after it, so it is not a training row
     inputs, targets, run_ids = _teacher_runs(
@@ -282,9 +291,10 @@ def generate_controller_data(gains: PidGains, n_runs: int = ROLES["controller"].
 
 def generate_sensor_data(gains: PidGains, n_runs: int = ROLES["estimator"].runs,
                          base: SimConfig = SimConfig()) -> RoleDataset:
-    """Sensor trajectories of the nominal plant under PID control, with both
-    state and torque targets.  The scenario is base's: its step, duration,
-    sensor noise and the seed of the draws; each run gets its own seed.
+    """Sensor trajectories of the PID teacher, with both state and torque
+    targets.  Each run flies pid_scenario(base) from randomized initial
+    conditions, with its own seed drawn from base's; its rows carry base's
+    sensor noise.
 
     Targets are the 7 true-state channels followed by the teacher's 3
     unsaturated torque commands (the clamp is re-applied at inference);
@@ -295,13 +305,12 @@ def generate_sensor_data(gains: PidGains, n_runs: int = ROLES["estimator"].runs,
     """
     def draw(rng):
         euler, omega = _random_conditions(rng)
-        return replace(base, seed=int(rng.integers(0, 2 ** 31)),
-                       inertia_true=NOMINAL_INERTIA, initial_euler=euler, initial_omega=omega,
-                       controller="pid", estimator="truth", modulator="none")
+        return replace(pid_scenario(base), seed=int(rng.integers(0, 2 ** 31)),
+                       initial_euler=euler, initial_omega=omega)
 
     inputs, targets, run_ids = _teacher_runs(
         gains, n_runs, base.seed, 0xE5, draw,
-        lambda rec: (sensor_rows(rec.q[:-1], rec.w[:-1], rec.config.noise, rec.config.seed),
+        lambda rec: (sensor_rows(rec.q[:-1], rec.w[:-1], base.noise, rec.config.seed),
                      np.column_stack([rec.q[:-1], rec.w[:-1], rec.mc_raw[:-1]])))
     return RoleDataset(inputs, targets, run_ids, SENSOR_CHANNELS, STATE_CHANNELS + TORQUE_CHANNELS)
 

@@ -69,7 +69,7 @@ def unit(v) -> np.ndarray:
 
 
 class CalendarInstant(NamedTuple):
-    """Gregorian UT date and time, valid 1900-2100."""
+    """Gregorian UT date and time; julian_date holds for the years 1900-2100."""
     year: int
     month: int
     day: int
@@ -77,32 +77,12 @@ class CalendarInstant(NamedTuple):
     minute: int = 0
     second: float = 0.0
 
-    def validated(self) -> "CalendarInstant":
-        if not (1900 <= self.year <= 2100):
-            raise ValueError(f"year {self.year} outside the 1900-2100 validity window")
-        if not (1 <= self.month <= 12):
-            raise ValueError(f"invalid month {self.month}")
-        if not (1 <= self.day <= 31):
-            raise ValueError(f"invalid day {self.day}")
-        if not (0 <= self.hour < 24 and 0 <= self.minute < 60 and 0.0 <= self.second < 60.0):
-            raise ValueError("invalid time of day")
-        return self
-
 
 class GeoPosition(NamedTuple):
     """Geocentric position: latitude/longitude in degrees, altitude in km."""
     latitude: float
     longitude: float
     altitude: float
-
-    def validated(self) -> "GeoPosition":
-        if abs(self.latitude) > 90.0:
-            raise ValueError(f"latitude {self.latitude} out of range")
-        if not (-180.0 < self.longitude <= 180.0):
-            raise ValueError(f"longitude {self.longitude} out of range")
-        if self.altitude < 0.0:
-            raise ValueError("altitude must be nonnegative")
-        return self
 
 
 @dataclass(frozen=True)
@@ -131,7 +111,7 @@ def julian_date(instant: CalendarInstant) -> float:
 
     INT is truncation toward zero.
     """
-    year, month, day, hour, minute, second = instant.validated()
+    year, month, day, hour, minute, second = instant
     jd = (367 * year
           - int(7 * (year + int((month + 9) / 12)) / 4)
           + int(275 * month / 9)
@@ -181,7 +161,7 @@ def dipole_field(pos: GeoPosition, tilt_deg: float = 11.5) -> np.ndarray:
     exactly twice it, and magnitude falls off as (R/r)^3.  Earth rotation
     is ignored: geographic coordinates are read directly as inertial.
     """
-    lat, lon, alt = pos.validated()
+    lat, lon, alt = pos
     lat_r = math.radians(lat)
     lon_r = math.radians(lon)
     r_hat = np.array([math.cos(lat_r) * math.cos(lon_r),

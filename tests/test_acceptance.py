@@ -12,7 +12,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from satgnc import anfis, roles
+from satgnc import anfis, harness, roles
 from satgnc.anfis import (TrainConfig, forward, grid_partition_init,
                           premise_gradient, train)
 from satgnc.cli import main
@@ -183,7 +183,7 @@ def test_c08_estimator_accuracy_and_unit_norm(sensor_art):
     assert all(abs(n - 1.0) < 1e-12 for n in norms)
 
 
-def test_c09_pwpf_behavior_and_modulated_loop(tuned):
+def test_c09_pwpf_behavior_and_modulated_loop(tuned, monkeypatch):
     params = PwpfParams()
     # zero in, zero out
     state = PwpfState()
@@ -211,7 +211,8 @@ def test_c09_pwpf_behavior_and_modulated_loop(tuned):
     # modulated closed loop reaches the 5% band inside 20 s
     cfg = SimConfig(modulator="pwpf", pwpf=PWPF_LOOP)
     rec = run_closed_loop(cfg, gains=tuned["gains"])
-    settle = settling_time(rec, band=0.05)
+    monkeypatch.setattr(harness, "SETTLING_BAND", 0.05)
+    settle = settling_time(rec)
     print(f"duty sweep {['%.3f' % d for d in duties]}, modulated settling "
           f"{['%.2f' % s for s in settle]} s")
     assert all(s is not None and s <= 20.0 for s in settle)

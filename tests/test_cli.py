@@ -298,6 +298,15 @@ class TestDiagnostics:
         assert exc.value.code != 0
         assert f"error: argument {flag}: must be at least 1, got " in capsys.readouterr().err
 
+    def test_infinite_torque_bound_rejected(self, workdir, tmp_path, capsys):
+        # an infinite bound would let every command through unclamped
+        out = tmp_path / "gains.ini"
+        assert main(["tune-pid", "--config", cfg_path(workdir), "--mc-max", "inf",
+                     "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: mc_max must be finite and positive")
+        assert not out.exists()
+
     def test_unwritable_output_fails(self, workdir, tmp_path, capsys):
         # an --out that names a directory
         assert main(["simulate", "--config", cfg_path(workdir), "--out", str(tmp_path)]) == 1

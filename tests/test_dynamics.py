@@ -86,14 +86,6 @@ class TestQuaternionBasics:
     def test_identity_is_unit(self):
         assert Quaternion.identity().norm() == 1.0
 
-    def test_from_axis_angle_unit_norm(self):
-        q = Quaternion.from_axis_angle([1.0, 2.0, 2.0], 0.7)
-        assert q.norm() == pytest.approx(1.0, abs=1e-15)
-
-    def test_from_axis_angle_zero_axis_rejected(self):
-        with pytest.raises(ValueError):
-            Quaternion.from_axis_angle([0.0, 0.0, 0.0], 0.5)
-
     def test_normalize_zero_rejected(self):
         with pytest.raises(ValueError):
             Quaternion(0.0, 0.0, 0.0, 0.0).normalized()

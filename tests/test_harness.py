@@ -383,6 +383,7 @@ class TestRecordFreeRuns:
                 continue
             cost = trajectory_cost(record.qe, record.w, record.config.dt)
             assert np.float64(j).tobytes() == np.float64(cost).tobytes()
+            # the benchmark's tracer counts the steps of every run by len()
             summary = real(flown[-1], gains, log=False)
             assert isinstance(summary, RunSummary) and len(summary) == len(record) == 2001
         assert j == np.inf      # the diverging gains came last
@@ -450,7 +451,10 @@ class TestEvaluation:
 def test_every_pipeline_flies_the_nominal_plant(monkeypatch):
     # whatever plant a base config flies, tuning and the teacher runs fly
     # NOMINAL_INERTIA, evaluation flies it but under uncertainty, and a
-    # campaign draws its plants around it; all of them fly base's manoeuvre
+    # campaign draws its plants around it; all of them fly base's manoeuvre.
+    # Tuning and the teachers fly one scenario, roles.pid_scenario: no
+    # disturbance and no loop noise, whatever base sets; the sensor rows
+    # alone carry base's noise
     flown = []
 
     def spy(cfg, gains=None, bundles=None, log=True):
@@ -461,12 +465,21 @@ def test_every_pipeline_flies_the_nominal_plant(monkeypatch):
     real = harness.run_closed_loop
     monkeypatch.setattr(harness, "run_closed_loop", spy)
     base = SimConfig(duration=0.5, inertia_true=UNCERTAIN_INERTIA,
-                     desired_euler=EulerAngles(-3.0, 2.0, 4.0))
+                     desired_euler=EulerAngles(-3.0, 2.0, 4.0), noise=NoiseSpec(),
+                     disturbance_const=Torque(1e-3, -2e-3, 5e-4),
+                     disturbance_amp=Torque(2e-3, 1e-3, -1e-3), disturbance_freq_hz=0.2)
     tuning_objective(base)(GAINS)
     generate_controller_data(GAINS, 1, base)
-    generate_sensor_data(GAINS, 1, base)
+    sensor = generate_sensor_data(GAINS, 1, base)
     assert [cfg.inertia_true for cfg in flown] == [NOMINAL_INERTIA] * 3
     assert [cfg.desired_euler for cfg in flown] == [base.desired_euler] * 3
+    assert [(cfg.disturbance_const, cfg.disturbance_amp) for cfg in flown] == [
+        (Torque.zero(), Torque.zero())] * 3
+    assert [cfg.noise for cfg in flown] == [NoiseSpec(0.0, 0.0, 0.0)] * 3
+    q, w = sensor.targets[:, :4], sensor.targets[:, 4:7]
+    gyro = sensor.inputs[:, SENSOR_CHANNELS.index("gyro_x"):]
+    assert np.all(gyro != w)
+    assert sensor.inputs.tobytes() == sensor_rows(q, w, base.noise, flown[2].seed).tobytes()
     flown.clear()
     rows = evaluate_controllers(GAINS, {}, base=base)
     assert [cfg.inertia_true for cfg in flown] == [

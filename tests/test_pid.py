@@ -170,8 +170,10 @@ class TestGainsType:
             PidGains.from_vector(np.zeros(11), 1.0)
 
     def test_invalid_mc_max(self):
-        with pytest.raises(ValueError):
-            PidGains((-1.0,) * 3, (-1.0,) * 3, mc_max=0.0)
+        # saturate would pass every command through an infinite or NaN bound
+        for mc_max in (0.0, math.inf, math.nan, -math.inf):
+            with pytest.raises(ValueError, match="mc_max must be finite and positive"):
+                PidGains((-1.0,) * 3, (-1.0,) * 3, mc_max=mc_max)
 
     def test_non_finite_gain_rejected(self):
         with pytest.raises(ValueError):

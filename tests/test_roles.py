@@ -37,7 +37,7 @@ METADATA = st.dictionaries(st.text(max_size=4), FLOATS | st.text(max_size=4), ma
 def role_bundles(draw):
     """Any bundle a directory can hold: 1-4 inputs of 2-4 MFs, named by
     sensor channels for a sensor role, 1-3 output channels, any premise and
-    consequent values."""
+    consequent values, any finite positive torque bound."""
     mfs = tuple(draw(st.lists(st.integers(2, 4), min_size=1, max_size=4)))
     n_in, k = len(mfs), draw(st.integers(1, 3))
     model = AnfisModel(
@@ -50,7 +50,8 @@ def role_bundles(draw):
     names = (draw(st.permutations(SENSOR_CHANNELS))[:n_in] if role in roles.SENSOR_ROLES
              else [f"x{i}" for i in range(n_in)])
     return RoleBundle(role, model, tuple(names), tuple(f"y{j}" for j in range(k)),
-                      draw(FLOATS), draw(METADATA))
+                      draw(st.floats(0.0, exclude_min=True, allow_infinity=False)),
+                      draw(METADATA))
 
 
 class TestRoleDataset:
@@ -360,7 +361,9 @@ class TestBundlePersistence:
         manifest = d / "manifest.json"
         good = json.loads(manifest.read_text())
         missing = {k: v for k, v in good.items() if k != "output_names"}
-        for text in (json.dumps(missing), json.dumps(dict(good, mc_max=None)), "[]", "{"):
+        # a NaN or infinite torque bound would let anfis_control pass every command unclamped
+        bounds = [json.dumps(dict(good, mc_max=v)) for v in (math.nan, math.inf, -0.5)]
+        for text in (json.dumps(missing), json.dumps(dict(good, mc_max=None)), *bounds, "[]", "{"):
             manifest.write_text(text)
             with pytest.raises(ValueError, match="malformed bundle manifest") as exc:
                 load_bundle(d)

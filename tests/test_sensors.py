@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from satgnc.config import SimConfig
-from satgnc.dynamics import AngularVelocity, Quaternion, quat_to_dcm
+from satgnc.dynamics import AngularVelocity, EulerAngles, Quaternion, euler_to_quat, quat_to_dcm
 from satgnc.harness import run_closed_loop
 from satgnc.pid import PidGains
 from satgnc.sensors import (B_INERTIAL, EPOCH, POSITION, SENSOR_CHANNELS, SUN_INERTIAL,
@@ -36,18 +36,6 @@ class TestJulianDate:
         a = julian_date(CalendarInstant(2020, 2, 28, 6))
         b = julian_date(CalendarInstant(2020, 2, 29, 6))
         assert b - a == pytest.approx(1.0)
-
-    def test_validity_window(self):
-        with pytest.raises(ValueError):
-            julian_date(CalendarInstant(1800, 1, 1))
-        with pytest.raises(ValueError):
-            julian_date(CalendarInstant(2200, 1, 1))
-
-    def test_invalid_fields(self):
-        with pytest.raises(ValueError):
-            julian_date(CalendarInstant(2020, 13, 1))
-        with pytest.raises(ValueError):
-            julian_date(CalendarInstant(2020, 1, 1, 24))
 
 
 class TestSunEphemeris:
@@ -98,10 +86,6 @@ class TestDipoleField:
         # geographic equator is no longer the magnetic equator
         assert abs(np.linalg.norm(b_geo_eq) - 30000.0) > 10.0
 
-    def test_position_validated(self):
-        with pytest.raises(ValueError):
-            dipole_field(GeoPosition(95.0, 0.0, 0.0))
-
 
 def test_inertial_references_keep_their_bytes():
     # every sensor dataset reads these two references; a refactor of the
@@ -115,7 +99,7 @@ def test_inertial_references_keep_their_bytes():
 
 class TestDirectionalSensors:
     def test_noiseless_is_rotated_reference(self):
-        q = Quaternion.from_axis_angle([0.3, -0.5, 0.8], 0.9)
+        q = euler_to_quat(EulerAngles(40.0, -25.0, 60.0))
         for read, ref in ((magnetometer_reading, B_INERTIAL), (sun_sensor_reading, SUN_INERTIAL)):
             np.testing.assert_allclose(read(q, None), unit(quat_to_dcm(q) @ ref), atol=1e-15)
 
