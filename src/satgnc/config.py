@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import configparser
 import io
+import math
 import warnings
 from dataclasses import dataclass, replace
 from functools import reduce
@@ -62,10 +63,10 @@ class SimConfig:
     bundle_dir: str = ""
 
     def __post_init__(self):
-        if self.dt <= 0.0:
-            raise ValueError("dt must be positive")
-        if self.duration < self.dt:
-            raise ValueError("duration must cover at least one step")
+        if not 0.0 < self.dt < math.inf:
+            raise ValueError(f"dt must be positive and finite, got {self.dt}")
+        if not self.dt <= self.duration < math.inf:
+            raise ValueError(f"duration must be finite and cover one step, got {self.duration}")
         if self.controller not in CONTROLLER_KINDS:
             raise ValueError(f"unknown controller kind {self.controller!r}")
         if self.estimator not in ESTIMATOR_KINDS:

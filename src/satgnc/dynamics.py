@@ -30,6 +30,7 @@ __all__ = [
     "EulerAngles",
     "IntegrationDivergedError",
     "integrate_step",
+    "dcm_rows",
     "quat_to_dcm",
     "quat_multiply",
     "euler_to_quat",
@@ -128,6 +129,15 @@ class EulerAngles(NamedTuple):
     psi: float
 
 
+def _rhs(q1, q2, q3, q4, w1, w2, w3, m1, m2, m3, i1, i2, i3) -> tuple:
+    """d/dt (q1..q4, w1..w3): the quaternion kinematics and Euler's equations under the
+    moment m on the principal moments i; only + - * /, so floats or (n,) arrays."""
+    return (0.5 * (w3 * q2 - w2 * q3 + w1 * q4), 0.5 * (-w3 * q1 + w1 * q3 + w2 * q4),
+            0.5 * (w2 * q1 - w1 * q2 + w3 * q4), 0.5 * (-w1 * q1 - w2 * q2 - w3 * q3),
+            (m1 - (i3 - i2) * w2 * w3) / i1, (m2 - (i1 - i3) * w1 * w3) / i2,
+            (m3 - (i2 - i1) * w2 * w1) / i3)
+
+
 def integrate_step(state: BodyState, inertia: InertiaTensor,
                    mc: Torque, md: Torque, dt: float) -> BodyState:
     """One classical RK4 step of the coupled rotational dynamics + kinematics.
@@ -142,34 +152,17 @@ def integrate_step(state: BodyState, inertia: InertiaTensor,
     m2 = mc.m2 + md.m2
     m3 = mc.m3 + md.m3
 
-    q1, q2, q3, q4 = state.q
-    w1, w2, w3 = state.w
+    (q1, q2, q3, q4), (w1, w2, w3) = state
 
-    # the right-hand side written out for each stage, with the expressions
-    # and order of a per-stage call, at three quarters of the call's cost
     h = 0.5 * dt
-    a1, a2 = 0.5 * (w3 * q2 - w2 * q3 + w1 * q4), 0.5 * (-w3 * q1 + w1 * q3 + w2 * q4)
-    a3, a4 = 0.5 * (w2 * q1 - w1 * q2 + w3 * q4), 0.5 * (-w1 * q1 - w2 * q2 - w3 * q3)
-    a5, a6 = (m1 - (i3 - i2) * w2 * w3) / i1, (m2 - (i1 - i3) * w1 * w3) / i2
-    a7 = (m3 - (i2 - i1) * w2 * w1) / i3
-    p1, p2, p3, p4 = q1 + h * a1, q2 + h * a2, q3 + h * a3, q4 + h * a4
-    v1, v2, v3 = w1 + h * a5, w2 + h * a6, w3 + h * a7
-    b1, b2 = 0.5 * (v3 * p2 - v2 * p3 + v1 * p4), 0.5 * (-v3 * p1 + v1 * p3 + v2 * p4)
-    b3, b4 = 0.5 * (v2 * p1 - v1 * p2 + v3 * p4), 0.5 * (-v1 * p1 - v2 * p2 - v3 * p3)
-    b5, b6 = (m1 - (i3 - i2) * v2 * v3) / i1, (m2 - (i1 - i3) * v1 * v3) / i2
-    b7 = (m3 - (i2 - i1) * v2 * v1) / i3
-    p1, p2, p3, p4 = q1 + h * b1, q2 + h * b2, q3 + h * b3, q4 + h * b4
-    v1, v2, v3 = w1 + h * b5, w2 + h * b6, w3 + h * b7
-    c1, c2 = 0.5 * (v3 * p2 - v2 * p3 + v1 * p4), 0.5 * (-v3 * p1 + v1 * p3 + v2 * p4)
-    c3, c4 = 0.5 * (v2 * p1 - v1 * p2 + v3 * p4), 0.5 * (-v1 * p1 - v2 * p2 - v3 * p3)
-    c5, c6 = (m1 - (i3 - i2) * v2 * v3) / i1, (m2 - (i1 - i3) * v1 * v3) / i2
-    c7 = (m3 - (i2 - i1) * v2 * v1) / i3
-    p1, p2, p3, p4 = q1 + dt * c1, q2 + dt * c2, q3 + dt * c3, q4 + dt * c4
-    v1, v2, v3 = w1 + dt * c5, w2 + dt * c6, w3 + dt * c7
-    d1, d2 = 0.5 * (v3 * p2 - v2 * p3 + v1 * p4), 0.5 * (-v3 * p1 + v1 * p3 + v2 * p4)
-    d3, d4 = 0.5 * (v2 * p1 - v1 * p2 + v3 * p4), 0.5 * (-v1 * p1 - v2 * p2 - v3 * p3)
-    d5, d6 = (m1 - (i3 - i2) * v2 * v3) / i1, (m2 - (i1 - i3) * v1 * v3) / i2
-    d7 = (m3 - (i2 - i1) * v2 * v1) / i3
+    a1, a2, a3, a4, a5, a6, a7 = _rhs(q1, q2, q3, q4, w1, w2, w3, m1, m2, m3, i1, i2, i3)
+    b1, b2, b3, b4, b5, b6, b7 = _rhs(q1 + h * a1, q2 + h * a2, q3 + h * a3, q4 + h * a4,
+                                      w1 + h * a5, w2 + h * a6, w3 + h * a7, m1, m2, m3, i1, i2, i3)
+    c1, c2, c3, c4, c5, c6, c7 = _rhs(q1 + h * b1, q2 + h * b2, q3 + h * b3, q4 + h * b4,
+                                      w1 + h * b5, w2 + h * b6, w3 + h * b7, m1, m2, m3, i1, i2, i3)
+    d1, d2, d3, d4, d5, d6, d7 = _rhs(q1 + dt * c1, q2 + dt * c2, q3 + dt * c3, q4 + dt * c4,
+                                      w1 + dt * c5, w2 + dt * c6, w3 + dt * c7,
+                                      m1, m2, m3, i1, i2, i3)
 
     s = dt / 6.0
     q1 += s * (a1 + 2.0 * b1 + 2.0 * c1 + d1)
@@ -188,15 +181,18 @@ def integrate_step(state: BodyState, inertia: InertiaTensor,
                      AngularVelocity(w1, w2, w3))
 
 
-def quat_to_dcm(q) -> np.ndarray:
-    """Direction cosine matrix C_I^B, which rotates inertial vectors into the
-    body frame: (3, 3) for one quaternion, (3, 3, n) for (4, n) columns."""
+def dcm_rows(q) -> tuple:
+    """Rows of the direction cosine matrix C_I^B, which rotates inertial vectors into
+    the body frame: tuples of floats for one quaternion, of (n,) arrays for (4, n) columns."""
     q1, q2, q3, q4 = q
-    return np.array([
-        [1.0 - 2.0 * (q2 * q2 + q3 * q3), 2.0 * (q1 * q2 + q3 * q4), 2.0 * (q1 * q3 - q2 * q4)],
-        [2.0 * (q1 * q2 - q3 * q4), 1.0 - 2.0 * (q1 * q1 + q3 * q3), 2.0 * (q2 * q3 + q1 * q4)],
-        [2.0 * (q1 * q3 + q2 * q4), 2.0 * (q2 * q3 - q1 * q4), 1.0 - 2.0 * (q1 * q1 + q2 * q2)],
-    ])
+    return ((1.0 - 2.0 * (q2 * q2 + q3 * q3), 2.0 * (q1 * q2 + q3 * q4), 2.0 * (q1 * q3 - q2 * q4)),
+            (2.0 * (q1 * q2 - q3 * q4), 1.0 - 2.0 * (q1 * q1 + q3 * q3), 2.0 * (q2 * q3 + q1 * q4)),
+            (2.0 * (q1 * q3 + q2 * q4), 2.0 * (q2 * q3 - q1 * q4), 1.0 - 2.0 * (q1 * q1 + q2 * q2)))
+
+
+def quat_to_dcm(q) -> np.ndarray:
+    """dcm_rows as one array: (3, 3) for one quaternion, (3, 3, n) for (4, n) columns."""
+    return np.array(dcm_rows(q))
 
 
 def quat_multiply(p: Quaternion, q: Quaternion) -> Quaternion:

@@ -26,7 +26,7 @@ from .config import (NOMINAL_INERTIA, UNCERTAIN_INERTIA, MonteCarloConfig, SimCo
                      dump_sim_config)
 from .dynamics import (BodyState, InertiaTensor, IntegrationDivergedError, Torque,
                        euler_to_quat, integrate_step, quat_multiply, quat_to_euler)
-from .pid import PidGains, PidState, pid_step, trajectory_cost
+from .pid import PidGains, PidState, pid_step
 from .roles import (INERTIA_RANGE, SENSOR_ROLES, EstimateInvalidError, RoleBundle,
                     _random_conditions, anfis_control, anfis_estimate, anfis_integrated,
                     pid_scenario, write_csv)
@@ -84,6 +84,7 @@ class RunRecord:
     """Sampled closed-loop trajectory plus its configuration echo."""
     data: np.ndarray                   # (samples, 27), in CSV_COLUMNS order
     config: SimConfig
+    cost_j: float                      # J by the rectangle rule, summed in step order
     mc_raw: np.ndarray | None = None   # unsaturated commands, PID runs only
 
     t = _columns("t")
@@ -106,7 +107,7 @@ class RunRecord:
 class RunSummary:
     """What tuning and a campaign read of a run (run_closed_loop's log=False)."""
     config: SimConfig
-    cost_j: float           # summed in step order, as trajectory_cost sums a record
+    cost_j: float           # summed in step order, as a record's
     euler: np.ndarray       # the last sample's, (1, 3)
 
     def __len__(self) -> int:   # the samples flown, as a record's; the benchmark reads it
@@ -187,18 +188,17 @@ def run_closed_loop(config: SimConfig, gains: PidGains | None = None,
         if log:
             data[k, _STEP] = (*q, *w, *qe_vec, *mc, *applied)
             data[k, _ESTIMATE] = (*q_hat, *w_hat)
-        elif k < n:     # in step order, as trajectory_cost sums a record
-            cost_j += dt * (abs(w[0]) + abs(w[1]) + abs(w[2])
-                            + abs(qe_vec[0]) + abs(qe_vec[1]) + abs(qe_vec[2]))
 
         if k < n:
+            cost_j += dt * (abs(w[0]) + abs(w[1]) + abs(w[2])
+                            + abs(qe_vec[0]) + abs(qe_vec[1]) + abs(qe_vec[2]))
             s = math.sin(2.0 * math.pi * df * (k * dt))
             md = Torque(dc.m1 + da.m1 * s, dc.m2 + da.m2 * s, dc.m3 + da.m3 * s)
             state = integrate_step(state, config.inertia_true, applied, md, dt)
 
     if not log:
         return RunSummary(config, cost_j, quat_to_euler(state.q)[None])
-    record = RunRecord(data, config, raw)
+    record = RunRecord(data, config, cost_j, raw)
     record.t[:] = np.arange(n + 1) * dt
     record.euler[:] = quat_to_euler(record.q.T)
     return record
@@ -261,7 +261,7 @@ class Metrics:
 def compute_metrics(record: RunRecord) -> Metrics:
     fuel_axis, fuel_total = fuel_consumption(record)
     return Metrics(fuel_axis, fuel_total, settling_time(record), final_euler_error(record),
-                   trajectory_cost(record.qe, record.w, record.config.dt))
+                   record.cost_j)
 
 
 def tuning_objective(base: SimConfig):

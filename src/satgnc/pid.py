@@ -30,7 +30,6 @@ __all__ = [
     "pid_raw",
     "pid_step",
     "saturate",
-    "trajectory_cost",
     "optimize_gains",
     "save_gains",
     "load_gains",
@@ -110,17 +109,6 @@ def saturate(command: Sequence[float], mc_max: float) -> Torque:
     return Torque(mc_max if v1 > mc_max else -mc_max if v1 < -mc_max else v1,
                   mc_max if v2 > mc_max else -mc_max if v2 < -mc_max else v2,
                   mc_max if v3 > mc_max else -mc_max if v3 < -mc_max else v3)
-
-
-def trajectory_cost(qe: np.ndarray, w: np.ndarray, dt: float) -> float:
-    """Tuning cost J: rectangle-rule integral of sum |w_i| + sum |qe_i| over
-    every sample but the last, summed in step order."""
-    if dt <= 0.0:
-        raise ValueError("dt must be positive")
-    a, b = np.abs(w[:-1]), np.abs(qe[:-1])
-    terms = dt * (a[:, 0] + a[:, 1] + a[:, 2] + b[:, 0] + b[:, 1] + b[:, 2])
-    # cumsum adds strictly in order, as a running sum over the steps would
-    return float(np.cumsum(terms)[-1]) if len(terms) else 0.0
 
 
 @dataclass

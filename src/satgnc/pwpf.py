@@ -26,12 +26,14 @@ class PwpfParams:
     thrust: float = 1.0      # torque magnitude of one thruster pair, N*m
 
     def __post_init__(self):
-        if not self.tm > 0.0:
-            raise ValueError("filter time constant must be positive")
-        if not 0.0 < self.u_off < self.u_on:
-            raise ValueError("thresholds must satisfy 0 < u_off < u_on")
-        if not self.thrust > 0.0:
-            raise ValueError("thrust must be positive")
+        if not math.isfinite(self.km):
+            raise ValueError(f"pre-filter gain must be finite, got {self.km}")
+        if not 0.0 < self.tm < math.inf:
+            raise ValueError("filter time constant must be positive and finite")
+        if not 0.0 < self.u_off < self.u_on < math.inf:
+            raise ValueError("thresholds must satisfy 0 < u_off < u_on < inf")
+        if not 0.0 < self.thrust < math.inf:
+            raise ValueError("thrust must be positive and finite")
 
 
 @dataclass

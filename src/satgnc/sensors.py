@@ -25,7 +25,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .dynamics import AngularVelocity
+from .dynamics import AngularVelocity, dcm_rows
 
 __all__ = [
     "CalendarInstant",
@@ -48,6 +48,7 @@ __all__ = [
 
 EARTH_RADIUS_KM = 6371.2
 DIPOLE_B0_NT = 30000.0     # equatorial surface field of the dipole
+DIPOLE_TILT_DEG = 11.5     # dipole axis from the rotation axis, toward longitude 0
 
 SENSOR_CHANNELS = (
     "ub_body_x", "ub_body_y", "ub_body_z",
@@ -98,8 +99,8 @@ class NoiseSpec:
     sigma_gyro: float = 1e-4
 
     def __post_init__(self):
-        if min(self.sigma_mag, self.sigma_sun, self.sigma_gyro) < 0.0:
-            raise ValueError("noise standard deviations must be nonnegative")
+        if not all(0.0 <= s < math.inf for s in (self.sigma_mag, self.sigma_sun, self.sigma_gyro)):
+            raise ValueError("noise standard deviations must be nonnegative and finite")
 
     @property
     def noiseless(self) -> bool:
@@ -153,8 +154,8 @@ def sun_direction_inertial(jd: float) -> np.ndarray:
     ])
 
 
-def dipole_field(pos: GeoPosition, tilt_deg: float = 11.5) -> np.ndarray:
-    """Field (nT) at pos of a centered dipole tilted tilt_deg from the
+def dipole_field(pos: GeoPosition) -> np.ndarray:
+    """Field (nT) at pos of a centered dipole tilted DIPOLE_TILT_DEG from the
     rotation axis toward longitude 0.
 
     The equatorial surface field is DIPOLE_B0_NT, the polar surface field
@@ -167,7 +168,7 @@ def dipole_field(pos: GeoPosition, tilt_deg: float = 11.5) -> np.ndarray:
     r_hat = np.array([math.cos(lat_r) * math.cos(lon_r),
                       math.cos(lat_r) * math.sin(lon_r),
                       math.sin(lat_r)])
-    tilt = math.radians(tilt_deg)
+    tilt = math.radians(DIPOLE_TILT_DEG)
     m_hat = np.array([math.sin(tilt), 0.0, math.cos(tilt)])
     scale = DIPOLE_B0_NT * (EARTH_RADIUS_KM / (EARTH_RADIUS_KM + alt)) ** 3
     # dipole field, normalized so |B| = DIPOLE_B0_NT at the geomagnetic equator surface
@@ -206,16 +207,13 @@ def sensor_noise(noise: NoiseSpec, seed: int, n: int) -> list:
 
 def _body_direction(ref, q, noise: list | None) -> tuple[float, float, float]:
     """ref at the attitude q plus noise (None: zero) as a body-frame unit vector: in floats,
-    x = c00*r0 + c01*r1 + c02*r2 + n0 (c: quat_to_dcm's) over sqrt(x*x + y*y + z*z)."""
-    q1, q2, q3, q4 = q
+    x = c00*r0 + c01*r1 + c02*r2 + n0 (c: dcm_rows') over sqrt(x*x + y*y + z*z)."""
     r0, r1, r2 = ref
     n0, n1, n2 = (0.0, 0.0, 0.0) if noise is None else noise
-    x = ((1.0 - 2.0 * (q2 * q2 + q3 * q3)) * r0 + 2.0 * (q1 * q2 + q3 * q4) * r1
-         + 2.0 * (q1 * q3 - q2 * q4) * r2 + n0)
-    y = (2.0 * (q1 * q2 - q3 * q4) * r0 + (1.0 - 2.0 * (q1 * q1 + q3 * q3)) * r1
-         + 2.0 * (q2 * q3 + q1 * q4) * r2 + n1)
-    z = (2.0 * (q1 * q3 + q2 * q4) * r0 + 2.0 * (q2 * q3 - q1 * q4) * r1
-         + (1.0 - 2.0 * (q1 * q1 + q2 * q2)) * r2 + n2)
+    (c00, c01, c02), (c10, c11, c12), (c20, c21, c22) = dcm_rows(q)
+    x = c00 * r0 + c01 * r1 + c02 * r2 + n0
+    y = c10 * r0 + c11 * r1 + c12 * r2 + n1
+    z = c20 * r0 + c21 * r1 + c22 * r2 + n2
     mag = math.sqrt(x * x + y * y + z * z)
     if mag == 0.0 or not math.isfinite(mag):
         raise ValueError(f"vector of zero or non-finite magnitude {mag}")

@@ -307,6 +307,19 @@ class TestDiagnostics:
         assert err.startswith("error: mc_max must be finite and positive")
         assert not out.exists()
 
+    @pytest.mark.parametrize("section, key, value", [
+        ("simulation", "duration", "inf"), ("simulation", "dt", "nan"),
+        ("noise", "sigma_mag", "nan"), ("pwpf", "km", "nan")])
+    def test_non_finite_setting_rejected(self, tmp_path, capsys, section, key, value):
+        # an infinite duration overflowed the step count, a NaN dt failed
+        # converting it, and a NaN sigma or km flew with no noise or no pulses
+        cfg, out = tmp_path / "bad.ini", tmp_path / "run.csv"
+        cfg.write_text(f"[{section}]\n{key} = {value}\n")
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "finite" in err and "Traceback" not in err
+        assert not out.exists()
+
     def test_unwritable_output_fails(self, workdir, tmp_path, capsys):
         # an --out that names a directory
         assert main(["simulate", "--config", cfg_path(workdir), "--out", str(tmp_path)]) == 1

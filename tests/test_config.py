@@ -1,6 +1,7 @@
 """Configuration schema round-trip and validation tests."""
 
 import configparser
+import math
 import warnings
 from dataclasses import fields
 from pathlib import Path
@@ -53,7 +54,7 @@ def sim_configs(draw):
                             u_on=u_off + draw(POSITIVE), u_off=u_off,
                             thrust=draw(POSITIVE)),
             gains_file=draw(PATHS), bundle_dir=draw(PATHS))
-    except ValueError:      # u_on rounded down onto u_off
+    except ValueError:      # u_on rounded down onto u_off, or an infinite km
         reject()
 
 
@@ -67,6 +68,12 @@ class TestSimConfig:
     def test_invalid_dt(self):
         with pytest.raises(ValueError):
             SimConfig(dt=0.0)
+
+    @pytest.mark.parametrize("field", ["dt", "duration"])
+    @pytest.mark.parametrize("value", [math.inf, math.nan, -math.inf])
+    def test_non_finite_dt_and_duration_rejected(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be .*finite"):
+            SimConfig(**{field: value})
 
     def test_duration_must_cover_one_step(self):
         with pytest.raises(ValueError):

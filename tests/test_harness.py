@@ -16,7 +16,7 @@ from satgnc.harness import (CSV_COLUMNS, MissingBundleError, Metrics, RunRecord,
                             evaluate_controllers, final_euler_error, format_evaluation,
                             fuel_consumption, monte_carlo, needed_roles,
                             run_closed_loop, settling_time, tuning_objective)
-from satgnc.pid import PidGains, default_initial_gains, trajectory_cost
+from satgnc.pid import PidGains, default_initial_gains
 from satgnc.roles import (ROLES, STATE_CHANNELS, RoleBundle, _random_conditions,
                           generate_controller_data, generate_sensor_data)
 from satgnc.sensors import SENSOR_CHANNELS, NoiseSpec, sensor_rows
@@ -36,13 +36,22 @@ def spy_sensor_rows(monkeypatch) -> list:
     return read
 
 
+def step_order_cost(record) -> float:
+    """J of a record as a running sum over its steps: dt * (sum |w_i| + sum
+    |qe_i|) at every sample but the last, which no step follows."""
+    cost, dt = 0.0, record.config.dt
+    for w, qe in zip(record.w[:-1].tolist(), record.qe[:-1].tolist()):
+        cost += dt * (abs(w[0]) + abs(w[1]) + abs(w[2]) + abs(qe[0]) + abs(qe[1]) + abs(qe[2]))
+    return cost
+
+
 def synthetic_record(t, euler_err, desired=(0.0, 0.0, 0.0), applied=None, dt=None):
     """Build a minimal record whose euler history is desired + given error."""
     n = len(t)
     dt = dt if dt is not None else float(t[1] - t[0])
     cfg = SimConfig(dt=dt, duration=float(t[-1]) if t[-1] >= dt else dt,
                     desired_euler=EulerAngles(*desired))
-    rec = RunRecord(np.zeros((n, len(CSV_COLUMNS))), cfg)
+    rec = RunRecord(np.zeros((n, len(CSV_COLUMNS))), cfg, 0.0)     # w and qe are zero
     rec.t[:] = t
     rec.q[:, 3] = rec.est_q[:, 3] = 1.0
     if applied is not None:
@@ -216,7 +225,7 @@ class TestMetrics:
         m = compute_metrics(rec)
         assert isinstance(m, Metrics)
         assert m.fuel_total >= 0.0
-        assert m.cost_j == trajectory_cost(rec.qe, rec.w, rec.config.dt)
+        assert m.cost_j == rec.cost_j == step_order_cost(rec) > 0.0
 
 
 class TestRecordPersistence:
@@ -381,12 +390,25 @@ class TestRecordFreeRuns:
             except IntegrationDivergedError:
                 assert gains is diverging and j == np.inf
                 continue
-            cost = trajectory_cost(record.qe, record.w, record.config.dt)
-            assert np.float64(j).tobytes() == np.float64(cost).tobytes()
+            assert np.float64(j).tobytes() == np.float64(record.cost_j).tobytes()
+            assert record.cost_j == step_order_cost(record)
             # the benchmark's tracer counts the steps of every run by len()
             summary = real(flown[-1], gains, log=False)
             assert isinstance(summary, RunSummary) and len(summary) == len(record) == 2001
         assert j == np.inf      # the diverging gains came last
+
+    @pytest.mark.parametrize("loop", [
+        {"controller": "pid"},
+        {"controller": "integrated"},
+        {"controller": "anfis", "estimator": "anfis", "modulator": "pwpf"}])
+    def test_record_and_summary_cost_equal_step_order_sum(self, tuned, bundles, loop):
+        # the loop sums J once, for a logged run and a record-free one alike
+        cfg = SimConfig(duration=5.0, noise=NoiseSpec(), seed=3, **loop)
+        record = run_closed_loop(cfg, tuned["gains"], bundles)
+        summary = run_closed_loop(cfg, tuned["gains"], bundles, log=False)
+        assert np.float64(record.cost_j).tobytes() == np.float64(summary.cost_j).tobytes()
+        assert record.cost_j == step_order_cost(record) > 0.0
+        assert compute_metrics(record).cost_j == record.cost_j
 
     @pytest.mark.parametrize("loop", [
         {"controller": "integrated"},

@@ -9,8 +9,7 @@ import pytest
 from satgnc.dynamics import Torque
 from satgnc.pid import (GAINS_FORMAT_VERSION, PidGains, PidState,
                         default_gain_bounds, default_initial_gains, load_gains,
-                        optimize_gains, pid_raw, pid_step, saturate, save_gains,
-                        trajectory_cost)
+                        optimize_gains, pid_raw, pid_step, saturate, save_gains)
 
 GAINS = PidGains(kp=(-2.0, -2.0, -2.0), kd=(-1.0, -1.0, -1.0),
                  kq=(-0.1, -0.1, -0.1), kw=(-0.05, -0.05, -0.05), mc_max=1.0)
@@ -135,28 +134,6 @@ class TestControlLaw:
         assert a.saturated == [False, False, False]
         pid_step((1.0, 0.01, 0.0), (0.0, 0.2, 0.0), a, GAINS, 0.01)
         assert b == PidState() != a
-
-
-class TestCost:
-    def test_accumulation(self):
-        qe = np.array([[0.1, -0.2, 0.3], [9.0, 9.0, 9.0]])
-        w = np.array([[0.4, -0.5, 0.6], [9.0, 9.0, 9.0]])
-        # the last sample ends the run and adds nothing
-        assert trajectory_cost(qe, w, 0.01) == pytest.approx(0.01 * 2.1)
-
-    def test_equals_sequential_sum(self):
-        rng = np.random.default_rng(12)
-        qe, w = rng.normal(size=(2001, 3)), rng.normal(size=(2001, 3))
-        cost = 0.0
-        for k in range(2000):
-            cost += 0.01 * (abs(w[k, 0]) + abs(w[k, 1]) + abs(w[k, 2])
-                            + abs(qe[k, 0]) + abs(qe[k, 1]) + abs(qe[k, 2]))
-        assert trajectory_cost(qe, w, 0.01) == cost
-        assert trajectory_cost(qe[:1], w[:1], 0.01) == 0.0
-
-    def test_invalid_dt(self):
-        with pytest.raises(ValueError):
-            trajectory_cost(np.zeros((2, 3)), np.zeros((2, 3)), 0.0)
 
 
 class TestGainsType:

@@ -34,6 +34,14 @@ class TestParams:
         with pytest.raises(ValueError):
             PwpfParams(tm=0.0)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_parameters_rejected(self, value):
+        # a NaN gain never fires the thrusters; an infinite time constant
+        # never charges the filter, and an infinite threshold never trips
+        for field in ("km", "tm", "u_on", "thrust"):
+            with pytest.raises(ValueError, match="finite|< inf"):
+                PwpfParams(**{field: value})
+
     def test_dt_vs_time_constant_guard(self):
         with pytest.raises(ValueError, match="too coarse"):
             pwpf_step(PwpfState(), Torque.zero(), P.tm, P)

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from satgnc import sensors
 from satgnc.config import SimConfig
 from satgnc.dynamics import AngularVelocity, EulerAngles, Quaternion, euler_to_quat, quat_to_dcm
 from satgnc.harness import run_closed_loop
@@ -63,26 +64,31 @@ class TestSunEphemeris:
 
 
 class TestDipoleField:
-    def test_equator_magnitude(self):
-        b = dipole_field(GeoPosition(0.0, 0.0, 0.0), tilt_deg=0.0)
+    @pytest.fixture
+    def untilted(self, monkeypatch):
+        monkeypatch.setattr(sensors, "DIPOLE_TILT_DEG", 0.0)
+
+    def test_equator_magnitude(self, untilted):
+        b = dipole_field(GeoPosition(0.0, 0.0, 0.0))
         assert np.linalg.norm(b) == pytest.approx(30000.0)
 
-    def test_pole_magnitude_doubles(self):
-        b = dipole_field(GeoPosition(90.0, 0.0, 0.0), tilt_deg=0.0)
+    def test_pole_magnitude_doubles(self, untilted):
+        b = dipole_field(GeoPosition(90.0, 0.0, 0.0))
         assert np.linalg.norm(b) == pytest.approx(60000.0)
 
-    def test_altitude_falloff_cubed(self):
-        b0 = dipole_field(GeoPosition(0.0, 0.0, 0.0), tilt_deg=0.0)
+    def test_altitude_falloff_cubed(self, untilted):
+        b0 = dipole_field(GeoPosition(0.0, 0.0, 0.0))
         r = 6371.2
-        b1 = dipole_field(GeoPosition(0.0, 0.0, r), tilt_deg=0.0)
+        b1 = dipole_field(GeoPosition(0.0, 0.0, r))
         assert np.linalg.norm(b1) == pytest.approx(np.linalg.norm(b0) / 8.0)
 
-    def test_equator_points_north_untitled(self):
-        b = dipole_field(GeoPosition(0.0, 0.0, 500.0), tilt_deg=0.0)
+    def test_equator_points_north_untitled(self, untilted):
+        b = dipole_field(GeoPosition(0.0, 0.0, 500.0))
         assert unit(b) == pytest.approx(np.array([0.0, 0.0, 1.0]))
 
     def test_tilt_moves_magnetic_equator(self):
-        b_geo_eq = dipole_field(GeoPosition(0.0, 0.0, 0.0), tilt_deg=11.5)
+        assert sensors.DIPOLE_TILT_DEG == 11.5
+        b_geo_eq = dipole_field(GeoPosition(0.0, 0.0, 0.0))
         # geographic equator is no longer the magnetic equator
         assert abs(np.linalg.norm(b_geo_eq) - 30000.0) > 10.0
 
@@ -268,6 +274,13 @@ class TestNoiseSpecValidation:
     def test_negative_sigma_rejected(self):
         with pytest.raises(ValueError):
             NoiseSpec(sigma_mag=-0.001)
+
+    @pytest.mark.parametrize("field", ["sigma_mag", "sigma_sun", "sigma_gyro"])
+    def test_non_finite_sigma_rejected(self, field):
+        # sensor_noise's sigma > 0 read a NaN sigma as zero: a noiseless sensor
+        for value in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="finite"):
+                NoiseSpec(**{field: value})
 
     def test_noiseless_flag(self):
         assert NoiseSpec(0.0, 0.0, 0.0).noiseless
