@@ -17,6 +17,8 @@ and the role bundles are such models.
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
 import json
 import math
 import warnings
@@ -30,9 +32,9 @@ __all__ = [
     "TrainConfig",
     "TrainingDivergedError",
     "ModelFormatError",
-    "bell",
+    "bell", "overflow_guard",
     "grid_partition_init",
-    "forward",
+    "forward", "forward_row",
     "normalized_firing",
     "design_matrix",
     "fit_consequents",
@@ -51,6 +53,7 @@ FIRING_BLOCK = 64          # samples per gathered block of rule memberships
 MIN_WIDTH = 1e-9
 MIN_SLOPE = 0.1
 DECAY = 0.5                # learning-rate factor when an epoch's RMSE worsens
+_GUARDED = contextvars.ContextVar("overflow_guarded", default=False)   # see overflow_guard
 
 
 class TrainingDivergedError(RuntimeError):
@@ -62,13 +65,31 @@ class ModelFormatError(ValueError):
     """Raised on malformed or version-incompatible model files."""
 
 
-@np.errstate(over="ignore")      # as a decorator, at two thirds of a with block's cost
+@contextlib.contextmanager
+def overflow_guard():
+    """Silences bell's overflow in the block: a closed-loop run holds it once."""
+    token = _GUARDED.set(True)
+    try:
+        with np.errstate(over="ignore"):
+            yield
+    finally:
+        _GUARDED.reset(token)
+
+
+def _bell(x, a, b, c):
+    return 1.0 / (1.0 + np.abs((x - c) / a) ** (2.0 * b))
+
+
+_quiet_bell = np.errstate(over="ignore")(_bell)    # as a decorator: 2/3 of a with block's cost
+
+
 def bell(x, a, b, c):
     """Generalized bell membership: 1 / (1 + |((x-c)/a)|^(2b)).
 
-    An overflowing power far from the center correctly saturates to 0.
+    An overflowing power far from the center correctly saturates to 0; bell
+    silences the overflow itself unless its caller holds overflow_guard.
     """
-    return 1.0 / (1.0 + np.abs((np.asarray(x, dtype=float) - c) / a) ** (2.0 * b))
+    return (_bell if _GUARDED.get() else _quiet_bell)(x, a, b, c)
 
 
 @dataclass
@@ -210,18 +231,24 @@ def forward(model: AnfisModel, x) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     k, n_rules, width = model.coeffs.shape
     table = model.coeffs.swapaxes(0, 1).reshape(n_rules, k * width)    # a view, no copy
-    if x.shape == (width - 1,):
-        # one row: 1-D dots cost 0.6x the 2-D path, which takes a row firing no rule
-        mu = bell(x.take(model.columns), model.a, model.b, model.c)
-        w = np.multiply.reduce(mu.take(model.rule_mfs), axis=0)
-        s = np.add.reduce(w)
-        if not s < FIRING_FLOOR:
-            return (w.dot(table).reshape(k, width).dot(np.concatenate((x, (1.0,)))) / s)[None]
     x = x[None] if x.ndim == 1 else x     # one row, at half the cost of a reshape
     _, w, s, _ = _firing(model, x)
     # (N, 1, n_rules) @ table sums as w.dot(table); a 2-D GEMM rounds by N
     v = (w[:, None, :] @ table).reshape(len(x), k, width)
     return (v @ np.column_stack([x, np.ones(len(x))])[:, :, None])[..., 0] / s
+
+
+def forward_row(model: AnfisModel, xa: np.ndarray) -> np.ndarray:
+    """forward's (k,) outputs for one row, the float array xa = [x, 1.0], unchecked:
+    1-D dots, at 0.6x forward's cost; a row firing no rule goes to forward."""
+    k, n_rules, width = model.coeffs.shape
+    mu = bell(xa.take(model.columns), model.a, model.b, model.c)
+    w = np.multiply.reduce(mu.take(model.rule_mfs), axis=0)
+    s = np.add.reduce(w)
+    if s < FIRING_FLOOR:
+        return forward(model, xa[None, :-1])[0]
+    table = model.coeffs.swapaxes(0, 1).reshape(n_rules, k * width)    # a view, no copy
+    return w.dot(table).reshape(k, width).dot(xa) / s
 
 
 def design_matrix(model: AnfisModel, x: np.ndarray) -> np.ndarray:

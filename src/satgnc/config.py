@@ -67,6 +67,8 @@ class SimConfig:
             raise ValueError(f"dt must be positive and finite, got {self.dt}")
         if not self.dt <= self.duration < math.inf:
             raise ValueError(f"duration must be finite and cover one step, got {self.duration}")
+        if not math.isfinite(self.duration / self.dt):
+            raise ValueError(f"duration {self.duration} / dt {self.dt} is not a finite step count")
         if self.controller not in CONTROLLER_KINDS:
             raise ValueError(f"unknown controller kind {self.controller!r}")
         if self.estimator not in ESTIMATOR_KINDS:

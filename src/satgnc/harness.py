@@ -21,7 +21,7 @@ from functools import partial
 
 import numpy as np
 
-from . import pwpf as pwpf_mod
+from . import anfis, pwpf as pwpf_mod
 from .config import (NOMINAL_INERTIA, UNCERTAIN_INERTIA, MonteCarloConfig, SimConfig,
                      dump_sim_config)
 from .dynamics import (BodyState, InertiaTensor, IntegrationDivergedError, Torque,
@@ -131,6 +131,7 @@ def _require_bundle(bundles: dict | None, role: str) -> RoleBundle:
     return bundle
 
 
+@anfis.overflow_guard()          # once per run, not in every membership evaluation
 def run_closed_loop(config: SimConfig, gains: PidGains | None = None,
                     bundles: dict | None = None, log: bool = True) -> RunRecord | RunSummary:
     """Simulate one closed loop and log every sample, or with log False keep
@@ -160,7 +161,9 @@ def run_closed_loop(config: SimConfig, gains: PidGains | None = None,
     pwpf_state = pwpf_mod.PwpfState() if config.modulator == "pwpf" else None
 
     dc, da, df = config.disturbance_const, config.disturbance_amp, config.disturbance_freq_hz
-    cost_j = 0.0
+    # built once per run when constant: no amplitude, no -0.0 in dc (-0.0 + 0.0 * s takes s's sign)
+    steady = not any(da) and all(v or math.copysign(1.0, v) > 0.0 for v in dc)
+    md, inertia, cost_j = dc, config.inertia_true, 0.0
 
     for k in range(n + 1):
         q, w = state
@@ -192,9 +195,10 @@ def run_closed_loop(config: SimConfig, gains: PidGains | None = None,
         if k < n:
             cost_j += dt * (abs(w[0]) + abs(w[1]) + abs(w[2])
                             + abs(qe_vec[0]) + abs(qe_vec[1]) + abs(qe_vec[2]))
-            s = math.sin(2.0 * math.pi * df * (k * dt))
-            md = Torque(dc.m1 + da.m1 * s, dc.m2 + da.m2 * s, dc.m3 + da.m3 * s)
-            state = integrate_step(state, config.inertia_true, applied, md, dt)
+            if not steady:
+                s = math.sin(2.0 * math.pi * df * (k * dt))
+                md = Torque(dc.m1 + da.m1 * s, dc.m2 + da.m2 * s, dc.m3 + da.m3 * s)
+            state = integrate_step(state, inertia, applied, md, dt)
 
     if not log:
         return RunSummary(config, cost_j, quat_to_euler(state.q)[None])

@@ -12,12 +12,12 @@ and the integrated subsystem from views of one sensor dataset.
 Each role is a bundle of output channels over one shared premise grid:
 one ANFIS model whose consequents are a (channels, rules, inputs + 1)
 stack, fit by one multi-output anfis.fit_consequents solve and evaluated
-by anfis.forward, so one firing pass serves every channel.  The sensor
-roles read 7 of the 15 sensor channels (so 128 rules): no inertial
-reference (a constant, since every run flies at sensors.POSITION and
-sensors.EPOCH), no ub_body_z and no us_body_x.  Their limit: a dropped
-component is known from its unit vector only up to its sign, which stays
-fixed only inside the teacher runs' envelope.
+by anfis.forward_row (a row) or forward (a batch), so one firing pass
+serves every channel.  The sensor roles read 7 of the 15 sensor channels
+(so 128 rules): no inertial reference (a constant, since every run flies
+at sensors.POSITION and sensors.EPOCH), no ub_body_z and no us_body_x.
+Their limit: a dropped component is known from its unit vector only up to
+its sign, which stays fixed only inside the teacher runs' envelope.
 """
 
 from __future__ import annotations
@@ -205,17 +205,18 @@ class RoleBundle:
         return self.model.n_inputs
 
     def predict(self, x) -> np.ndarray:
-        """Channel outputs for one input vector (already column-selected)."""
-        x = np.asarray(x, dtype=float)
-        if x.shape != (self.n_inputs,):
+        """Channel outputs for one input row (already column-selected), a
+        sequence of floats, which it makes one array with the bias 1.0."""
+        xa = np.array((*x, 1.0), dtype=float)
+        if len(xa) != len(self.input_names) + 1:
             raise ValueError(f"{self.role} bundle expects {self.n_inputs} inputs, "
-                             f"got shape {x.shape}")
+                             f"got shape {np.shape(x)}")
         if not self._extrapolation_warned and any(
-                abs(v - c) > lim for v, c, lim in zip(x.tolist(), self._center, self._limit)):
+                abs(v - c) > lim for v, c, lim in zip(x, self._center, self._limit)):
             warnings.warn(f"{self.role} bundle evaluated outside 1.5x its "
                           "training envelope; extrapolating", stacklevel=2)
             self._extrapolation_warned = True
-        return anfis.forward(self.model, x)[0]
+        return anfis.forward_row(self.model, xa)
 
     def predict_batch(self, x: np.ndarray) -> np.ndarray:
         """(N, channels) outputs; row n equals predict(x[n]) bit for bit."""
@@ -371,8 +372,7 @@ def anfis_control(bundle: RoleBundle, qe_vec, w) -> Torque:
     """Per-axis forward pass on (q_e, w), saturated to the training torque bound."""
     if bundle.role != "controller":
         raise ValueError(f"expected a controller bundle, got {bundle.role!r}")
-    x = np.array((*qe_vec, *w))
-    return saturate(bundle.predict(x).tolist(), bundle.mc_max)
+    return saturate(bundle.predict((*qe_vec, *w)).tolist(), bundle.mc_max)
 
 
 def anfis_estimate(bundle: RoleBundle, row) -> tuple[Quaternion, AngularVelocity]:

@@ -6,7 +6,7 @@ which sensor_row builds and the neuro-fuzzy roles read: the closed loop
 asks for one row per step, and the teacher data derives a run's rows after
 it (sensor_rows).  A run's sensor noise is drawn once from the run's seed
 (sensor_noise), and each reading takes its step's share of it; the
-direction sensors also take the step's attitude.
+direction sensors also take the rows of the step's attitude matrix.
 
 The geomagnetic field is a tilted centered dipole (dipole_field), the one
 field model the closed loop uses.  The sun ephemeris is the low-precision
@@ -205,12 +205,12 @@ def sensor_noise(noise: NoiseSpec, seed: int, n: int) -> list:
                       for d, s in zip(drawn, scales)]))
 
 
-def _body_direction(ref, q, noise: list | None) -> tuple[float, float, float]:
-    """ref at the attitude q plus noise (None: zero) as a body-frame unit vector: in floats,
-    x = c00*r0 + c01*r1 + c02*r2 + n0 (c: dcm_rows') over sqrt(x*x + y*y + z*z)."""
+def _body_direction(ref, c, noise: list | None) -> tuple[float, float, float]:
+    """ref at the attitude whose dcm_rows are c, plus noise (None: zero), as a body-frame
+    unit vector: in floats, x = c00*r0 + c01*r1 + c02*r2 + n0 over sqrt(x*x + y*y + z*z)."""
     r0, r1, r2 = ref
     n0, n1, n2 = (0.0, 0.0, 0.0) if noise is None else noise
-    (c00, c01, c02), (c10, c11, c12), (c20, c21, c22) = dcm_rows(q)
+    (c00, c01, c02), (c10, c11, c12), (c20, c21, c22) = c
     x = c00 * r0 + c01 * r1 + c02 * r2 + n0
     y = c10 * r0 + c11 * r1 + c12 * r2 + n1
     z = c20 * r0 + c21 * r1 + c22 * r2 + n2
@@ -220,14 +220,14 @@ def _body_direction(ref, q, noise: list | None) -> tuple[float, float, float]:
     return x / mag, y / mag, z / mag
 
 
-def magnetometer_reading(q, noise: list | None) -> tuple:
-    """Unit magnetic-field direction (B_INERTIAL's) in the body frame at the attitude q."""
-    return _body_direction(_B, q, noise)
+def magnetometer_reading(c, noise: list | None) -> tuple:
+    """Unit magnetic-field direction (B_INERTIAL) in the body frame; c: the attitude's dcm_rows."""
+    return _body_direction(_B, c, noise)
 
 
-def sun_sensor_reading(q, noise: list | None) -> tuple:
-    """Unit sun direction (SUN_INERTIAL) in the body frame at the attitude q."""
-    return _body_direction(_SUN, q, noise)
+def sun_sensor_reading(c, noise: list | None) -> tuple:
+    """Unit sun direction (SUN_INERTIAL) in the body frame; c: the attitude's dcm_rows."""
+    return _body_direction(_SUN, c, noise)
 
 
 def gyro_reading(w: AngularVelocity, noise: list | None) -> AngularVelocity:
@@ -237,10 +237,11 @@ def gyro_reading(w: AngularVelocity, noise: list | None) -> AngularVelocity:
 
 def sensor_row(q, w, noise) -> tuple:
     """One sample in SENSOR_CHANNELS order, [C b, C s, b/|b|, s, w] with each
-    reading's noise, at the attitude q and rate w; noise is the sample's
-    entry of sensor_noise."""
+    reading's noise, at the attitude q (one C for both readings) and rate w;
+    noise is the sample's entry of sensor_noise."""
     mag, sun, gyro = noise
-    return (*magnetometer_reading(q, mag), *sun_sensor_reading(q, sun), *_REFERENCES,
+    c = dcm_rows(q)
+    return (*magnetometer_reading(c, mag), *sun_sensor_reading(c, sun), *_REFERENCES,
             *gyro_reading(w, gyro))
 
 

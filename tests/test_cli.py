@@ -320,6 +320,17 @@ class TestDiagnostics:
         assert err.startswith("error:") and "finite" in err and "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["simulate", "tune-pid"])
+    def test_subnormal_step_rejected(self, tmp_path, capsys, command):
+        # duration / dt overflowed to inf, and the step count ended the run
+        # with an OverflowError traceback
+        cfg, out = tmp_path / "bad.ini", tmp_path / "out"
+        cfg.write_text("[simulation]\ndt = 1e-320\nduration = 1.0\n")
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: duration 1.0 / dt 1e-320") and "Traceback" not in err
+        assert not out.exists()
+
     def test_unwritable_output_fails(self, workdir, tmp_path, capsys):
         # an --out that names a directory
         assert main(["simulate", "--config", cfg_path(workdir), "--out", str(tmp_path)]) == 1

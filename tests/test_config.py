@@ -75,6 +75,11 @@ class TestSimConfig:
         with pytest.raises(ValueError, match=f"{field} must be .*finite"):
             SimConfig(**{field: value})
 
+    def test_step_count_must_be_finite(self):
+        # a subnormal dt overflows duration / dt; the step count was int(round(inf))
+        with pytest.raises(ValueError, match=r"duration 1\.0 / dt 1e-320 is not a finite step"):
+            SimConfig(dt=1e-320, duration=1.0)
+
     def test_duration_must_cover_one_step(self):
         with pytest.raises(ValueError):
             SimConfig(dt=0.1, duration=0.05)

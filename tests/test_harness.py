@@ -1,5 +1,6 @@
 """Closed-loop harness tests: runs, metrics, persistence, Monte Carlo."""
 
+import math
 import warnings
 from dataclasses import replace
 
@@ -9,14 +10,15 @@ import pytest
 from satgnc import anfis, harness
 from satgnc.config import (NOMINAL_INERTIA, UNCERTAIN_INERTIA, MonteCarloConfig, SimConfig,
                            parse_sim_config)
-from satgnc.dynamics import (AngularVelocity, EulerAngles, InertiaTensor,
-                             IntegrationDivergedError, Quaternion, Torque, quat_to_euler)
+from satgnc.dynamics import (AngularVelocity, BodyState, EulerAngles, InertiaTensor,
+                             IntegrationDivergedError, Quaternion, Torque, euler_to_quat,
+                             integrate_step, quat_multiply, quat_to_euler)
 from satgnc.harness import (CSV_COLUMNS, MissingBundleError, Metrics, RunRecord, RunSummary,
                             _mc_final_error, _mc_run_config, compute_metrics,
                             evaluate_controllers, final_euler_error, format_evaluation,
                             fuel_consumption, monte_carlo, needed_roles,
                             run_closed_loop, settling_time, tuning_objective)
-from satgnc.pid import PidGains, default_initial_gains
+from satgnc.pid import PidGains, PidState, default_initial_gains, pid_step
 from satgnc.roles import (ROLES, STATE_CHANNELS, RoleBundle, _random_conditions,
                           generate_controller_data, generate_sensor_data)
 from satgnc.sensors import SENSOR_CHANNELS, NoiseSpec, sensor_rows
@@ -140,6 +142,43 @@ class TestRunClosedLoop:
             SimConfig(disturbance_const=Torque(0.05, 0.0, 0.0)), gains=GAINS)
         assert (abs(final_euler_error(pushed)[0])
                 > abs(final_euler_error(quiet)[0]))
+
+    @pytest.mark.parametrize("const, amp", [
+        ((1e-3, 0.0, 0.0), (0.0, 0.0, 0.0)),
+        ((1e-3, -0.0, 0.0), (0.0, 0.0, 0.0)),     # -0.0: the torque is built every step
+        ((1e-3, 0.0, 0.0), (2e-3, -1e-3, 5e-4))])
+    def test_disturbance_built_once_is_exact(self, monkeypatch, const, amp):
+        # against a reference loop that builds the disturbance torque every
+        # step: each step's torque (the sign of a zero included), the record
+        # and J, bit for bit.  A 0.1 Hz sine is negative from 5 s on, where
+        # -0.0 + 0.0 * sin gives -0.0, and 0.0 before
+        cfg = SimConfig(duration=7.0, disturbance_const=Torque(*const),
+                        disturbance_amp=Torque(*amp), disturbance_freq_hz=0.1)
+        flown, real = [], harness.integrate_step
+        monkeypatch.setattr(harness, "integrate_step",
+                            lambda state, inertia, mc, md, dt: flown.append(md)
+                            or real(state, inertia, mc, md, dt))
+        rec = run_closed_loop(cfg, gains=GAINS)
+        qc_conj = euler_to_quat(cfg.desired_euler).conjugate()
+        state = BodyState(euler_to_quat(cfg.initial_euler), cfg.initial_omega)
+        pid_state, dt = PidState(), cfg.dt
+        dc, da, rows, torques, cost = cfg.disturbance_const, cfg.disturbance_amp, [], [], 0.0
+        for k in range(cfg.n_steps + 1):
+            q, w = state
+            qe = quat_multiply(q, qc_conj)
+            qe_vec = (qe.q1, qe.q2, qe.q3) if qe.q4 >= 0.0 else (-qe.q1, -qe.q2, -qe.q3)
+            mc, _ = pid_step(qe_vec, w, pid_state, GAINS, dt)
+            rows.append((*q, *w, *qe_vec, *mc, *mc))
+            if k < cfg.n_steps:
+                cost += dt * (abs(w[0]) + abs(w[1]) + abs(w[2])
+                              + abs(qe_vec[0]) + abs(qe_vec[1]) + abs(qe_vec[2]))
+                s = math.sin(2.0 * math.pi * cfg.disturbance_freq_hz * (k * dt))
+                torques.append(Torque(dc.m1 + da.m1 * s, dc.m2 + da.m2 * s, dc.m3 + da.m3 * s))
+                state = integrate_step(state, cfg.inertia_true, mc, torques[-1], dt)
+        assert [[v.hex() for v in md] for md in flown] == [[v.hex() for v in md] for md in torques]
+        step = rec.data[:, CSV_COLUMNS.index("q1"):CSV_COLUMNS.index("phi")]
+        assert step.tobytes() == np.array(rows).tobytes()
+        assert rec.cost_j.hex() == cost.hex()
 
     def test_gimbal_lock_warns_once_per_run(self):
         # a run commanded to 90 deg pitch spends many samples at the

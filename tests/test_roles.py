@@ -457,6 +457,36 @@ class TestBundlePersistence:
             y = bundle.predict(np.array([1e9]))
         np.testing.assert_array_equal(y, [2.0, -1.0])
 
+    def test_role_calls_outside_a_run_silence_overflow(self):
+        # b = 50 memberships overflow far off.  A run holds the overflow guard
+        # once; outside one the role calls enter it themselves: no
+        # RuntimeWarning, and an overflowing membership is exactly 0.0.  The
+        # integrated row fires no rule (the biases' uniform mean); the
+        # controller row zeroes input 0's b = 50 membership while its b = 2
+        # one still fires, and matches its batch row bit for bit
+        model = anfis.grid_partition_init(np.array([[-1.0, 1.0]]), 2)
+        model.b[:] = 50.0
+        model.coeffs = np.zeros((3,) + model.coeffs.shape[1:])
+        model.coeffs[:, :, -1] = [[1.0, 3.0], [-2.0, 0.0], [0.5, 0.25]]
+        integrated = RoleBundle("integrated", model, ("gyro_x",), roles.TORQUE_CHANNELS, 1.5)
+        row = [0.0] * len(SENSOR_CHANNELS)
+        row[SENSOR_CHANNELS.index("gyro_x")] = 1e9
+        model = anfis.grid_partition_init(np.tile([-1.0, 1.0], (6, 1)), 2)
+        model.b[0] = 50.0
+        model.coeffs = np.random.default_rng(8).normal(0.0, 1e-5, (3,) + model.coeffs.shape[1:])
+        controller = RoleBundle("controller", model, roles.CONTROLLER_CHANNELS,
+                                roles.TORQUE_CHANNELS, 1.0)
+        qe, w = (1e4, 0.1, -0.2), (0.05, -0.05, 0.0)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            far = anfis.bell(qe[0], model.a[0], model.b[0], model.c[0])
+            torques = anfis_integrated(integrated, row), anfis_control(controller, qe, w)
+            batch = controller.predict_batch(np.array([(*qe, *w)]))[0]
+        assert not [c for c in caught if issubclass(c.category, RuntimeWarning)]
+        assert far == 0.0 and anfis.bell(qe[0], model.a[1], model.b[1], model.c[1]) > 0.0
+        assert torques[0] == (1.5, -1.0, 0.375)
+        assert [v.hex() for v in torques[1]] == [v.hex() for v in saturate(batch.tolist(), 1.0)]
+
     def test_mismatched_channels_rejected(self, tmp_path):
         # the consequent stack holds one table per output channel
         model = anfis.grid_partition_init(np.array([[-1.0, 1.0], [0.0, 1.0]]), 2)

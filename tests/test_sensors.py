@@ -7,7 +7,8 @@ import pytest
 
 from satgnc import sensors
 from satgnc.config import SimConfig
-from satgnc.dynamics import AngularVelocity, EulerAngles, Quaternion, euler_to_quat, quat_to_dcm
+from satgnc.dynamics import (AngularVelocity, EulerAngles, Quaternion, dcm_rows, euler_to_quat,
+                             quat_to_dcm)
 from satgnc.harness import run_closed_loop
 from satgnc.pid import PidGains
 from satgnc.sensors import (B_INERTIAL, EPOCH, POSITION, SENSOR_CHANNELS, SUN_INERTIAL,
@@ -17,6 +18,7 @@ from satgnc.sensors import (B_INERTIAL, EPOCH, POSITION, SENSOR_CHANNELS, SUN_IN
                             sun_direction_inertial, sun_sensor_reading, unit)
 
 IDENTITY = Quaternion.identity()
+IDENTITY_ROWS = dcm_rows(IDENTITY)     # the direction readings take the attitude matrix's rows
 
 
 class TestJulianDate:
@@ -107,7 +109,8 @@ class TestDirectionalSensors:
     def test_noiseless_is_rotated_reference(self):
         q = euler_to_quat(EulerAngles(40.0, -25.0, 60.0))
         for read, ref in ((magnetometer_reading, B_INERTIAL), (sun_sensor_reading, SUN_INERTIAL)):
-            np.testing.assert_allclose(read(q, None), unit(quat_to_dcm(q) @ ref), atol=1e-15)
+            np.testing.assert_allclose(read(dcm_rows(q), None), unit(quat_to_dcm(q) @ ref),
+                                       atol=1e-15)
 
     def test_float_reading_equals_batched_form(self):
         # a reading in Python floats equals the elementwise numpy form over
@@ -129,7 +132,7 @@ class TestDirectionalSensors:
             z = (2.0 * (q1 * q3 + q2 * q4) * r0 + 2.0 * (q2 * q3 - q1 * q4) * r1
                  + (1.0 - 2.0 * (q1 * q1 + q2 * q2)) * r2) + noise[:, 2]
             batched = np.column_stack([x, y, z]) / np.sqrt(x * x + y * y + z * z)[:, None]
-            got = np.array([read(qk, nk) for qk, nk in zip(q.tolist(), rows)])
+            got = np.array([read(dcm_rows(qk), nk) for qk, nk in zip(q.tolist(), rows)])
             np.testing.assert_array_equal(got, batched)
             dcm_form = [unit(quat_to_dcm(qk) @ ref + nk) for qk, nk in zip(q, noise)]
             np.testing.assert_allclose(got, dcm_form, rtol=0.0, atol=1e-15)
@@ -141,11 +144,12 @@ class TestDirectionalSensors:
         for q, noise in ((IDENTITY, cancel), ((math.nan, 0.0, 0.0, 1.0), None),
                          (IDENTITY, [math.inf, 0.0, 0.0])):
             with pytest.raises(ValueError, match="zero or non-finite"):
-                sun_sensor_reading(q, noise)
+                sun_sensor_reading(dcm_rows(q), noise)
 
     def test_reading_always_unit(self):
         for mag, sun, _ in sensor_noise(NoiseSpec(0.05, 0.05, 0.0), 1, 50):
-            for u in (magnetometer_reading(IDENTITY, mag), sun_sensor_reading(IDENTITY, sun)):
+            for u in (magnetometer_reading(IDENTITY_ROWS, mag),
+                      sun_sensor_reading(IDENTITY_ROWS, sun)):
                 assert np.linalg.norm(u) == pytest.approx(1.0)
 
     def test_noise_scales_with_field_magnitude(self):
@@ -157,7 +161,7 @@ class TestDirectionalSensors:
         (_, sun, _), = sensor_noise(NoiseSpec(0.0, sigma, 0.0), 2, 1)
         b_norm, s_norm = np.linalg.norm(B_INERTIAL), np.linalg.norm(SUN_INERTIAL)
         np.testing.assert_allclose(np.divide(mag, b_norm), np.divide(sun, s_norm), rtol=1e-15)
-        np.testing.assert_allclose(magnetometer_reading(IDENTITY, mag),
+        np.testing.assert_allclose(magnetometer_reading(IDENTITY_ROWS, mag),
                                    unit(B_INERTIAL / b_norm + np.divide(sun, s_norm)),
                                    atol=1e-14)
 
@@ -168,7 +172,7 @@ class TestDirectionalSensors:
         noise = sensor_noise(NoiseSpec(sigma_sun=sigma), 3, 10000)
         angles = np.empty(len(noise))
         for k, (_, row, _) in enumerate(noise):
-            u = sun_sensor_reading(IDENTITY, row)
+            u = sun_sensor_reading(IDENTITY_ROWS, row)
             angles[k] = math.acos(min(1.0, float(u @ SUN_INERTIAL)))
         predicted = sigma * math.sqrt(math.pi / 2.0)
         assert np.mean(angles) == pytest.approx(predicted, rel=0.10)
@@ -176,7 +180,7 @@ class TestDirectionalSensors:
     def test_zero_reference_rejected(self):
         for ref in ([0.0, 0.0, 0.0], [math.inf, 0.0, 0.0]):
             with pytest.raises(ValueError, match="zero or non-finite"):
-                _body_direction(ref, IDENTITY, None)
+                _body_direction(ref, IDENTITY_ROWS, None)
 
 
 class TestUnit:
@@ -257,9 +261,9 @@ class TestReadingVector:
             return rows[:, [col[prefix + axis] for axis in ("x", "y", "z")]]
 
         dcms = [quat_to_dcm(q) for q in rec.q]
-        np.testing.assert_array_equal(block("ub_body_"), [magnetometer_reading(q, None)
+        np.testing.assert_array_equal(block("ub_body_"), [magnetometer_reading(dcm_rows(q), None)
                                                           for q in rec.q.tolist()])
-        np.testing.assert_array_equal(block("us_body_"), [sun_sensor_reading(q, None)
+        np.testing.assert_array_equal(block("us_body_"), [sun_sensor_reading(dcm_rows(q), None)
                                                           for q in rec.q.tolist()])
         np.testing.assert_allclose(block("ub_body_"), [unit(c @ b) for c in dcms], atol=1e-15)
         np.testing.assert_allclose(block("us_body_"), [unit(c @ s) for c in dcms], atol=1e-15)
