@@ -8,18 +8,17 @@ on the generalized-bell membership parameters.
 
 The premise is held in one form: flat (total MFs,) arrays of widths,
 slopes and centres, laid out input by input, which the firing layers,
-the gradient, training and persistence all read.  The consequents are
-held in one form too: a (k, n_rules, n_inputs + 1) stack, k output
-channels over the one premise (k = 1 for a single output).  forward,
-fit_consequents, premise_gradient and train all work on (N, k) outputs,
-and the role bundles are such models.
+the gradient and training all read.  The consequents are held in one
+form too: a (k, n_rules, n_inputs + 1) stack, k output channels over the
+one premise (k = 1 for a single output).  forward, fit_consequents,
+premise_gradient and train all work on (N, k) outputs, and the role
+bundles are such models; roles stores them.
 """
 
 from __future__ import annotations
 
 import contextlib
 import contextvars
-import json
 import math
 import warnings
 from dataclasses import dataclass, field, fields, replace
@@ -31,7 +30,6 @@ __all__ = [
     "AnfisModel",
     "TrainConfig",
     "TrainingDivergedError",
-    "ModelFormatError",
     "bell", "overflow_guard",
     "grid_partition_init",
     "forward", "forward_row",
@@ -42,12 +40,8 @@ __all__ = [
     "solve_consequents",
     "premise_gradient",
     "train",
-    "save_model",
-    "load_model",
-    "MODEL_FORMAT_VERSION",
 ]
 
-MODEL_FORMAT_VERSION = 1
 FIRING_FLOOR = 1e-300
 FIRING_BLOCK = 64          # samples per gathered block of rule memberships
 MIN_WIDTH = 1e-9
@@ -59,10 +53,6 @@ _GUARDED = contextvars.ContextVar("overflow_guarded", default=False)   # see ove
 class TrainingDivergedError(RuntimeError):
     """Raised when the hybrid training loop produces a non-finite loss or
     premise gradient."""
-
-
-class ModelFormatError(ValueError):
-    """Raised on malformed or version-incompatible model files."""
 
 
 @contextlib.contextmanager
@@ -121,6 +111,9 @@ class AnfisModel:
             raise ValueError(f"premise arrays of shapes {self.a.shape}, {self.b.shape} and "
                              f"{self.c.shape} do not hold the {sum(mfs)} membership "
                              f"functions of mfs_per_input {mfs}")
+        ranges = self.input_ranges = np.asarray(self.input_ranges, dtype=float)
+        if ranges.shape != (len(mfs), 2):
+            raise ValueError(f"input ranges of shape {ranges.shape}, not ({len(mfs)}, 2)")
         stops = np.cumsum(mfs).tolist()
         self.bounds = tuple(zip([0] + stops[:-1], stops))
         self.columns = np.repeat(np.arange(len(mfs)), mfs)
@@ -400,7 +393,6 @@ def train(model: AnfisModel, x, y,
                 current.a = np.maximum(current.a - step * ga, MIN_WIDTH)
                 current.b = np.maximum(current.b - step * gb, MIN_SLOPE)
                 current.c = current.c - step * gc
-    # training metadata travels with the model file
     best_model.metadata.update({
         "epochs": config.epochs,
         "learning_rate": config.learning_rate,
@@ -408,52 +400,3 @@ def train(model: AnfisModel, x, y,
         "final_rmse": best_rmse,
     })
     return best_model, history
-
-
-def save_model(model: AnfisModel, path) -> None:
-    """Serialize to a self-describing JSON document (bit-exact round trip)."""
-    doc = {
-        "format_version": MODEL_FORMAT_VERSION,
-        "n_inputs": model.n_inputs,
-        "mfs_per_input": list(model.mfs_per_input),
-        "input_ranges": model.input_ranges.tolist(),
-        "premise": [
-            {"input": i, "a": model.a[start:stop].tolist(),
-             "b": model.b[start:stop].tolist(), "c": model.c[start:stop].tolist()}
-            for i, (start, stop) in enumerate(model.bounds)
-        ],
-        "consequents": model.coeffs.tolist(),
-        "metadata": model.metadata,
-    }
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=1)
-        fh.write("\n")
-
-
-def load_model(path) -> AnfisModel:
-    try:
-        with open(path) as fh:
-            doc = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ModelFormatError(f"malformed model file {path}: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise ModelFormatError(f"malformed model file {path}: not a JSON object")
-    version = doc.get("format_version")
-    if version != MODEL_FORMAT_VERSION:
-        raise ModelFormatError(
-            f"unsupported model format version {version!r} in {path} "
-            f"(expected {MODEL_FORMAT_VERSION})")
-    try:
-        # the file holds one premise entry per input; the model holds them end to end
-        a, b, c = (np.concatenate([np.asarray(p[k], dtype=float) for p in doc["premise"]])
-                   for k in "abc")
-        model = AnfisModel(
-            mfs_per_input=tuple(doc["mfs_per_input"]),
-            a=a, b=b, c=c,
-            coeffs=np.asarray(doc["consequents"], dtype=float),
-            input_ranges=np.asarray(doc["input_ranges"], dtype=float),
-            metadata=doc.get("metadata", {}),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ModelFormatError(f"malformed model file {path}: {exc}") from exc
-    return model

@@ -49,14 +49,10 @@ def _load_run_gains(cfg):
 
 
 def _load_bundles(cfg, needed):
-    bundles = {}
-    for role in needed:
-        d = Path(cfg.bundle_dir) / role if cfg.bundle_dir else None
-        if d is None or not d.exists():
-            raise CliError(f"missing trained {role!r} bundle: "
-                           f"{d if d is not None else '(no bundle_dir configured)'}")
-        bundles[role] = roles.load_bundle(d)
-    return bundles
+    if needed and not cfg.bundle_dir:
+        raise CliError("config has no bundle_dir; run train first")
+    # a missing bundle file raises FileNotFoundError naming it
+    return {role: roles.load_bundle(Path(cfg.bundle_dir) / role) for role in needed}
 
 
 def cmd_simulate(args) -> int:
@@ -76,6 +72,7 @@ def cmd_tune_pid(args) -> int:
     result = optimize_gains(tuning_objective(cfg), initial, budget=args.budget,
                             bounds=default_gain_bounds(NOMINAL_INERTIA))
     out = args.out or (cfg.gains_file or "gains.ini")
+    Path(out).parent.mkdir(parents=True, exist_ok=True)     # as train makes its bundle_dir
     save_gains(result.gains, out, extra={
         "cost": result.cost,
         "evaluations": result.n_evaluations,

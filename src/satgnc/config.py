@@ -69,6 +69,11 @@ class SimConfig:
             raise ValueError(f"duration must be finite and cover one step, got {self.duration}")
         if not math.isfinite(self.duration / self.dt):
             raise ValueError(f"duration {self.duration} / dt {self.dt} is not a finite step count")
+        for name in ("initial_euler", "initial_omega", "desired_euler", "disturbance_const",
+                     "disturbance_amp", "disturbance_freq_hz"):
+            value = getattr(self, name)
+            if not all(map(math.isfinite, value if isinstance(value, tuple) else (value,))):
+                raise ValueError(f"{name} must be finite, got {value}")
         if self.controller not in CONTROLLER_KINDS:
             raise ValueError(f"unknown controller kind {self.controller!r}")
         if self.estimator not in ESTIMATOR_KINDS:

@@ -27,7 +27,7 @@ from .config import (NOMINAL_INERTIA, UNCERTAIN_INERTIA, MonteCarloConfig, SimCo
 from .dynamics import (BodyState, InertiaTensor, IntegrationDivergedError, Torque,
                        euler_to_quat, integrate_step, quat_multiply, quat_to_euler)
 from .pid import PidGains, PidState, pid_step
-from .roles import (INERTIA_RANGE, SENSOR_ROLES, EstimateInvalidError, RoleBundle,
+from .roles import (INERTIA_RANGE, ROLES, SENSOR_ROLES, EstimateInvalidError, RoleBundle,
                     _random_conditions, anfis_control, anfis_estimate, anfis_integrated,
                     pid_scenario, write_csv)
 from .sensors import NoiseSpec, sensor_noise, sensor_row
@@ -65,7 +65,7 @@ _ESTIMATE = slice(CSV_COLUMNS.index("est_q1"), None)
 
 
 class MissingBundleError(RuntimeError):
-    """A run requested a neuro-fuzzy role whose bundle was not supplied."""
+    """A run requested a neuro-fuzzy role whose bundle was not supplied or does not fit it."""
 
 
 def _columns(first: str, last: str | None = None) -> property:
@@ -123,11 +123,17 @@ def needed_roles(config: SimConfig) -> list[str]:
 
 
 def _require_bundle(bundles: dict | None, role: str) -> RoleBundle:
-    if not bundles or role not in bundles or bundles[role] is None:
+    bundle = (bundles or {}).get(role)
+    if bundle is None:
         raise MissingBundleError(f"run requires a trained {role!r} bundle")
-    bundle = bundles[role]
-    if bundle.role != role:
-        raise MissingBundleError(f"bundle has role {bundle.role!r}, expected {role!r}")
+    spec = ROLES[role]
+    # the role calls unpack the outputs, and anfis_control feeds (q_e, w), by position
+    if (bundle.role, bundle.output_names) != (role, spec.outputs):
+        raise MissingBundleError(f"{bundle.role} bundle gives {', '.join(bundle.output_names)}; "
+                                 f"the {role} role needs {', '.join(spec.outputs)}")
+    if role == "controller" and bundle.input_names != spec.inputs:
+        raise MissingBundleError(f"controller bundle reads {', '.join(bundle.input_names)}; "
+                                 f"the controller role needs {', '.join(spec.inputs)}")
     return bundle
 
 

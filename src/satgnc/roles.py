@@ -59,8 +59,8 @@ __all__ = [
     "load_bundle",
 ]
 
-BUNDLE_FORMAT_VERSION = 2
-MODEL_FILE = "model.json"
+BUNDLE_FORMAT_VERSION = 3
+BUNDLE_FILE = "bundle.json"
 
 CONTROLLER_CHANNELS = ("qe1", "qe2", "qe3", "w1", "w2", "w3")
 TORQUE_CHANNELS = ("mc1", "mc2", "mc3")
@@ -356,15 +356,14 @@ def _train_role(data: RoleDataset, role: str, mc_max: float) -> RoleBundle:
     pad = np.maximum(1e-6, 0.05 * (hi - lo))
     model = anfis.grid_partition_init(np.column_stack([lo - pad, hi + pad]), MFS_PER_INPUT)
     model.coeffs, rmse = anfis.fit_consequents(model, x, y, spec.ridge)
-    model.metadata["train_rmse"] = rmse.tolist()
-    bundle = RoleBundle(role, model, spec.inputs, spec.outputs, float(mc_max))
+    bundle = RoleBundle(role, model, spec.inputs, spec.outputs, float(mc_max),
+                        {"train_rmse": rmse.tolist()})
     if len(hold_ds):
         err = bundle.predict_batch(hold_ds.inputs[:, columns]) - hold_ds.targets
         holdout_rmse = [float(np.sqrt(np.mean(e ** 2))) for e in err.T]
     else:
         holdout_rmse = [float("nan")] * len(spec.outputs)
     bundle.metadata["holdout_rmse"] = holdout_rmse
-    bundle.metadata["mfs_per_input"] = MFS_PER_INPUT
     return bundle
 
 
@@ -396,41 +395,40 @@ def anfis_integrated(bundle: RoleBundle, row) -> Torque:
 
 
 def save_bundle(bundle: RoleBundle, dirpath) -> None:
-    """Bundle directory: a manifest plus one model file holding the shared
-    premise and the consequent stack."""
+    """Bundle directory: one document, BUNDLE_FILE, that holds the bundle and
+    its model (the flat a, b and c premise); load_bundle reads it bit for bit."""
     d = Path(dirpath)
     d.mkdir(parents=True, exist_ok=True)
-    anfis.save_model(bundle.model, d / MODEL_FILE)
-    manifest = {
+    m = bundle.model
+    doc = {
         "format_version": BUNDLE_FORMAT_VERSION,
         "role": bundle.role,
         "input_names": list(bundle.input_names),
         "output_names": list(bundle.output_names),
         "mc_max": bundle.mc_max,
+        "mfs_per_input": list(m.mfs_per_input),
+        "input_ranges": m.input_ranges.tolist(),
+        "a": m.a.tolist(), "b": m.b.tolist(), "c": m.c.tolist(),
+        "consequents": m.coeffs.tolist(),
         "metadata": bundle.metadata,
     }
-    with open(d / "manifest.json", "w") as fh:
-        json.dump(manifest, fh, indent=1)
+    with open(d / BUNDLE_FILE, "w") as fh:
+        json.dump(doc, fh, indent=1)
         fh.write("\n")
 
 
 def load_bundle(dirpath) -> RoleBundle:
-    d = Path(dirpath)
-    manifest_path = d / "manifest.json"     # a missing one raises FileNotFoundError
+    """The bundle save_bundle wrote to dirpath.  A missing BUNDLE_FILE raises
+    FileNotFoundError; a malformed one, or one of another version, ValueError."""
+    path = Path(dirpath) / BUNDLE_FILE
     try:
-        manifest = json.loads(manifest_path.read_text())
-        version = manifest.get("format_version")
-    except (AttributeError, ValueError) as exc:     # not JSON, or not an object
-        raise ValueError(f"malformed bundle manifest {manifest_path}: {exc!r}") from exc
-    if version != BUNDLE_FORMAT_VERSION:
-        raise ValueError(f"unsupported bundle format version in {manifest_path}")
-    model = anfis.load_model(d / MODEL_FILE)
-    try:
-        # input_names say what the bundle reads; an input_columns entry,
-        # which earlier versions wrote, is not read
-        return RoleBundle(manifest["role"], model, tuple(manifest["input_names"]),
-                          tuple(manifest["output_names"]), float(manifest["mc_max"]),
-                          manifest.get("metadata", {}))
-    except (KeyError, TypeError, ValueError) as exc:
-        # a missing or mistyped entry, or one that does not fit the model
-        raise ValueError(f"malformed bundle manifest {manifest_path}: {exc!r}") from exc
+        doc = json.loads(path.read_text())
+        if doc.get("format_version") != BUNDLE_FORMAT_VERSION:
+            raise ValueError(f"format version {doc.get('format_version')!r}")
+        model = AnfisModel(doc["mfs_per_input"], doc["a"], doc["b"], doc["c"],
+                           doc["consequents"], doc["input_ranges"])
+        return RoleBundle(doc["role"], model, tuple(doc["input_names"]),
+                          tuple(doc["output_names"]), float(doc["mc_max"]), doc["metadata"])
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise ValueError(f"{path} is not a version-{BUNDLE_FORMAT_VERSION} bundle file: "
+                         f"{exc!r}") from exc

@@ -1,39 +1,19 @@
-"""Takagi-Sugeno core tests: forward pass, training, persistence."""
+"""Takagi-Sugeno core tests: forward pass, training, model shapes and pickling."""
 
 import dataclasses
 import itertools
-import json
 import pickle
-import tempfile
-from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
-from hypothesis.extra.numpy import arrays
 
 from satgnc import anfis
-from satgnc.anfis import (AnfisModel, ModelFormatError, TrainConfig, bell, design_matrix,
+from satgnc.anfis import (AnfisModel, TrainConfig, bell, design_matrix,
                           fit_consequents, forward, grid_partition_init,
                           linear_consequent_prior, normalized_firing, premise_gradient,
                           train)
 
 RANGES_2D = np.array([[-1.0, 1.0], [-2.0, 2.0]])
-FLOATS = st.floats(allow_nan=False)       # -0.0, subnormals and infinities too
-
-
-@st.composite
-def models(draw):
-    """Any model a file can hold: 1-4 inputs of 2-4 MFs, any premise
-    values, and a stack of 1-3 consequent tables."""
-    mfs = tuple(draw(st.lists(st.integers(2, 4), min_size=1, max_size=4)))
-    stack = (draw(st.integers(1, 3)), int(np.prod(mfs)), len(mfs) + 1)
-    return AnfisModel(
-        mfs, *(draw(arrays(np.float64, sum(mfs), elements=FLOATS)) for _ in "abc"),
-        coeffs=draw(arrays(np.float64, stack, elements=FLOATS)),
-        input_ranges=draw(arrays(np.float64, (len(mfs), 2), elements=FLOATS)),
-        metadata=draw(st.dictionaries(st.text(max_size=4), FLOATS | st.text(max_size=4),
-                                      max_size=3)))
 
 
 def random_model(rng, n_inputs=2, mfs=2):
@@ -335,41 +315,23 @@ class TestTrain:
             TrainConfig(ridge=-1e-3)
 
 
+class TestModelShapes:
+    def test_malformed_parameters_rejected(self):
+        # the constructor refuses parameters that do not fit mfs_per_input;
+        # a bundle file's model is built by it (tests/test_roles.py)
+        m = grid_partition_init(RANGES_2D, 2)
+        with pytest.raises(ValueError, match="membership functions"):
+            AnfisModel(m.mfs_per_input, m.a, m.b, m.c[:3], m.coeffs, m.input_ranges)
+        # a bare (n_rules, n_inputs + 1) table is not a model's consequents
+        with pytest.raises(ValueError, match="consequents"):
+            dataclasses.replace(m, coeffs=m.coeffs[0])
+        r = m.input_ranges
+        for ranges in (r[0], r[:1], np.column_stack([r, r[:, :1]])):
+            with pytest.raises(ValueError, match="input ranges"):
+                dataclasses.replace(m, input_ranges=ranges)
+
+
 class TestPersistence:
-    def test_round_trip_bit_exact(self, tmp_path):
-        rng = np.random.default_rng(12)
-        m, _ = random_model(rng, n_inputs=3, mfs=2)
-        m.metadata["note"] = "fixture"
-        # a single table, and a stack of two channels over the same premise
-        for coeffs in (m.coeffs, rng.normal(size=(2,) + m.coeffs.shape[1:])):
-            m.coeffs = coeffs
-            path = tmp_path / "model.json"
-            anfis.save_model(m, path)
-            loaded = anfis.load_model(path)
-            assert loaded.mfs_per_input == m.mfs_per_input
-            np.testing.assert_array_equal(loaded.a, m.a)
-            np.testing.assert_array_equal(loaded.b, m.b)
-            np.testing.assert_array_equal(loaded.c, m.c)
-            np.testing.assert_array_equal(loaded.coeffs, m.coeffs)
-            np.testing.assert_array_equal(loaded.input_ranges, m.input_ranges)
-            assert loaded.metadata["note"] == "fixture"
-
-    @settings(max_examples=40, deadline=None)
-    @given(models())
-    def test_round_trip_property(self, m):
-        # bit for bit, and saving the loaded model gives the same bytes
-        with tempfile.TemporaryDirectory() as d:
-            first, second = Path(d, "first.json"), Path(d, "second.json")
-            anfis.save_model(m, first)
-            loaded = anfis.load_model(first)
-            anfis.save_model(loaded, second)
-            assert second.read_bytes() == first.read_bytes()
-        assert loaded.mfs_per_input == m.mfs_per_input
-        for name in ("a", "b", "c", "coeffs", "input_ranges"):
-            got, want = getattr(loaded, name), getattr(m, name)
-            assert got.shape == want.shape and got.tobytes() == want.tobytes(), name
-        assert loaded.metadata == m.metadata
-
     def test_pickle_keeps_rule_major_layout(self):
         # a pool task pickles its bundles; the unpickled model is laid out as
         # the constructor lays it, so forward's table stays a view
@@ -386,48 +348,3 @@ class TestPersistence:
         assert forward(back, x).tobytes() == forward(m, x).tobytes()
         for row in x[:10]:
             assert forward(back, row).tobytes() == forward(m, row).tobytes()
-
-    def test_premise_length_mismatch_rejected(self, tmp_path):
-        m = grid_partition_init(RANGES_2D, 2)
-        with pytest.raises(ValueError, match="membership functions"):
-            AnfisModel(m.mfs_per_input, m.a, m.b, m.c[:3], m.coeffs, m.input_ranges)
-        path = tmp_path / "model.json"
-        # three centres for a two-MF input, then three whole MFs for it
-        for keys in ("c", "abc"):
-            anfis.save_model(m, path)
-            doc = json.loads(path.read_text())
-            for key in keys:
-                doc["premise"][0][key].append(0.5)
-            path.write_text(json.dumps(doc))
-            with pytest.raises(ModelFormatError, match="membership functions"):
-                anfis.load_model(path)
-
-    def test_consequents_must_be_a_stack(self, tmp_path):
-        # a bare (n_rules, n_inputs + 1) table is not a model's consequents
-        m = grid_partition_init(RANGES_2D, 2)
-        with pytest.raises(ValueError, match="consequents"):
-            dataclasses.replace(m, coeffs=m.coeffs[0])
-        path = tmp_path / "model.json"
-        anfis.save_model(m, path)
-        doc = json.loads(path.read_text())
-        path.write_text(json.dumps(dict(doc, consequents=doc["consequents"][0])))
-        with pytest.raises(ModelFormatError, match="consequents"):
-            anfis.load_model(path)
-
-    def test_version_mismatch_rejected(self, tmp_path):
-        path = tmp_path / "bad.json"
-        path.write_text('{"format_version": 999}\n')
-        with pytest.raises(ModelFormatError, match="version"):
-            anfis.load_model(path)
-
-    def test_malformed_json_rejected(self, tmp_path):
-        path = tmp_path / "bad.json"
-        path.write_text("not json at all")
-        with pytest.raises(ModelFormatError):
-            anfis.load_model(path)
-
-    def test_missing_fields_rejected(self, tmp_path):
-        path = tmp_path / "bad.json"
-        path.write_text('{"format_version": 1, "mfs_per_input": [2]}\n')
-        with pytest.raises(ModelFormatError):
-            anfis.load_model(path)

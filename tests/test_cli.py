@@ -110,7 +110,7 @@ class TestGenDataAndTrain:
                          "--role", "controller", "--data", str(data),
                          "--out", str(out)]) == 0
         files = sorted(p.name for p in b1.iterdir())
-        assert "manifest.json" in files
+        assert files == [roles.BUNDLE_FILE]
         match, mismatch, errors = filecmp.cmpfiles(b1, b2, files, shallow=False)
         assert mismatch == [] and errors == []
 
@@ -125,9 +125,8 @@ class TestGenDataAndTrain:
                       "--out", str(data)],
                      ["train", "--role", "controller", "--data", str(data)]):
             assert main(argv[:1] + ["--config", str(cfg)] + argv[1:]) == 0
-        manifest = json.loads((tmp_path / "bundles" / "controller" / "manifest.json")
-                              .read_text())
-        assert manifest["mc_max"] == 0.5
+        doc = json.loads((tmp_path / "bundles" / "controller" / roles.BUNDLE_FILE).read_text())
+        assert doc["mc_max"] == 0.5
 
     def test_train_without_gains_file_fails(self, workdir, tmp_path, capsys):
         cfg = tmp_path / "run.ini"
@@ -242,20 +241,35 @@ class TestDiagnostics:
         assert main(["simulate", "--config", str(cfg)]) == 1
         assert "nowhere" in capsys.readouterr().err
 
-    def test_malformed_bundle_manifest(self, workdir, tmp_path, capsys):
+    @pytest.mark.parametrize("fault", ["truncated", "version 2", "no output_names",
+                                       "earlier format"])
+    def test_malformed_bundle_file(self, workdir, tmp_path, capsys, fault):
+        # each ends the run with an error line that names the bundle file; a
+        # directory in the earlier format (manifest.json and model.json) has none
         bundles = tmp_path / "bundles"
         shutil.copytree(workdir / "bundles", bundles)
-        manifest = bundles / "controller" / "manifest.json"
-        doc = json.loads(manifest.read_text())
-        del doc["output_names"]
-        manifest.write_text(json.dumps(doc))
+        path = bundles / "controller" / roles.BUNDLE_FILE
+        text = path.read_text()
+        doc = json.loads(text)
+        if fault == "truncated":
+            path.write_text(text[:len(text) // 2])
+        elif fault == "version 2":
+            path.write_text(json.dumps(dict(doc, format_version=2)))
+        elif fault == "no output_names":
+            del doc["output_names"]
+            path.write_text(json.dumps(doc))
+        else:
+            path.unlink()
+            for name in ("manifest.json", "model.json"):
+                (path.parent / name).write_text('{"format_version": 2}\n')
         cfg = tmp_path / "run.ini"
         cfg.write_text((workdir / "run.ini").read_text().replace(
             "controller = pid", "controller = anfis").replace(
             str(workdir / "bundles"), str(bundles)))
-        assert main(["simulate", "--config", str(cfg)]) == 1
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "r.csv")]) == 1
         err = capsys.readouterr().err
-        assert err.startswith("error:") and str(manifest) in err
+        assert err.startswith("error:") and str(path) in err
+        assert "Traceback" not in err and err.count("\n") == 1
 
     @pytest.mark.parametrize("fault", ["not ini", "no kp_y"])
     def test_malformed_gains_file(self, workdir, tmp_path, capsys, fault):
@@ -269,20 +283,6 @@ class TestDiagnostics:
         assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "r.csv")]) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: malformed gains file {gains}")
-        assert "Traceback" not in err
-
-    def test_malformed_model_file(self, workdir, tmp_path, capsys):
-        bundles = tmp_path / "bundles"
-        shutil.copytree(workdir / "bundles", bundles)
-        model = bundles / "controller" / roles.MODEL_FILE
-        model.write_text("[]")
-        cfg = tmp_path / "run.ini"
-        cfg.write_text((workdir / "run.ini").read_text().replace(
-            "controller = pid", "controller = anfis").replace(
-            str(workdir / "bundles"), str(bundles)))
-        assert main(["simulate", "--config", str(cfg)]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith(f"error: malformed model file {model}")
         assert "Traceback" not in err
 
     @pytest.mark.parametrize("argv, flag", [
@@ -318,6 +318,26 @@ class TestDiagnostics:
         assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and "finite" in err and "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["simulate", "tune-pid"])
+    @pytest.mark.parametrize("section, key, value, field", [
+        ("disturbance", "constant", "nan, 0, 0", "disturbance_const"),
+        ("disturbance", "amplitude", "0, inf, 0", "disturbance_amp"),
+        ("disturbance", "frequency_hz", "nan", "disturbance_freq_hz"),
+        ("initial", "euler_deg", "nan, 0, 0", "initial_euler"),
+        ("initial", "omega_rad_s", "0, 0, -inf", "initial_omega"),
+        ("desired", "euler_deg", "0, nan, 0", "desired_euler")])
+    def test_non_finite_scenario_rejected(self, workdir, tmp_path, capsys, command,
+                                          section, key, value, field):
+        # simulate failed mid-run without naming the setting, or ran (a NaN
+        # frequency beside no amplitude); tune-pid zeroes the disturbance and
+        # wrote gains
+        cfg, out = tmp_path / "bad.ini", tmp_path / "out"
+        cfg.write_text((workdir / "run.ini").read_text() + f"\n[{section}]\n{key} = {value}\n")
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {field} must be finite") and "Traceback" not in err
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["simulate", "tune-pid"])

@@ -22,10 +22,11 @@ from satgnc.sensors import NoiseSpec
 SPECIAL = st.sampled_from([-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
                            0.1 / 3.0, -0.1 / 3.0, 1.7976931348623157e308])
 FLOATS = st.floats(allow_nan=False) | SPECIAL
+FINITE = st.floats(allow_nan=False, allow_infinity=False) | SPECIAL
 POSITIVE = (st.floats(min_value=5e-324, max_value=1e6)
             | st.sampled_from([5e-324, 2.2250738585072014e-308, 0.1 / 3.0]))
 SIGMAS = st.floats(min_value=0.0, allow_infinity=False) | st.sampled_from([-0.0, 5e-324])
-TRIPLES = st.tuples(FLOATS, FLOATS, FLOATS)
+TRIPLES = st.tuples(FINITE, FINITE, FINITE)
 PATHS = st.from_regex(r"[A-Za-z0-9_./-]{0,16}", fullmatch=True)
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -46,7 +47,7 @@ def sim_configs(draw):
             noise=NoiseSpec(draw(SIGMAS), draw(SIGMAS), draw(SIGMAS)),
             disturbance_const=Torque(*draw(TRIPLES)),
             disturbance_amp=Torque(*draw(TRIPLES)),
-            disturbance_freq_hz=draw(FLOATS),
+            disturbance_freq_hz=draw(FINITE),
             controller=draw(st.sampled_from(CONTROLLER_KINDS)),
             estimator=draw(st.sampled_from(ESTIMATOR_KINDS)),
             modulator=draw(st.sampled_from(MODULATOR_KINDS)),
@@ -74,6 +75,18 @@ class TestSimConfig:
     def test_non_finite_dt_and_duration_rejected(self, field, value):
         with pytest.raises(ValueError, match=f"{field} must be .*finite"):
             SimConfig(**{field: value})
+
+    @pytest.mark.parametrize("field", ["initial_euler", "initial_omega", "desired_euler",
+                                       "disturbance_const", "disturbance_amp",
+                                       "disturbance_freq_hz"])
+    def test_non_finite_scenario_rejected(self, field):
+        # a NaN or infinite setting is refused by name, not met mid-run; a
+        # zero-amplitude disturbance with a NaN frequency too
+        default = getattr(SimConfig(), field)
+        for value in (math.nan, math.inf, -math.inf):
+            bad = value if field == "disturbance_freq_hz" else type(default)(0.0, value, 0.0)
+            with pytest.raises(ValueError, match=f"{field} must be finite"):
+                SimConfig(**{field: bad})
 
     def test_step_count_must_be_finite(self):
         # a subnormal dt overflows duration / dt; the step count was int(round(inf))

@@ -121,6 +121,26 @@ class TestRunClosedLoop:
             run_closed_loop(SimConfig(estimator="anfis"), gains=GAINS,
                             bundles={"estimator": controller_art["bundle"]})
 
+    def test_bundle_of_other_outputs_rejected(self, sensor_art):
+        # an integrated bundle relabelled as the estimator: refused before the
+        # first step, by the role and both output lists, not at an unpacking
+        relabelled = replace(sensor_art["integrated"], role="estimator")
+        with pytest.raises(MissingBundleError) as exc:
+            run_closed_loop(SimConfig(estimator="anfis"), gains=GAINS,
+                            bundles={"estimator": relabelled})
+        assert str(exc.value) == ("estimator bundle gives mc1, mc2, mc3; the estimator role "
+                                  "needs q1, q2, q3, q4, w1, w2, w3")
+
+    def test_controller_bundle_of_other_inputs_rejected(self, controller_art):
+        # anfis_control feeds (q_e, w) by position, so the controller bundle
+        # must read them in that order; a sensor bundle reads its own channels
+        swapped = replace(controller_art["bundle"],
+                          input_names=("w1", "w2", "w3", "qe1", "qe2", "qe3"))
+        with pytest.raises(MissingBundleError) as exc:
+            run_closed_loop(SimConfig(controller="anfis"), bundles={"controller": swapped})
+        assert str(exc.value) == ("controller bundle reads w1, w2, w3, qe1, qe2, qe3; the "
+                                  "controller role needs qe1, qe2, qe3, w1, w2, w3")
+
     def test_quaternion_norm_preserved(self):
         rec = run_closed_loop(SimConfig(duration=5.0), gains=GAINS)
         np.testing.assert_allclose(np.linalg.norm(rec.q, axis=1), 1.0,

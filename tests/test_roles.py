@@ -35,17 +35,16 @@ METADATA = st.dictionaries(st.text(max_size=4), FLOATS | st.text(max_size=4), ma
 
 @st.composite
 def role_bundles(draw):
-    """Any bundle a directory can hold: 1-4 inputs of 2-4 MFs, named by
-    sensor channels for a sensor role, 1-3 output channels, any premise and
-    consequent values, any finite positive torque bound."""
+    """Any bundle a file can hold: 1-4 inputs of 2-4 MFs, named by sensor
+    channels for a sensor role, 1-3 output channels, any premise and
+    consequent values, any finite positive torque bound, and metadata."""
     mfs = tuple(draw(st.lists(st.integers(2, 4), min_size=1, max_size=4)))
     n_in, k = len(mfs), draw(st.integers(1, 3))
     model = AnfisModel(
         mfs, *(draw(arrays(np.float64, sum(mfs), elements=FLOATS)) for _ in "abc"),
         coeffs=draw(arrays(np.float64, (k, int(np.prod(mfs)), n_in + 1), elements=FLOATS)),
         # finite, so the bundle's envelope arithmetic stays finite
-        input_ranges=draw(arrays(np.float64, (n_in, 2), elements=st.floats(-1e300, 1e300))),
-        metadata=draw(METADATA))
+        input_ranges=draw(arrays(np.float64, (n_in, 2), elements=st.floats(-1e300, 1e300))))
     role = draw(st.sampled_from(tuple(roles.ROLES)))
     names = (draw(st.permutations(SENSOR_CHANNELS))[:n_in] if role in roles.SENSOR_ROLES
              else [f"x{i}" for i in range(n_in)])
@@ -233,16 +232,19 @@ class TestSensorBundles:
         assert isinstance(out, Torque)
         assert all(abs(v) <= bundle.mc_max for v in out)
 
-    def test_manifest_names_inputs_only(self, bundles, tmp_path):
-        # a manifest says what its bundle reads by name alone; the bundle
-        # works out the sensor-row positions from the names
+    def test_bundle_file_names_inputs_only(self, bundles, tmp_path):
+        # a bundle file says what its bundle reads by name alone; the bundle
+        # works out the sensor-row positions from the names.  Its one
+        # metadata object holds both fit scores
         for role, bundle in bundles.items():
             names = roles.ROLES[role].inputs
             save_bundle(bundle, tmp_path / role)
-            manifest = json.loads((tmp_path / role / "manifest.json").read_text())
-            assert manifest["input_names"] == list(names)
-            assert "input_columns" not in manifest
-            assert "pruned_columns" not in manifest["metadata"]
+            assert [p.name for p in (tmp_path / role).iterdir()] == [roles.BUNDLE_FILE]
+            doc = json.loads((tmp_path / role / roles.BUNDLE_FILE).read_text())
+            assert doc["input_names"] == list(names)
+            assert "input_columns" not in doc
+            assert sorted(doc["metadata"]) == ["holdout_rmse", "train_rmse"]
+            assert bundle.model.metadata == {}
             assert bundle.input_columns == (
                 tuple(SENSOR_CHANNELS.index(n) for n in names) if role != "controller"
                 else None)
@@ -261,11 +263,10 @@ class TestSensorBundles:
 
     @pytest.mark.filterwarnings("ignore:.*training envelope")
     def test_bundle_reads_its_own_columns(self, sensor_art, tuned, tmp_path):
-        # bundle directories in the format earlier versions wrote, whose
-        # manifest also lists input_columns: one on the nine body-frame and
-        # gyro channels, before the sensor roles dropped two, and one on
-        # today's seven.  Each loads and flies, reading the channels its
-        # input_names name from the sensor row.
+        # sensor bundles on other channel sets than ROLES names: one on the
+        # nine body-frame and gyro channels, before the sensor roles dropped
+        # two, and one on today's seven.  Each goes through its bundle file
+        # and flies, reading the channels its input_names name from the row
         mc_max = tuned["gains"].mc_max
         data = sensor_art["data"]
         rng = np.random.default_rng(0)
@@ -282,13 +283,8 @@ class TestSensorBundles:
                 model.coeffs = np.ascontiguousarray(np.broadcast_to(
                     beta.T[:, None, :], (beta.shape[1], model.n_rules, len(cols) + 1)))
                 d = tmp_path / f"{len(cols)}" / role
-                d.mkdir(parents=True)
-                anfis.save_model(model, d / roles.MODEL_FILE)
-                (d / "manifest.json").write_text(json.dumps({
-                    "format_version": 2, "role": role,
-                    "input_names": [SENSOR_CHANNELS[i] for i in cols],
-                    "output_names": list(view.target_names), "input_columns": list(cols),
-                    "mc_max": mc_max, "metadata": {"mfs_per_input": 2}}, indent=1) + "\n")
+                save_bundle(RoleBundle(role, model, tuple(SENSOR_CHANNELS[i] for i in cols),
+                                       view.target_names, mc_max), d)
                 bundles[role] = load_bundle(d)
                 assert bundles[role].input_columns == cols
                 for row in data.inputs[rng.choice(len(data), 5)]:
@@ -307,67 +303,90 @@ class TestSensorBundles:
 
 
 class TestBundlePersistence:
-    def test_round_trip(self, controller_art, tmp_path):
-        bundle = controller_art["bundle"]
-        d = tmp_path / "ctrl"
-        save_bundle(bundle, d)
-        loaded = load_bundle(d)
-        assert loaded.role == bundle.role
-        assert loaded.output_names == bundle.output_names
-        assert loaded.mc_max == bundle.mc_max
-        x = np.array([0.01, -0.02, 0.03, 0.001, 0.0, -0.001])
-        np.testing.assert_array_equal(loaded.predict(x), bundle.predict(x))
+    @pytest.mark.filterwarnings("ignore:.*training envelope")
+    def test_round_trip(self, bundles, tmp_path):
+        # a loaded bundle of each role answers as the trained one, bit for bit
+        rng = np.random.default_rng(4)
+        for role, bundle in bundles.items():
+            save_bundle(bundle, tmp_path / role)
+            loaded = load_bundle(tmp_path / role)
+            assert loaded.role == bundle.role
+            assert loaded.output_names == bundle.output_names
+            assert loaded.mc_max == bundle.mc_max
+            assert loaded.metadata == bundle.metadata
+            r = bundle.model.input_ranges
+            x = rng.uniform(r[:, 0] - 0.5 * (r[:, 1] - r[:, 0]), r[:, 1], size=(100, len(r)))
+            assert loaded.predict_batch(x).tobytes() == bundle.predict_batch(x).tobytes()
+            for row in x[:20].tolist():
+                assert loaded.predict(row).tobytes() == bundle.predict(row).tobytes()
 
     @settings(max_examples=40, deadline=None)
     @given(role_bundles())
     def test_round_trip_property(self, bundle):
-        # bit for bit, and saving the loaded bundle gives the same files
+        # bit for bit, for one output channel or a stack of them, and saving
+        # the loaded bundle gives the same file
         with tempfile.TemporaryDirectory() as d:
             first, second = Path(d, "first"), Path(d, "second")
             save_bundle(bundle, first)
             loaded = load_bundle(first)
             save_bundle(loaded, second)
-            for name in ("manifest.json", roles.MODEL_FILE):
-                assert (second / name).read_bytes() == (first / name).read_bytes()
+            saved = [(p / roles.BUNDLE_FILE).read_bytes() for p in (first, second)]
+            assert saved[1] == saved[0]
         for name in ("a", "b", "c", "coeffs", "input_ranges"):
             got, want = getattr(loaded.model, name), getattr(bundle.model, name)
             assert got.shape == want.shape and got.tobytes() == want.tobytes(), name
         for name in ("role", "input_names", "output_names", "input_columns", "metadata"):
             assert getattr(loaded, name) == getattr(bundle, name), name
-        assert loaded.model.metadata == bundle.model.metadata
+        assert loaded.model.mfs_per_input == bundle.model.mfs_per_input
         assert np.float64(loaded.mc_max).tobytes() == np.float64(bundle.mc_max).tobytes()
 
-    def test_missing_manifest(self, tmp_path):
-        with pytest.raises(FileNotFoundError, match="manifest"):
-            load_bundle(tmp_path / "nope")
+    def test_missing_bundle_file(self, tmp_path):
+        # no directory, and a directory in the earlier two-file format
+        # (manifest.json and model.json), which no reader is kept for
+        old = tmp_path / "old"
+        old.mkdir()
+        for name in ("manifest.json", "model.json"):
+            (old / name).write_text('{"format_version": 2}\n')
+        for d in (tmp_path / "nope", old):
+            with pytest.raises(FileNotFoundError, match=roles.BUNDLE_FILE):
+                load_bundle(d)
 
     def test_version_checked(self, tmp_path, controller_art):
         d = tmp_path / "ctrl"
         save_bundle(controller_art["bundle"], d)
-        manifest = d / "manifest.json"
-        current = json.loads(manifest.read_text())
-        # a future version, and a version-1 directory (one model file per
-        # channel, listed under "files")
-        v1 = dict(current, format_version=1,
-                  files=[f"channel_{name}.json" for name in current["output_names"]])
-        for doc in (dict(current, format_version=999), v1):
-            manifest.write_text(json.dumps(doc))
-            with pytest.raises(ValueError, match="unsupported bundle format version"):
+        path = d / roles.BUNDLE_FILE
+        current = json.loads(path.read_text())
+        missing = {k: v for k, v in current.items() if k != "format_version"}
+        for doc in (dict(current, format_version=999), dict(current, format_version=2),
+                    dict(current, format_version="3"), missing):
+            path.write_text(json.dumps(doc))
+            with pytest.raises(ValueError, match="format version") as exc:
                 load_bundle(d)
+            assert str(path) in str(exc.value)
 
-    def test_malformed_manifest_names_file(self, tmp_path, controller_art):
+    def test_malformed_bundle_file_names_it(self, tmp_path, controller_art):
         d = tmp_path / "ctrl"
         save_bundle(controller_art["bundle"], d)
-        manifest = d / "manifest.json"
-        good = json.loads(manifest.read_text())
-        missing = {k: v for k, v in good.items() if k != "output_names"}
+        path = d / roles.BUNDLE_FILE
+        text = path.read_text()
+        good = json.loads(text)
         # a NaN or infinite torque bound would let anfis_control pass every command unclamped
-        bounds = [json.dumps(dict(good, mc_max=v)) for v in (math.nan, math.inf, -0.5)]
-        for text in (json.dumps(missing), json.dumps(dict(good, mc_max=None)), *bounds, "[]", "{"):
-            manifest.write_text(text)
-            with pytest.raises(ValueError, match="malformed bundle manifest") as exc:
+        docs = [dict(good, mc_max=v) for v in (None, math.nan, math.inf, -0.5)]
+        # three centres for a two-MF input, then three whole MFs for it
+        docs += [dict(good, c=good["c"] + [0.5]),
+                 dict(good, **{k: good[k] + [0.5] for k in "abc"})]
+        # a bare (n_rules, n_inputs + 1) table is not a consequent stack;
+        # input ranges are one (low, high) pair per input
+        docs += [dict(good, consequents=good["consequents"][0]),
+                 dict(good, input_ranges=good["input_ranges"][0])]
+        docs += [{k: v for k, v in good.items() if k != key} for key in good
+                 if key != "format_version"]
+        texts = [json.dumps(doc) for doc in docs] + ["[]", "{", "not json", text[:len(text) // 2]]
+        for bad in texts:
+            path.write_text(bad)
+            with pytest.raises(ValueError, match="bundle file") as exc:
                 load_bundle(d)
-            assert str(manifest) in str(exc.value)
+            assert str(path) in str(exc.value)
 
     @pytest.mark.filterwarnings("ignore:.*training envelope")
     def test_shared_premise_fast_path_matches_generic(self, bundles):
@@ -495,11 +514,11 @@ class TestBundlePersistence:
             with pytest.raises(ValueError, match="consequent"):
                 RoleBundle("controller", dataclasses.replace(model, coeffs=coeffs),
                            ("x1", "x2"), ("y1", "y2"))
-        # hand-edited model files are rejected on load: a stack with a table
+        # hand-edited bundle files are rejected on load: a stack with a table
         # too many, and one whose tables have the wrong width
         model.coeffs = np.zeros((2, 4, 3))
         save_bundle(RoleBundle("controller", model, ("x1", "x2"), ("y1", "y2")), tmp_path)
-        path = tmp_path / "model.json"
+        path = tmp_path / roles.BUNDLE_FILE
         good = json.loads(path.read_text())
         for coeffs in (np.zeros((3, 4, 3)), np.zeros((2, 4, 2))):
             path.write_text(json.dumps(dict(good, consequents=coeffs.tolist())))
@@ -508,8 +527,8 @@ class TestBundlePersistence:
 
     def test_input_names_checked(self, tmp_path):
         # a bundle names one input per model input, and a sensor role's
-        # bundle names only sensor channels; a hand-edited manifest that
-        # breaks either is rejected on load, naming the manifest
+        # bundle names only sensor channels; a hand-edited bundle file that
+        # breaks either is rejected on load, naming the file
         model = anfis.grid_partition_init(np.array([[-1.0, 1.0], [0.0, 1.0]]), 2)
         model.coeffs = np.zeros((3, 4, 3))
         outputs = roles.TORQUE_CHANNELS
@@ -519,10 +538,10 @@ class TestBundlePersistence:
             with pytest.raises(ValueError, match=match):
                 RoleBundle(role, model, names, outputs)
         save_bundle(RoleBundle("integrated", model, ("gyro_x", "gyro_y"), outputs), tmp_path)
-        manifest = tmp_path / "manifest.json"
-        good = json.loads(manifest.read_text())
+        path = tmp_path / roles.BUNDLE_FILE
+        good = json.loads(path.read_text())
         for names, match in ((["gyro_x"], "names 1 inputs"), (["gyro_x", "qe1"], "qe1")):
-            manifest.write_text(json.dumps(dict(good, input_names=names)))
+            path.write_text(json.dumps(dict(good, input_names=names)))
             with pytest.raises(ValueError, match=match) as exc:
                 load_bundle(tmp_path)
-            assert str(manifest) in str(exc.value)
+            assert str(path) in str(exc.value)
