@@ -1,19 +1,60 @@
-"""Takagi-Sugeno core tests: forward pass, training, model shapes and pickling."""
+"""Takagi-Sugeno core tests: forward pass, training, persistence."""
 
 import dataclasses
 import itertools
+import json
 import pickle
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
-from satgnc import anfis
+from satgnc import anfis, roles
 from satgnc.anfis import (AnfisModel, TrainConfig, bell, design_matrix,
                           fit_consequents, forward, grid_partition_init,
                           linear_consequent_prior, normalized_firing, premise_gradient,
                           train)
 
 RANGES_2D = np.array([[-1.0, 1.0], [-2.0, 2.0]])
+FLOATS = st.floats(allow_nan=False)       # -0.0, subnormals and infinities too
+
+
+@st.composite
+def models(draw):
+    """Any model a bundle file can hold: 1-4 inputs of 2-4 MFs, any premise
+    and consequent values, and a stack of 1-3 consequent tables."""
+    mfs = tuple(draw(st.lists(st.integers(2, 4), min_size=1, max_size=4)))
+    stack = (draw(st.integers(1, 3)), int(np.prod(mfs)), len(mfs) + 1)
+    return AnfisModel(
+        mfs, *(draw(arrays(np.float64, sum(mfs), elements=FLOATS)) for _ in "abc"),
+        coeffs=draw(arrays(np.float64, stack, elements=FLOATS)),
+        # finite, so the bundle's envelope arithmetic stays finite
+        input_ranges=draw(arrays(np.float64, (len(mfs), 2), elements=st.floats(-1e300, 1e300))))
+
+
+def save_model(m, dirpath):
+    """Save m the one way a model is kept on disk: inside a role bundle's
+    file (roles.save_bundle).  Returns that file's path."""
+    names = tuple(f"x{i}" for i in range(m.n_inputs))
+    roles.save_bundle(roles.RoleBundle("controller", m, names,
+                                       tuple(f"y{j}" for j in range(len(m.coeffs)))), dirpath)
+    return Path(dirpath) / roles.BUNDLE_FILE
+
+
+def load_model(dirpath):
+    return roles.load_bundle(dirpath).model
+
+
+def assert_rejected(path, doc, match="bundle file"):
+    """A bundle file holding doc (JSON text, or an object to dump) fails to
+    load with a ValueError that matches and names the file."""
+    path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
+    with pytest.raises(ValueError, match=match) as exc:
+        load_model(path.parent)
+    assert str(path) in str(exc.value)
 
 
 def random_model(rng, n_inputs=2, mfs=2):
@@ -315,23 +356,36 @@ class TestTrain:
             TrainConfig(ridge=-1e-3)
 
 
-class TestModelShapes:
-    def test_malformed_parameters_rejected(self):
-        # the constructor refuses parameters that do not fit mfs_per_input;
-        # a bundle file's model is built by it (tests/test_roles.py)
-        m = grid_partition_init(RANGES_2D, 2)
-        with pytest.raises(ValueError, match="membership functions"):
-            AnfisModel(m.mfs_per_input, m.a, m.b, m.c[:3], m.coeffs, m.input_ranges)
-        # a bare (n_rules, n_inputs + 1) table is not a model's consequents
-        with pytest.raises(ValueError, match="consequents"):
-            dataclasses.replace(m, coeffs=m.coeffs[0])
-        r = m.input_ranges
-        for ranges in (r[0], r[:1], np.column_stack([r, r[:, :1]])):
-            with pytest.raises(ValueError, match="input ranges"):
-                dataclasses.replace(m, input_ranges=ranges)
-
-
 class TestPersistence:
+    def test_round_trip_bit_exact(self, tmp_path):
+        rng = np.random.default_rng(12)
+        m, _ = random_model(rng, n_inputs=3, mfs=2)
+        # a single table, and a stack of two channels over the same premise
+        for coeffs in (m.coeffs, rng.normal(size=(2,) + m.coeffs.shape[1:])):
+            m.coeffs = coeffs
+            save_model(m, tmp_path)
+            loaded = load_model(tmp_path)
+            assert loaded.mfs_per_input == m.mfs_per_input
+            np.testing.assert_array_equal(loaded.a, m.a)
+            np.testing.assert_array_equal(loaded.b, m.b)
+            np.testing.assert_array_equal(loaded.c, m.c)
+            np.testing.assert_array_equal(loaded.coeffs, m.coeffs)
+            np.testing.assert_array_equal(loaded.input_ranges, m.input_ranges)
+
+    @settings(max_examples=40, deadline=None)
+    @given(models())
+    def test_round_trip_property(self, m):
+        # bit for bit, and saving the loaded model gives the same bytes
+        with tempfile.TemporaryDirectory() as d:
+            first = save_model(m, Path(d, "first"))
+            loaded = load_model(first.parent)
+            second = save_model(loaded, Path(d, "second"))
+            assert second.read_bytes() == first.read_bytes()
+        assert loaded.mfs_per_input == m.mfs_per_input
+        for name in ("a", "b", "c", "coeffs", "input_ranges"):
+            got, want = getattr(loaded, name), getattr(m, name)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes(), name
+
     def test_pickle_keeps_rule_major_layout(self):
         # a pool task pickles its bundles; the unpickled model is laid out as
         # the constructor lays it, so forward's table stays a view
@@ -348,3 +402,51 @@ class TestPersistence:
         assert forward(back, x).tobytes() == forward(m, x).tobytes()
         for row in x[:10]:
             assert forward(back, row).tobytes() == forward(m, row).tobytes()
+
+    def test_premise_length_mismatch_rejected(self, tmp_path):
+        m = grid_partition_init(RANGES_2D, 2)
+        with pytest.raises(ValueError, match="membership functions"):
+            AnfisModel(m.mfs_per_input, m.a, m.b, m.c[:3], m.coeffs, m.input_ranges)
+        good = json.loads(save_model(m, tmp_path).read_text())
+        # three centres for a two-MF input, then three whole MFs for it
+        for keys in ("c", "abc"):
+            assert_rejected(tmp_path / roles.BUNDLE_FILE,
+                            dict(good, **{k: good[k] + [0.5] for k in keys}),
+                            match="membership functions")
+
+    def test_consequents_must_be_a_stack(self, tmp_path):
+        # a bare (n_rules, n_inputs + 1) table is not a model's consequents
+        m = grid_partition_init(RANGES_2D, 2)
+        with pytest.raises(ValueError, match="consequents"):
+            dataclasses.replace(m, coeffs=m.coeffs[0])
+        good = json.loads(save_model(m, tmp_path).read_text())
+        assert_rejected(tmp_path / roles.BUNDLE_FILE,
+                        dict(good, consequents=good["consequents"][0]), match="consequents")
+
+    def test_input_ranges_must_be_pairs(self, tmp_path):
+        # one (low, high) pair per input
+        m = grid_partition_init(RANGES_2D, 2)
+        r = m.input_ranges
+        for ranges in (r[0], r[:1], np.column_stack([r, r[:, :1]])):
+            with pytest.raises(ValueError, match="input ranges"):
+                dataclasses.replace(m, input_ranges=ranges)
+        good = json.loads(save_model(m, tmp_path).read_text())
+        assert_rejected(tmp_path / roles.BUNDLE_FILE,
+                        dict(good, input_ranges=good["input_ranges"][0]), match="input ranges")
+
+    def test_version_mismatch_rejected(self, tmp_path):
+        assert_rejected(tmp_path / roles.BUNDLE_FILE, '{"format_version": 999}\n',
+                        match="version")
+
+    def test_malformed_json_rejected(self, tmp_path):
+        text = save_model(grid_partition_init(RANGES_2D, 2), tmp_path).read_text()
+        for bad in ("not json at all", text[:len(text) // 2]):
+            assert_rejected(tmp_path / roles.BUNDLE_FILE, bad)
+
+    def test_missing_fields_rejected(self, tmp_path):
+        # each of the model's entries dropped in turn; test_roles drops the
+        # bundle's own
+        good = json.loads(save_model(grid_partition_init(RANGES_2D, 2), tmp_path).read_text())
+        for key in ("mfs_per_input", "a", "b", "c", "consequents", "input_ranges"):
+            assert_rejected(tmp_path / roles.BUNDLE_FILE,
+                            {k: v for k, v in good.items() if k != key})
