@@ -3,25 +3,7 @@
 Rigid-body quaternion dynamics, sensor simulation, an optimized
 quaternion-feedback PID, Takagi-Sugeno neuro-fuzzy control and estimation
 trained from PID data, PWPF thruster modulation, and a Monte Carlo
-robustness harness.
+robustness harness.  The package root exports nothing: callers import the
+modules (satgnc.dynamics, satgnc.harness, ...), so importing one loads only
+what it needs.
 """
-
-from .config import (MonteCarloConfig, NOMINAL_INERTIA, SimConfig,
-                     UNCERTAIN_INERTIA, load_sim_config)
-from .dynamics import (AngularVelocity, BodyState, EulerAngles, InertiaTensor,
-                       Quaternion, Torque)
-from .harness import (Metrics, MonteCarloReport, RunRecord, compute_metrics,
-                      monte_carlo, run_closed_loop)
-from .pid import PidGains, optimize_gains
-from .sensors import CalendarInstant, GeoPosition, NoiseSpec
-
-__all__ = [
-    "AngularVelocity", "BodyState", "CalendarInstant", "EulerAngles",
-    "GeoPosition", "InertiaTensor", "Metrics", "MonteCarloConfig",
-    "MonteCarloReport", "NoiseSpec", "NOMINAL_INERTIA", "PidGains",
-    "Quaternion", "RunRecord", "SimConfig", "Torque", "UNCERTAIN_INERTIA",
-    "compute_metrics", "load_sim_config", "monte_carlo", "optimize_gains",
-    "run_closed_loop",
-]
-
-__version__ = "0.1.0"

@@ -21,7 +21,7 @@ import contextlib
 import contextvars
 import math
 import warnings
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 import scipy.linalg
@@ -102,7 +102,6 @@ class AnfisModel:
     c: np.ndarray
     coeffs: np.ndarray
     input_ranges: np.ndarray
-    metadata: dict = field(default_factory=dict)
 
     def __post_init__(self):
         mfs = self.mfs_per_input = tuple(int(m) for m in self.mfs_per_input)
@@ -137,8 +136,7 @@ class AnfisModel:
 
     def copy(self) -> "AnfisModel":
         return replace(self, a=self.a.copy(), b=self.b.copy(), c=self.c.copy(),
-                       coeffs=self.coeffs.copy(), input_ranges=self.input_ranges.copy(),
-                       metadata=dict(self.metadata))
+                       coeffs=self.coeffs.copy(), input_ranges=self.input_ranges.copy())
 
 
 @dataclass(frozen=True)
@@ -146,7 +144,6 @@ class TrainConfig:
     epochs: int = 20
     learning_rate: float = 0.01
     ridge: float = 1e-8
-    linear_prior: bool = True   # shrink consequents toward the global linear fit
 
     def __post_init__(self):
         if self.epochs < 1:
@@ -269,15 +266,12 @@ def linear_consequent_prior(model: AnfisModel, inputs: np.ndarray,
     return np.tile(beta, reps)
 
 
-def solve_consequents(a_mat: np.ndarray, targets: np.ndarray, ridge: float,
-                      prior: np.ndarray | None = None) -> np.ndarray:
-    """Ridge (or minimum-norm) linear solve shared by all output channels.
-
-    targets may be (N,) or (N, k); the result has matching trailing shape.
-    With a prior, the ridge penalty shrinks toward it instead of zero.
+def solve_consequents(a_mat: np.ndarray, targets: np.ndarray, ridge: float) -> np.ndarray:
+    """Ridge (or, at ridge 0, minimum-norm least-squares) solve of
+    a_mat @ sol = targets, shared by all output channels and shrunk toward
+    zero.  targets may be (N,) or (N, k); the result has matching trailing
+    shape.
     """
-    if prior is not None:
-        return prior + solve_consequents(a_mat, targets - a_mat @ prior, ridge)
     if ridge > 0.0:
         g = a_mat.T @ a_mat
         g[np.diag_indices_from(g)] += ridge
@@ -291,12 +285,13 @@ def solve_consequents(a_mat: np.ndarray, targets: np.ndarray, ridge: float,
     return sol
 
 
-def fit_consequents(model: AnfisModel, x, y, ridge: float,
-                    linear_prior: bool = True) -> tuple[np.ndarray, np.ndarray]:
+def fit_consequents(model: AnfisModel, x, y, ridge: float) -> tuple[np.ndarray, np.ndarray]:
     """Least-squares consequents of the (N, k) targets y for the model's
     premise: one ridge solve for all k channels, shrunk toward each
-    channel's global linear fit (linear_prior) or toward zero.  Returns the
-    (k, n_rules, n_inputs + 1) stack and the training RMSE of each channel.
+    channel's global linear fit (the prior plus solve_consequents' fit of
+    the prior's residual).  At ridge 0 on a full-rank system that is the
+    plain least-squares solve.  Returns the (k, n_rules, n_inputs + 1)
+    stack and the training RMSE of each channel.
     """
     x = np.atleast_2d(np.asarray(x, dtype=float))
     y = np.asarray(y, dtype=float)
@@ -310,8 +305,8 @@ def fit_consequents(model: AnfisModel, x, y, ridge: float,
         warnings.warn(f"{len(x)} samples for {n_params} consequent parameters; "
                       "the least-squares problem is underdetermined", stacklevel=2)
     a_mat = design_matrix(model, x)
-    prior = linear_consequent_prior(model, x, y).reshape(-1, k) if linear_prior else None
-    sol = solve_consequents(a_mat, y, ridge, prior)
+    prior = linear_consequent_prior(model, x, y).reshape(-1, k)
+    sol = prior + solve_consequents(a_mat, y - a_mat @ prior, ridge)
     coeffs = np.ascontiguousarray(sol.reshape(model.n_rules, -1, k).swapaxes(1, 2)).swapaxes(0, 1)
     resid = a_mat @ sol - y
     return coeffs, np.sqrt(np.mean(resid ** 2, axis=0))
@@ -370,8 +365,7 @@ def train(model: AnfisModel, x, y,
     lr = config.learning_rate
     prev_rmse = np.inf
     for epoch in range(config.epochs):
-        current.coeffs, channel_rmse = fit_consequents(current, x, y, config.ridge,
-                                                       config.linear_prior)
+        current.coeffs, channel_rmse = fit_consequents(current, x, y, config.ridge)
         rmse = float(np.sqrt(np.mean(channel_rmse ** 2)))
         if not np.isfinite(rmse):
             raise TrainingDivergedError(f"non-finite training loss at epoch {epoch}")
@@ -393,10 +387,4 @@ def train(model: AnfisModel, x, y,
                 current.a = np.maximum(current.a - step * ga, MIN_WIDTH)
                 current.b = np.maximum(current.b - step * gb, MIN_SLOPE)
                 current.c = current.c - step * gc
-    best_model.metadata.update({
-        "epochs": config.epochs,
-        "learning_rate": config.learning_rate,
-        "ridge": config.ridge,
-        "final_rmse": best_rmse,
-    })
     return best_model, history

@@ -39,6 +39,7 @@ UNCERTAIN_INERTIA = InertiaTensor(2.5, 4.0, 3.3)
 CONTROLLER_KINDS = ("pid", "anfis", "integrated")
 ESTIMATOR_KINDS = ("truth", "anfis")
 MODULATOR_KINDS = ("none", "pwpf")
+MAX_STEPS = 10 ** 6       # a run's record of 10^6 steps takes about 216 MB
 
 
 @dataclass(frozen=True)
@@ -67,8 +68,9 @@ class SimConfig:
             raise ValueError(f"dt must be positive and finite, got {self.dt}")
         if not self.dt <= self.duration < math.inf:
             raise ValueError(f"duration must be finite and cover one step, got {self.duration}")
-        if not math.isfinite(self.duration / self.dt):
-            raise ValueError(f"duration {self.duration} / dt {self.dt} is not a finite step count")
+        if not (steps := self.duration / self.dt) <= MAX_STEPS:
+            raise ValueError(f"duration {self.duration} / dt {self.dt} is not a finite step "
+                             f"count within MAX_STEPS = {MAX_STEPS:,}: {steps:,.0f} steps")
         for name in ("initial_euler", "initial_omega", "desired_euler", "disturbance_const",
                      "disturbance_amp", "disturbance_freq_hz"):
             value = getattr(self, name)

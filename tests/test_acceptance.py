@@ -115,8 +115,7 @@ def test_c04_synthetic_takagi_sugeno_recovered():
     x = rng.uniform(ranges[:, 0], ranges[:, 1], size=(500, 2))
     y = forward(truth, x)
     _, history = train(grid_partition_init(ranges, 3), x, y,
-                       TrainConfig(epochs=50, learning_rate=0.005, ridge=0.0,
-                                   linear_prior=False))
+                       TrainConfig(epochs=50, learning_rate=0.005, ridge=0.0))
     best = min(history)
     print(f"best RMSE {best:.3e} after {len(history)} epochs")
     assert best < 1e-6

@@ -205,8 +205,27 @@ class TestLse:
         m, ranges = random_model(rng)
         x = rng.uniform(ranges[:, 0], ranges[:, 1], size=(400, 2))
         y = 0.5 * x[:, 0] - 0.25 * x[:, 1] + 0.1
-        _, rmse = fit_consequents(m, x, y[:, None], ridge=1e-12, linear_prior=False)
+        _, rmse = fit_consequents(m, x, y[:, None], ridge=1e-12)
         assert rmse.shape == (1,) and rmse[0] < 1e-6
+
+    def test_ridge_zero_is_plain_least_squares(self):
+        # the shrinkage toward the linear prior moves nothing on a full-rank
+        # system at ridge 0 (c04's 3 x 3 grid, 500 samples, noisy targets):
+        # the fit is the paper's least-squares solve, to rounding (the
+        # design matrix's condition number is about 55)
+        rng = np.random.default_rng(10)
+        m = grid_partition_init(RANGES_2D, 3)
+        x = rng.uniform(RANGES_2D[:, 0], RANGES_2D[:, 1], size=(500, 2))
+        y = np.column_stack([np.sin(3.0 * x[:, 0]) * x[:, 1], x[:, 0] - x[:, 1] ** 2])
+        y += rng.normal(0.0, 0.1, y.shape)
+        a_mat = design_matrix(m, x)
+        sol, _, rank, _ = np.linalg.lstsq(a_mat, y, rcond=None)
+        assert rank == a_mat.shape[1] == 27
+        coeffs, rmse = fit_consequents(m, x, y, ridge=0.0)
+        want = sol.T.reshape(coeffs.shape)
+        np.testing.assert_allclose(coeffs, want, rtol=0.0, atol=1e-12 * np.abs(want).max())
+        np.testing.assert_allclose(rmse, np.sqrt(np.mean((a_mat @ sol - y) ** 2, axis=0)),
+                                   rtol=1e-12)
 
     def test_design_matrix_consistent_with_forward(self):
         rng = np.random.default_rng(6)
@@ -323,8 +342,7 @@ class TestTrain:
         x = rng.uniform(RANGES_2D[:, 0], RANGES_2D[:, 1], size=(500, 2))
         y = forward(truth, x)
         model, history = train(grid_partition_init(RANGES_2D, 3), x, y,
-                               TrainConfig(epochs=50, learning_rate=0.005,
-                                           ridge=0.0, linear_prior=False))
+                               TrainConfig(epochs=50, learning_rate=0.005, ridge=0.0))
         assert min(history) < 1e-6
         assert len(history) == 50
 
@@ -392,12 +410,12 @@ class TestPersistence:
         rng = np.random.default_rng(14)
         m, ranges = random_model(rng, n_inputs=3, mfs=3)
         m = AnfisModel(m.mfs_per_input, m.a, m.b, m.c, rng.normal(size=(3,) + m.coeffs.shape[1:]),
-                       m.input_ranges, {"note": "fixture"})
+                       m.input_ranges)
         back = pickle.loads(pickle.dumps(m))
         assert back.coeffs.swapaxes(0, 1).flags.c_contiguous
         for name in ("a", "b", "c", "coeffs", "input_ranges"):
             assert getattr(back, name).tobytes() == getattr(m, name).tobytes(), name
-        assert back.metadata == m.metadata and back.mfs_per_input == m.mfs_per_input
+        assert back.mfs_per_input == m.mfs_per_input
         x = rng.uniform(ranges[:, 0], ranges[:, 1], size=(50, 3))
         assert forward(back, x).tobytes() == forward(m, x).tobytes()
         for row in x[:10]:

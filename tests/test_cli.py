@@ -351,6 +351,18 @@ class TestDiagnostics:
         assert err.startswith("error: duration 1.0 / dt 1e-320") and "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["simulate", "tune-pid"])
+    def test_step_count_over_limit_rejected(self, tmp_path, capsys, command):
+        # 2e10 steps: simulate failed allocating a 447 GiB record, and
+        # tune-pid ran on for hours
+        cfg, out = tmp_path / "bad.ini", tmp_path / "out"
+        cfg.write_text("[simulation]\ndt = 1e-9\nduration = 20.0\n")
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            "error: duration 20.0 / dt 1e-09 is not a finite step count within "
+            "MAX_STEPS = 1,000,000: 20,000,000,000 steps\n")
+        assert not out.exists()
+
     def test_unwritable_output_fails(self, workdir, tmp_path, capsys):
         # an --out that names a directory
         assert main(["simulate", "--config", cfg_path(workdir), "--out", str(tmp_path)]) == 1

@@ -9,8 +9,8 @@ from pathlib import Path
 import pytest
 from hypothesis import given, reject, settings, strategies as st
 
-from satgnc.config import (CONTROLLER_KINDS, ESTIMATOR_KINDS, LAYOUT, MODULATOR_KINDS,
-                           MonteCarloConfig, NOMINAL_INERTIA, SimConfig,
+from satgnc.config import (CONTROLLER_KINDS, ESTIMATOR_KINDS, LAYOUT, MAX_STEPS,
+                           MODULATOR_KINDS, MonteCarloConfig, NOMINAL_INERTIA, SimConfig,
                            UNCERTAIN_INERTIA, dump_sim_config, load_sim_config,
                            parse_sim_config)
 from satgnc.dynamics import AngularVelocity, EulerAngles, InertiaTensor, Torque
@@ -35,10 +35,13 @@ CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 def sim_configs(draw):
     """Random valid run configurations, edge values included."""
     dt = draw(POSITIVE)
+    duration = max(dt, draw(POSITIVE))
+    if not duration / dt <= MAX_STEPS:      # over the limit: draw a step count within it
+        duration = dt * draw(st.floats(1.0, MAX_STEPS / 2))
     u_off = draw(POSITIVE)
     try:
         return SimConfig(
-            dt=dt, duration=max(dt, draw(POSITIVE)),
+            dt=dt, duration=duration,
             seed=draw(st.integers(-2 ** 63, 2 ** 63)),
             inertia_true=InertiaTensor(*draw(st.tuples(POSITIVE, POSITIVE, POSITIVE))),
             initial_euler=EulerAngles(*draw(TRIPLES)),
@@ -92,6 +95,14 @@ class TestSimConfig:
         # a subnormal dt overflows duration / dt; the step count was int(round(inf))
         with pytest.raises(ValueError, match=r"duration 1\.0 / dt 1e-320 is not a finite step"):
             SimConfig(dt=1e-320, duration=1.0)
+
+    def test_step_count_within_limit(self):
+        # 2e10 steps failed allocating a 447 GiB record, or tuned for hours
+        assert SimConfig(dt=2e-5, duration=20.0).n_steps == MAX_STEPS
+        for dt, steps in ((1e-9, "20,000,000,000"), (1.9999e-5, "1,000,050")):
+            with pytest.raises(ValueError, match=rf"duration 20\.0 / dt {dt} is not a finite "
+                               rf"step count within MAX_STEPS = 1,000,000: {steps} steps"):
+                SimConfig(dt=dt, duration=20.0)
 
     def test_duration_must_cover_one_step(self):
         with pytest.raises(ValueError):

@@ -244,7 +244,6 @@ class TestSensorBundles:
             assert doc["input_names"] == list(names)
             assert "input_columns" not in doc
             assert sorted(doc["metadata"]) == ["holdout_rmse", "train_rmse"]
-            assert bundle.model.metadata == {}
             assert bundle.input_columns == (
                 tuple(SENSOR_CHANNELS.index(n) for n in names) if role != "controller"
                 else None)
