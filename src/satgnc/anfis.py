@@ -24,7 +24,6 @@ import warnings
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
-import scipy.linalg
 
 __all__ = [
     "AnfisModel",
@@ -122,6 +121,9 @@ class AnfisModel:
             raise ValueError(f"consequents of shape {self.coeffs.shape} are not a "
                              f"(k, {self.n_rules}, {len(mfs) + 1}) stack of rule tables")
         self.coeffs = np.ascontiguousarray(self.coeffs.swapaxes(0, 1)).swapaxes(0, 1)
+        for name in ("a", "b", "c", "coeffs", "input_ranges"):
+            if not np.isfinite(getattr(self, name)).all():
+                raise ValueError(f"the model's {name} hold non-finite values")
 
     def __reduce__(self):     # through the constructor, which lays the stack out rule-major
         return AnfisModel, tuple(getattr(self, f.name) for f in fields(self))
@@ -273,6 +275,7 @@ def solve_consequents(a_mat: np.ndarray, targets: np.ndarray, ridge: float) -> n
     shape.
     """
     if ridge > 0.0:
+        import scipy.linalg     # here, not at import: only a fit solves, and runs do not fit
         g = a_mat.T @ a_mat
         g[np.diag_indices_from(g)] += ridge
         rhs = a_mat.T @ targets

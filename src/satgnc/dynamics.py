@@ -251,12 +251,15 @@ def quat_to_euler(q) -> np.ndarray:
 
 
 def quaternion_error(q: Quaternion, qc: Quaternion) -> Quaternion:
-    """Error quaternion: rotation from the commanded attitude qc to the current q.
+    """Error quaternion: rotation from the commanded attitude qc to the current q,
+    in the hemisphere of nonnegative scalar part, the shorter way round (a NaN
+    scalar part is negated too).
 
     Coincident attitudes give the identity (0, 0, 0, 1); with qc = identity the
-    error is q itself.
+    error is q, or -q when q's scalar part is negative.
     """
-    return quat_multiply(q, qc.conjugate())
+    e = quat_multiply(q, (-qc[0], -qc[1], -qc[2], qc[3]))    # qc's conjugate: no Quaternion built
+    return e if e.q4 >= 0.0 else Quaternion(-e.q1, -e.q2, -e.q3, -e.q4)
 
 
 def kinetic_energy(state: BodyState, inertia: InertiaTensor) -> float:

@@ -15,7 +15,6 @@ never read back.  Tuning and campaigns keep a RunSummary.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from functools import partial
 
@@ -25,7 +24,7 @@ from . import anfis, pwpf as pwpf_mod
 from .config import (NOMINAL_INERTIA, UNCERTAIN_INERTIA, MonteCarloConfig, SimConfig,
                      dump_sim_config)
 from .dynamics import (BodyState, InertiaTensor, IntegrationDivergedError, Torque,
-                       euler_to_quat, integrate_step, quat_multiply, quat_to_euler)
+                       euler_to_quat, integrate_step, quat_to_euler, quaternion_error)
 from .pid import PidGains, PidState, pid_step
 from .roles import (INERTIA_RANGE, ROLES, SENSOR_ROLES, EstimateInvalidError, RoleBundle,
                     _random_conditions, anfis_control, anfis_estimate, anfis_integrated,
@@ -150,7 +149,7 @@ def run_closed_loop(config: SimConfig, gains: PidGains | None = None,
     round to the commanded attitude.
     """
     n, dt = config.n_steps, config.dt
-    qc_conj = euler_to_quat(config.desired_euler).conjugate()
+    qc = euler_to_quat(config.desired_euler)
 
     if config.controller == "pid" and gains is None:
         raise ValueError("PID run requires gains")
@@ -178,8 +177,7 @@ def run_closed_loop(config: SimConfig, gains: PidGains | None = None,
 
         q_hat, w_hat = anfis_estimate(est_bundle, row) if est_bundle else (q, w)
 
-        qe = quat_multiply(q_hat, qc_conj)      # quaternion_error, one conjugate per run
-        qe_vec = (qe.q1, qe.q2, qe.q3) if qe.q4 >= 0.0 else (-qe.q1, -qe.q2, -qe.q3)
+        qe_vec = quaternion_error(q_hat, qc)[:3]
 
         if config.controller == "pid":
             mc, mc_raw = pid_step(qe_vec, w_hat, pid_state, gains, dt)
@@ -345,6 +343,7 @@ def monte_carlo(mc: MonteCarloConfig, gains: PidGains | None = None,
     """
     run = partial(_mc_final_error, mc, gains, bundles)
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor  # here: a serial campaign needs no pool
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(run, range(mc.n_runs), chunksize=8))
     else:

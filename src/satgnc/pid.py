@@ -19,7 +19,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .dynamics import Torque
 
@@ -72,7 +71,6 @@ class PidState:
     """Integral accumulators; int_qe in seconds, int_w in radians."""
     int_qe: list[float] = field(default_factory=lambda: [0.0, 0.0, 0.0])
     int_w: list[float] = field(default_factory=lambda: [0.0, 0.0, 0.0])
-    saturated: list[bool] = field(default_factory=lambda: [False, False, False])
 
 
 def pid_raw(qe_vec: Sequence[float], w: Sequence[float],
@@ -94,9 +92,7 @@ def pid_step(qe_vec: Sequence[float], w: Sequence[float],
     """
     raw = pid_raw(qe_vec, w, state, gains)
     for i in range(3):
-        sat = abs(raw[i]) > gains.mc_max
-        state.saturated[i] = sat
-        if not sat:
+        if not abs(raw[i]) > gains.mc_max:
             state.int_qe[i] += dt * qe_vec[i]
             state.int_w[i] += dt * w[i]
     return saturate(raw, gains.mc_max), raw
@@ -147,6 +143,7 @@ def optimize_gains(objective: Callable[[PidGains], float], initial: PidGains,
     """
     if budget < 50:
         raise ValueError("evaluation budget must be at least 50")
+    from scipy.optimize import minimize     # here, not at import: only tuning searches
     history: list[float] = []
     best = {"x": initial.to_vector(), "j": np.inf}
 

@@ -167,6 +167,11 @@ class RoleDataset:
             raise ValueError(f"{path}, the {role} role's dataset: expected channels "
                              f"{', '.join(spec.inputs + spec.outputs)}, found {', '.join(names)}")
         data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+        bad = np.argwhere(~np.isfinite(data))
+        if len(bad):        # the header is line 1, so data row i is line i + 2
+            i, j = bad[0]
+            raise ValueError(f"{path}, the {role} role's dataset: line {i + 2}, channel "
+                             f"{header[j]}: non-finite value {data[i, j]}")
         return RoleDataset(data[:, 1:n_inputs + 1], data[:, n_inputs + 1:],
                            data[:, 0].astype(np.intp), names[:n_inputs], names[n_inputs:])
 

@@ -19,13 +19,13 @@ from satgnc.anfis import (AnfisModel, TrainConfig, bell, design_matrix,
                           train)
 
 RANGES_2D = np.array([[-1.0, 1.0], [-2.0, 2.0]])
-FLOATS = st.floats(allow_nan=False)       # -0.0, subnormals and infinities too
+FLOATS = st.floats(allow_nan=False, allow_infinity=False)   # -0.0 and subnormals too
 
 
 @st.composite
 def models(draw):
-    """Any model a bundle file can hold: 1-4 inputs of 2-4 MFs, any premise
-    and consequent values, and a stack of 1-3 consequent tables."""
+    """Any model a bundle file can hold: 1-4 inputs of 2-4 MFs, any finite
+    premise and consequent values, and a stack of 1-3 consequent tables."""
     mfs = tuple(draw(st.lists(st.integers(2, 4), min_size=1, max_size=4)))
     stack = (draw(st.integers(1, 3)), int(np.prod(mfs)), len(mfs) + 1)
     return AnfisModel(

@@ -152,6 +152,22 @@ class TestGenDataAndTrain:
         assert "expected channels" in err and "found" in err
         assert not (tmp_path / "bundle").exists()
 
+    @pytest.mark.parametrize("channel, value", [("mc3", "nan"), ("gyro_x", "inf")])
+    def test_train_rejects_non_finite_dataset(self, workdir, tmp_path, capfd, channel, value):
+        # one bad target or input ends train in one line naming the file, before
+        # a fit writes NaN consequents or LAPACK prints its complaints
+        lines = (workdir / "integrated.csv").read_text().split("\n")
+        cells = lines[3].split(",")
+        cells[lines[0].split(",").index(channel)] = value
+        lines[3] = ",".join(cells)
+        path = tmp_path / "bad.csv"
+        path.write_text("\n".join(lines))
+        assert main(["train", "--config", cfg_path(workdir), "--role", "integrated",
+                     "--data", str(path), "--out", str(tmp_path / "bundle")]) == 1
+        assert capfd.readouterr().err == (f"error: {path}, the integrated role's dataset: "
+                                          f"line 4, channel {channel}: non-finite value {value}\n")
+        assert not (tmp_path / "bundle").exists()
+
     def test_diverging_teacher_fails(self, tmp_path, capsys):
         # gains that diverge from every start end gen-data, not loop in it
         cfg = tmp_path / "run.ini"

@@ -185,12 +185,27 @@ class TestQuaternionError:
         q = random_quaternion(rng)
         qe = quaternion_error(q, q)
         assert np.asarray(qe[:3]) == pytest.approx(np.zeros(3), abs=1e-15)
-        assert abs(qe.q4) == pytest.approx(1.0, abs=1e-15)
+        assert qe.q4 == pytest.approx(1.0, abs=1e-15)
 
     def test_identity_command_returns_state(self):
+        # q, or -q (the same attitude) when q's scalar part is negative
         rng = np.random.default_rng(6)
-        q = random_quaternion(rng)
-        assert quaternion_error(q, Quaternion.identity()) == pytest.approx(q)
+        for _ in range(10):
+            q = random_quaternion(rng)
+            want = q if q.q4 >= 0.0 else Quaternion(-q.q1, -q.q2, -q.q3, -q.q4)
+            assert quaternion_error(q, Quaternion.identity()) == pytest.approx(want)
+
+    def test_nonnegative_hemisphere_of_the_product(self):
+        # q * conj(qc), negated whole when its scalar part is negative, bit for bit
+        rng = np.random.default_rng(8)
+        signs = set()
+        for _ in range(50):
+            q, qc = random_quaternion(rng), random_quaternion(rng)
+            e = quat_multiply(q, qc.conjugate())
+            sign = 1.0 if e.q4 >= 0.0 else -1.0
+            signs.add(sign)
+            assert quaternion_error(q, qc) == tuple(sign * v for v in e)
+        assert signs == {1.0, -1.0}
 
     def test_error_maps_command_to_state(self):
         rng = np.random.default_rng(7)

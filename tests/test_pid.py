@@ -123,7 +123,6 @@ class TestControlLaw:
         # axis 1 saturates (kp * 1.0 = -2.0 beyond the bound), axis 2 does not
         mc, raw = pid_step((1.0, 0.01, 0.0), (0.0, 0.0, 0.0), state, GAINS, 0.01)
         assert mc.m1 == -1.0 and raw.m1 == -2.0
-        assert state.saturated[0] is True
         assert state.int_qe[0] == 0.0
         assert state.int_qe[1] == pytest.approx(0.0001)
 
@@ -131,7 +130,6 @@ class TestControlLaw:
         # every run starts from a fresh state: cleared, and sharing no lists
         a, b = PidState(), PidState()
         assert a.int_qe == a.int_w == [0.0, 0.0, 0.0]
-        assert a.saturated == [False, False, False]
         pid_step((1.0, 0.01, 0.0), (0.0, 0.2, 0.0), a, GAINS, 0.01)
         assert b == PidState() != a
 

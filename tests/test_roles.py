@@ -30,19 +30,20 @@ QUICK_GAINS = PidGains(kp=(-3.0, -5.2, -6.0), kd=(-3.0, -5.2, -6.0),
 # a short scenario with the default sensor noise
 SENSOR_BASE = SimConfig(duration=2.0, seed=3, noise=NoiseSpec())
 FLOATS = st.floats(allow_nan=False)       # -0.0, subnormals and infinities too
+FINITE = st.floats(allow_nan=False, allow_infinity=False)    # a model's values
 METADATA = st.dictionaries(st.text(max_size=4), FLOATS | st.text(max_size=4), max_size=3)
 
 
 @st.composite
 def role_bundles(draw):
     """Any bundle a file can hold: 1-4 inputs of 2-4 MFs, named by sensor
-    channels for a sensor role, 1-3 output channels, any premise and
+    channels for a sensor role, 1-3 output channels, any finite premise and
     consequent values, any finite positive torque bound, and metadata."""
     mfs = tuple(draw(st.lists(st.integers(2, 4), min_size=1, max_size=4)))
     n_in, k = len(mfs), draw(st.integers(1, 3))
     model = AnfisModel(
-        mfs, *(draw(arrays(np.float64, sum(mfs), elements=FLOATS)) for _ in "abc"),
-        coeffs=draw(arrays(np.float64, (k, int(np.prod(mfs)), n_in + 1), elements=FLOATS)),
+        mfs, *(draw(arrays(np.float64, sum(mfs), elements=FINITE)) for _ in "abc"),
+        coeffs=draw(arrays(np.float64, (k, int(np.prod(mfs)), n_in + 1), elements=FINITE)),
         # finite, so the bundle's envelope arithmetic stays finite
         input_ranges=draw(arrays(np.float64, (n_in, 2), elements=st.floats(-1e300, 1e300))))
     role = draw(st.sampled_from(tuple(roles.ROLES)))
@@ -379,6 +380,24 @@ class TestBundlePersistence:
             with pytest.raises(ValueError, match="bundle file") as exc:
                 load_bundle(d)
             assert str(path) in str(exc.value)
+
+    def test_non_finite_model_rejected(self, tmp_path, controller_art):
+        # a NaN consequent makes every run of the bundle diverge; a NaN holdout
+        # RMSE (a one-run dataset holds none out) is metadata, and loads
+        d = tmp_path / "ctrl"
+        save_bundle(controller_art["bundle"], d)
+        path = d / roles.BUNDLE_FILE
+        good = json.loads(path.read_text())
+        for key, value in (("consequents", math.nan), ("a", math.inf),
+                           ("c", math.nan), ("input_ranges", -math.inf)):
+            values = np.array(good[key])
+            values.flat[1] = value
+            path.write_text(json.dumps(dict(good, **{key: values.tolist()})))
+            with pytest.raises(ValueError, match="hold non-finite values") as exc:
+                load_bundle(d)
+            assert str(path) in str(exc.value)
+        path.write_text(json.dumps(dict(good, metadata={"holdout_rmse": [math.nan] * 3})))
+        assert math.isnan(load_bundle(d).metadata["holdout_rmse"][0])
 
     @pytest.mark.filterwarnings("ignore:.*training envelope")
     def test_shared_premise_fast_path_matches_generic(self, bundles):

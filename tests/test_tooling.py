@@ -7,9 +7,11 @@ its per-layer metrics drop out of the benchmark's report.  It counts the
 steps of every run by len() of what run_closed_loop returns, a record or a
 RunSummary.  perfbench/run.py reads the bundle directories train writes
 with load_bundle, and the datasets gen-data writes with its own reader.
+tools/cmdtime.py times whole commands as child processes in two trees.
 """
 
 import importlib.util
+import json
 from pathlib import Path
 
 import numpy as np
@@ -21,11 +23,13 @@ from satgnc.config import NOMINAL_INERTIA, MonteCarloConfig, SimConfig
 from satgnc.pid import default_initial_gains, save_gains
 from satgnc.roles import load_bundle
 
-PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+ROOT = Path(__file__).resolve().parents[1]
+PERFBENCH = ROOT / "perfbench"
 
 
-def load_perfbench(name: str):
-    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
+def load_perfbench(name: str, directory: Path = PERFBENCH):
+    spec = importlib.util.spec_from_file_location(f"{directory.name}_{name}",
+                                                  directory / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -61,6 +65,7 @@ def test_traced_runs_count_every_sample_flown():
     assert totals["counts"]["harness.steps"] == flown == 3 * 101 + 51
     assert totals["calls"]["harness.run_closed_loop"] == runs
     assert totals["calls"]["pid.pid_step"] == flown
+    assert totals["calls"]["dynamics.quaternion_error"] == flown
     assert totals["calls"]["dynamics.integrate_step"] == flown - runs
 
 
@@ -87,3 +92,22 @@ def test_benchmark_reads_trained_bundles(tmp_path, monkeypatch):
         assert pred.shape == y.shape and held.sum() == len(held) // 2
         assert checks.check_rmse(pred[held], y[held], bundle.mc_max) == pytest.approx(
             max(bundle.metadata["holdout_rmse"]), rel=1e-12)
+
+
+def test_cmdtime_pairs_each_command(tmp_path, capsys):
+    # tools/cmdtime.py, this tree against itself: two timed pairs of a short
+    # simulation, each child's wall time and peak RSS; a failing command is named
+    cmdtime = load_perfbench("cmdtime", ROOT / "tools")
+    save_gains(default_initial_gains(NOMINAL_INERTIA), tmp_path / "gains.ini")
+    (tmp_path / "run.ini").write_text("[simulation]\nduration = 0.2\n\n"
+                                      "[artifacts]\ngains_file = gains.ini\n")
+    argv = [str(ROOT), "--pairs", "2", "--cwd", str(tmp_path)]
+    assert cmdtime.main(argv + ["simulate --config run.ini --out r.csv"]) == 0
+    (result,) = json.loads(capsys.readouterr().out)["commands"]
+    assert result["command"] == "simulate --config run.ini --out r.csv"
+    assert len(result["pair_ratios"]) == 2 and set(result["median_s"]) == {"this", "other"}
+    for side in ("this", "other"):
+        assert len(result["wall_s"][side]) == len(result["peak_rss_mb"][side]) == 2
+        assert min(result["peak_rss_mb"][side]) > 1.0
+    with pytest.raises(SystemExit, match="missing.ini"):
+        cmdtime.main(argv + ["simulate --config missing.ini"])
