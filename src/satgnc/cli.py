@@ -68,9 +68,8 @@ def cmd_simulate(args) -> int:
 
 def cmd_tune_pid(args) -> int:
     cfg = _load_config(args)
-    initial = default_initial_gains(NOMINAL_INERTIA, args.mc_max)
-    result = optimize_gains(tuning_objective(cfg), initial, budget=args.budget,
-                            bounds=default_gain_bounds(NOMINAL_INERTIA))
+    result = optimize_gains(tuning_objective(cfg), default_initial_gains(NOMINAL_INERTIA),
+                            budget=args.budget, bounds=default_gain_bounds(NOMINAL_INERTIA))
     out = args.out or (cfg.gains_file or "gains.ini")
     Path(out).parent.mkdir(parents=True, exist_ok=True)     # as train makes its bundle_dir
     save_gains(result.gains, out, extra={
@@ -100,9 +99,8 @@ def cmd_gen_data(args) -> int:
 def cmd_train(args) -> int:
     cfg = _load_config(args)
     ds = roles.RoleDataset.from_csv(args.data, args.role)  # FileNotFoundError if missing
-    # the torque bound comes from the gains that gen-data's teacher ran with;
     # train_* is looked up by name at call time, so a wrapper swapped in is called
-    bundle = getattr(roles, f"train_{args.role}")(ds, _load_run_gains(cfg).mc_max)
+    bundle = getattr(roles, f"train_{args.role}")(ds)
     out = args.out or (str(Path(cfg.bundle_dir) / args.role) if cfg.bundle_dir
                        else args.role)
     roles.save_bundle(bundle, out)
@@ -158,8 +156,6 @@ def build_parser() -> argparse.ArgumentParser:
     common(sp, seed_help="recorded in the gains file only: tuning runs are noise-free")
     sp.add_argument("--budget", type=int, default=500,
                     help="simulation evaluation budget")
-    sp.add_argument("--mc-max", type=float, default=1.0, dest="mc_max",
-                    help="torque saturation bound, N*m")
     sp.set_defaults(func=cmd_tune_pid)
 
     sp = sub.add_parser("gen-data", help="generate a training dataset")

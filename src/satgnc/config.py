@@ -68,6 +68,8 @@ class SimConfig:
             raise ValueError(f"dt must be positive and finite, got {self.dt}")
         if not self.dt <= self.duration < math.inf:
             raise ValueError(f"duration must be finite and cover one step, got {self.duration}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be a non-negative integer, got {self.seed}")
         if not (steps := self.duration / self.dt) <= MAX_STEPS:
             raise ValueError(f"duration {self.duration} / dt {self.dt} is not a finite step "
                              f"count within MAX_STEPS = {MAX_STEPS:,}: {steps:,.0f} steps")

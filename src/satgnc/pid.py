@@ -2,8 +2,9 @@
 
 The control moment is a per-axis sum of four terms -- proportional on the
 error-quaternion vector part, derivative on body rate, and integrals of
-both -- clamped to a symmetric torque bound.  Integrators freeze on any
-axis whose unsaturated command exceeds the bound (anti-windup).
+both -- clamped to the actuator's torque bound, MC_MAX, which the PID and
+the trained roles share.  Integrators freeze on any axis whose unsaturated
+command exceeds the bound (anti-windup).
 
 Gains are tuned by a derivative-free simplex search over the 12 stacked
 per-axis gains, minimizing the trajectory cost J = integral of
@@ -23,6 +24,7 @@ import numpy as np
 from .dynamics import Torque
 
 __all__ = [
+    "MC_MAX",
     "PidGains",
     "PidState",
     "OptimizationResult",
@@ -35,21 +37,19 @@ __all__ = [
     "GAINS_FORMAT_VERSION",
 ]
 
-GAINS_FORMAT_VERSION = 1
+GAINS_FORMAT_VERSION = 2
+MC_MAX = 1.0      # the actuator's torque bound, N*m, per axis
 
 
 @dataclass(frozen=True)
 class PidGains:
-    """Per-axis gain 3-vectors for the four control terms, plus the torque bound."""
+    """Per-axis gain 3-vectors for the four control terms."""
     kp: tuple[float, float, float]
     kd: tuple[float, float, float]
     kq: tuple[float, float, float] = (0.0, 0.0, 0.0)
     kw: tuple[float, float, float] = (0.0, 0.0, 0.0)
-    mc_max: float = 1.0
 
     def __post_init__(self):
-        if not (math.isfinite(self.mc_max) and self.mc_max > 0.0):
-            raise ValueError(f"mc_max must be finite and positive, got {self.mc_max}")
         for name in ("kp", "kd", "kq", "kw"):
             v = getattr(self, name)
             if len(v) != 3 or not all(math.isfinite(g) for g in v):
@@ -59,11 +59,11 @@ class PidGains:
         return np.array(self.kp + self.kd + self.kq + self.kw)
 
     @staticmethod
-    def from_vector(v: Sequence[float], mc_max: float) -> "PidGains":
+    def from_vector(v: Sequence[float]) -> "PidGains":
         v = tuple(float(x) for x in v)
         if len(v) != 12:
             raise ValueError("gain vector must have 12 entries")
-        return PidGains(v[0:3], v[3:6], v[6:9], v[9:12], mc_max)
+        return PidGains(v[0:3], v[3:6], v[6:9], v[9:12])
 
 
 @dataclass
@@ -92,19 +92,19 @@ def pid_step(qe_vec: Sequence[float], w: Sequence[float],
     """
     raw = pid_raw(qe_vec, w, state, gains)
     for i in range(3):
-        if not abs(raw[i]) > gains.mc_max:
+        if not abs(raw[i]) > MC_MAX:
             state.int_qe[i] += dt * qe_vec[i]
             state.int_w[i] += dt * w[i]
-    return saturate(raw, gains.mc_max), raw
+    return saturate(raw), raw
 
 
-def saturate(command: Sequence[float], mc_max: float) -> Torque:
-    """The actuator's torque: each axis of command clamped to +/-mc_max; a NaN
+def saturate(command: Sequence[float]) -> Torque:
+    """The actuator's torque: each axis of command clamped to +/-MC_MAX; a NaN
     axis stays NaN, so the run diverges and counts as failed."""
     v1, v2, v3 = command
-    return Torque(mc_max if v1 > mc_max else -mc_max if v1 < -mc_max else v1,
-                  mc_max if v2 > mc_max else -mc_max if v2 < -mc_max else v2,
-                  mc_max if v3 > mc_max else -mc_max if v3 < -mc_max else v3)
+    return Torque(MC_MAX if v1 > MC_MAX else -MC_MAX if v1 < -MC_MAX else v1,
+                  MC_MAX if v2 > MC_MAX else -MC_MAX if v2 < -MC_MAX else v2,
+                  MC_MAX if v3 > MC_MAX else -MC_MAX if v3 < -MC_MAX else v3)
 
 
 @dataclass
@@ -148,7 +148,7 @@ def optimize_gains(objective: Callable[[PidGains], float], initial: PidGains,
     best = {"x": initial.to_vector(), "j": np.inf}
 
     def wrapped(x: np.ndarray) -> float:
-        j = objective(PidGains.from_vector(x, initial.mc_max))
+        j = objective(PidGains.from_vector(x))
         if not np.isfinite(j):
             j = np.inf
         history.append(j)
@@ -166,14 +166,14 @@ def optimize_gains(objective: Callable[[PidGains], float], initial: PidGains,
                  options={"maxfev": remaining, "xatol": 1e-6, "fatol": 1e-9,
                           "adaptive": True})
     return OptimizationResult(
-        gains=PidGains.from_vector(best["x"], initial.mc_max),
+        gains=PidGains.from_vector(best["x"]),
         cost=float(best["j"]),
         history=history,
         n_evaluations=len(history),
     )
 
 
-def default_initial_gains(inertia, mc_max: float = 1.0) -> PidGains:
+def default_initial_gains(inertia) -> PidGains:
     """Stabilizing starting point for the gain search.
 
     Scales proportional/derivative gains with the principal inertias so the
@@ -182,7 +182,7 @@ def default_initial_gains(inertia, mc_max: float = 1.0) -> PidGains:
     """
     kp = tuple(-2.0 * i for i in inertia)
     kd = tuple(-2.0 * i for i in inertia)
-    return PidGains(kp, kd, (-0.01, -0.01, -0.01), (-0.01, -0.01, -0.01), mc_max)
+    return PidGains(kp, kd, (-0.01, -0.01, -0.01), (-0.01, -0.01, -0.01))
 
 
 def save_gains(gains: PidGains, path, extra: dict | None = None) -> None:
@@ -193,7 +193,6 @@ def save_gains(gains: PidGains, path, extra: dict | None = None) -> None:
     for name in ("kp", "kd", "kq", "kw"):
         for axis, v in zip("xyz", getattr(gains, name)):
             sec[f"{name}_{axis}"] = repr(v)
-    sec["mc_max"] = repr(gains.mc_max)
     cp["gains"] = sec
     if extra:
         cp["tuning"] = {k: repr(v) for k, v in extra.items()}
@@ -213,7 +212,7 @@ def load_gains(path) -> PidGains:
         g = cp["gains"]
         def vec(name):
             return tuple(float(g[f"{name}_{axis}"]) for axis in "xyz")
-        return PidGains(vec("kp"), vec("kd"), vec("kq"), vec("kw"), float(g["mc_max"]))
+        return PidGains(vec("kp"), vec("kd"), vec("kq"), vec("kw"))
     except (configparser.Error, KeyError, ValueError) as exc:
         what = f"missing {exc}" if isinstance(exc, KeyError) else exc
         raise ValueError(f"malformed gains file {path}: {what}") from exc

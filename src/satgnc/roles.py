@@ -36,7 +36,7 @@ from .anfis import AnfisModel
 from .config import NOMINAL_INERTIA, SimConfig
 from .dynamics import (AngularVelocity, EulerAngles, IntegrationDivergedError, Quaternion,
                        Torque)
-from .pid import PidGains, saturate
+from .pid import MC_MAX, PidGains, saturate
 from .sensors import SENSOR_CHANNELS, NoiseSpec, sensor_rows
 
 __all__ = [
@@ -59,7 +59,7 @@ __all__ = [
     "load_bundle",
 ]
 
-BUNDLE_FORMAT_VERSION = 3
+BUNDLE_FORMAT_VERSION = 4
 BUNDLE_FILE = "bundle.json"
 
 CONTROLLER_CHANNELS = ("qe1", "qe2", "qe3", "w1", "w2", "w3")
@@ -184,13 +184,13 @@ class RoleBundle:
     model: AnfisModel
     input_names: tuple[str, ...]
     output_names: tuple[str, ...]
-    mc_max: float = 1.0
     metadata: dict = field(default_factory=dict)
+    # not a field: every bundle saturates at the one actuator bound; kept
+    # under this name for the benchmark's mimicry check, which reads it
+    mc_max = MC_MAX
 
     def __post_init__(self):
         m = self.model
-        if not (math.isfinite(self.mc_max) and self.mc_max > 0.0):
-            raise ValueError(f"{self.role} bundle: mc_max {self.mc_max} is not a finite bound > 0")
         if (len(m.coeffs), len(self.input_names)) != (len(self.output_names), m.n_inputs):
             raise ValueError(f"{self.role} bundle holds {len(m.coeffs)} consequent tables for "
                              f"its {len(self.output_names)} outputs and names "
@@ -329,27 +329,27 @@ def role_view(data: RoleDataset, role: str) -> RoleDataset:
     return RoleDataset(data.inputs, data.targets[:, cols], data.run_ids, data.input_names, outputs)
 
 
-def train_controller(data: RoleDataset, mc_max: float) -> RoleBundle:
+def train_controller(data: RoleDataset) -> RoleBundle:
     """Three torque channels fit on (q_e, w)."""
-    return _train_role(data, "controller", mc_max)
+    return _train_role(data, "controller")
 
 
-def train_estimator(data: RoleDataset, mc_max: float) -> RoleBundle:
+def train_estimator(data: RoleDataset) -> RoleBundle:
     """Seven state channels fit on the selected sensor inputs."""
-    return _train_role(data, "estimator", mc_max)
+    return _train_role(data, "estimator")
 
 
-def train_integrated(data: RoleDataset, mc_max: float) -> RoleBundle:
+def train_integrated(data: RoleDataset) -> RoleBundle:
     """Three torque channels fit on the selected sensor inputs."""
-    return _train_role(data, "integrated", mc_max)
+    return _train_role(data, "integrated")
 
 
-def _train_role(data: RoleDataset, role: str, mc_max: float) -> RoleBundle:
+def _train_role(data: RoleDataset, role: str) -> RoleBundle:
     """The one training path: a run-wise holdout split, a strided cap of
     MAX_TRAIN_ROWS training rows, and one fit of the role's outputs on the
     input channels it names: fixed grid premises over the padded input
     ranges, shared by all channels, and consequents shrunk toward each
-    channel's global linear fit.  mc_max: the teacher gains' torque bound."""
+    channel's global linear fit."""
     spec = ROLES[role]
     columns = _positions(data.input_names, spec.inputs, f"the {role} role's dataset")
     train_ds, hold_ds = data.split_by_run()
@@ -361,8 +361,7 @@ def _train_role(data: RoleDataset, role: str, mc_max: float) -> RoleBundle:
     pad = np.maximum(1e-6, 0.05 * (hi - lo))
     model = anfis.grid_partition_init(np.column_stack([lo - pad, hi + pad]), MFS_PER_INPUT)
     model.coeffs, rmse = anfis.fit_consequents(model, x, y, spec.ridge)
-    bundle = RoleBundle(role, model, spec.inputs, spec.outputs, float(mc_max),
-                        {"train_rmse": rmse.tolist()})
+    bundle = RoleBundle(role, model, spec.inputs, spec.outputs, {"train_rmse": rmse.tolist()})
     if len(hold_ds):
         err = bundle.predict_batch(hold_ds.inputs[:, columns]) - hold_ds.targets
         holdout_rmse = [float(np.sqrt(np.mean(e ** 2))) for e in err.T]
@@ -373,10 +372,10 @@ def _train_role(data: RoleDataset, role: str, mc_max: float) -> RoleBundle:
 
 
 def anfis_control(bundle: RoleBundle, qe_vec, w) -> Torque:
-    """Per-axis forward pass on (q_e, w), saturated to the training torque bound."""
+    """Per-axis forward pass on (q_e, w), saturated to the actuator's bound."""
     if bundle.role != "controller":
         raise ValueError(f"expected a controller bundle, got {bundle.role!r}")
-    return saturate(bundle.predict((*qe_vec, *w)).tolist(), bundle.mc_max)
+    return saturate(bundle.predict((*qe_vec, *w)).tolist())
 
 
 def anfis_estimate(bundle: RoleBundle, row) -> tuple[Quaternion, AngularVelocity]:
@@ -396,7 +395,7 @@ def anfis_integrated(bundle: RoleBundle, row) -> Torque:
     """Sensor row straight to saturated control torque."""
     if bundle.role != "integrated":
         raise ValueError(f"expected an integrated bundle, got {bundle.role!r}")
-    return saturate(bundle.predict([row[i] for i in bundle.input_columns]).tolist(), bundle.mc_max)
+    return saturate(bundle.predict([row[i] for i in bundle.input_columns]).tolist())
 
 
 def save_bundle(bundle: RoleBundle, dirpath) -> None:
@@ -410,7 +409,6 @@ def save_bundle(bundle: RoleBundle, dirpath) -> None:
         "role": bundle.role,
         "input_names": list(bundle.input_names),
         "output_names": list(bundle.output_names),
-        "mc_max": bundle.mc_max,
         "mfs_per_input": list(m.mfs_per_input),
         "input_ranges": m.input_ranges.tolist(),
         "a": m.a.tolist(), "b": m.b.tolist(), "c": m.c.tolist(),
@@ -433,7 +431,7 @@ def load_bundle(dirpath) -> RoleBundle:
         model = AnfisModel(doc["mfs_per_input"], doc["a"], doc["b"], doc["c"],
                            doc["consequents"], doc["input_ranges"])
         return RoleBundle(doc["role"], model, tuple(doc["input_names"]),
-                          tuple(doc["output_names"]), float(doc["mc_max"]), doc["metadata"])
+                          tuple(doc["output_names"]), doc["metadata"])
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"{path} is not a version-{BUNDLE_FORMAT_VERSION} bundle file: "
                          f"{exc!r}") from exc

@@ -195,9 +195,9 @@ def sensor_noise(noise: NoiseSpec, seed: int, n: int) -> list:
     its inertial reference) and the gyro's, three Python floats each, or None
     for a zero-sigma sensor.  One standard-normal block holds what per-step
     draws would give, so a run's first n samples draw the same for any length."""
-    # for a seed >= 0, the stream of earlier versions, which gave the noise
-    # a second seed equal to the run's; abs() lets a negative seed run too
-    rng = np.random.default_rng([seed & 0x7FFFFFFF, abs(seed)])
+    # the stream of earlier versions, which gave the noise a second seed
+    # equal to the run's (SimConfig refuses a negative seed)
+    rng = np.random.default_rng([seed & 0x7FFFFFFF, seed])
     drawn = [sigma > 0.0 for sigma in (noise.sigma_mag, noise.sigma_sun, noise.sigma_gyro)]
     scales = (noise.sigma_mag * _B_NORM, noise.sigma_sun * _SUN_NORM, noise.sigma_gyro)
     blocks = iter(rng.standard_normal((n, sum(drawn), 3)).transpose(1, 0, 2))

@@ -35,7 +35,7 @@ def controller_art(tuned):
     """Teacher dataset and trained torque-mimicry bundle."""
     data = roles.generate_controller_data(tuned["gains"], base=SimConfig(seed=7))
     t0 = time.perf_counter()
-    bundle = roles.train_controller(data, tuned["gains"].mc_max)
+    bundle = roles.train_controller(data)
     seconds = time.perf_counter() - t0
     return {"data": data, "bundle": bundle, "seconds": seconds}
 
@@ -47,9 +47,8 @@ def sensor_art(tuned):
     estimation-accuracy checks."""
     noisy = roles.generate_sensor_data(tuned["gains"],
                                        base=SimConfig(seed=11, noise=NoiseSpec()))
-    mc_max = tuned["gains"].mc_max
-    estimator = roles.train_estimator(roles.role_view(noisy, "estimator"), mc_max)
-    integrated = roles.train_integrated(roles.role_view(noisy, "integrated"), mc_max)
+    estimator = roles.train_estimator(roles.role_view(noisy, "estimator"))
+    integrated = roles.train_integrated(roles.role_view(noisy, "integrated"))
     clean = roles.role_view(roles.generate_sensor_data(
         tuned["gains"], base=SimConfig(seed=13, noise=NoiseSpec(0.0, 0.0, 0.0))), "estimator")
     return {"data": noisy, "estimator": estimator, "integrated": integrated,

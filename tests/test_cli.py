@@ -114,28 +114,20 @@ class TestGenDataAndTrain:
         match, mismatch, errors = filecmp.cmpfiles(b1, b2, files, shallow=False)
         assert mismatch == [] and errors == []
 
-    def test_train_keeps_tuned_torque_bound(self, tmp_path):
-        # the bundle saturates at the bound the teacher's gains were tuned with
-        cfg = tmp_path / "run.ini"
-        cfg.write_text(MINI_CONFIG.format(gains=tmp_path / "gains.ini",
-                                          bundles=tmp_path / "bundles"))
-        data = tmp_path / "controller.csv"
-        for argv in (["tune-pid", "--budget", "50", "--mc-max", "0.5"],
-                     ["gen-data", "--role", "controller", "--runs", "2",
-                      "--out", str(data)],
-                     ["train", "--role", "controller", "--data", str(data)]):
-            assert main(argv[:1] + ["--config", str(cfg)] + argv[1:]) == 0
-        doc = json.loads((tmp_path / "bundles" / "controller" / roles.BUNDLE_FILE).read_text())
-        assert doc["mc_max"] == 0.5
-
-    def test_train_without_gains_file_fails(self, workdir, tmp_path, capsys):
+    def test_train_needs_no_gains_file(self, workdir, tmp_path):
+        # the fit reads the dataset alone: the bound is the actuator's, so
+        # a config with no gains_file trains the same bundle
         cfg = tmp_path / "run.ini"
         cfg.write_text("[simulation]\nduration = 2.0\n")
-        rc = main(["train", "--config", str(cfg), "--role", "controller",
-                   "--data", str(workdir / "controller.csv"),
-                   "--out", str(tmp_path / "bundle")])
-        assert rc == 1
-        assert "config has no gains_file" in capsys.readouterr().err
+        out = tmp_path / "bundle"
+        assert main(["train", "--config", str(cfg), "--role", "controller",
+                     "--data", str(workdir / "controller.csv"), "--out", str(out)]) == 0
+        assert main(["train", "--config", cfg_path(workdir), "--role", "controller",
+                     "--data", str(workdir / "controller.csv"),
+                     "--out", str(tmp_path / "with_gains")]) == 0
+        doc = (out / roles.BUNDLE_FILE).read_text()
+        assert doc == (tmp_path / "with_gains" / roles.BUNDLE_FILE).read_text()
+        assert "mc_max" not in json.loads(doc)
 
     @pytest.mark.parametrize("role, data", [
         ("estimator", "controller"), ("integrated", "estimator"), ("controller", "estimator"),
@@ -169,10 +161,12 @@ class TestGenDataAndTrain:
         assert not (tmp_path / "bundle").exists()
 
     def test_diverging_teacher_fails(self, tmp_path, capsys):
-        # gains that diverge from every start end gen-data, not loop in it
+        # gains that diverge from every start at a 1 s step end gen-data,
+        # not loop in it
         cfg = tmp_path / "run.ini"
-        cfg.write_text(MINI_CONFIG.format(gains=tmp_path / "gains.ini", bundles=""))
-        save_gains(PidGains(kp=(1e6,) * 3, kd=(1e6,) * 3, mc_max=1e9), tmp_path / "gains.ini")
+        cfg.write_text(MINI_CONFIG.format(gains=tmp_path / "gains.ini", bundles="").replace(
+            "dt = 0.01\nduration = 2.0", "dt = 1.0\nduration = 20.0"))
+        save_gains(PidGains(kp=(1e6,) * 3, kd=(1e6,) * 3), tmp_path / "gains.ini")
         with pytest.warns(UserWarning, match="redrawn"):
             rc = main(["gen-data", "--config", str(cfg), "--role", "controller",
                        "--runs", "2", "--out", str(tmp_path / "c.csv")])
@@ -314,14 +308,50 @@ class TestDiagnostics:
         assert exc.value.code != 0
         assert f"error: argument {flag}: must be at least 1, got " in capsys.readouterr().err
 
-    def test_infinite_torque_bound_rejected(self, workdir, tmp_path, capsys):
-        # an infinite bound would let every command through unclamped
+    def test_torque_bound_is_not_an_option(self, workdir, tmp_path, capsys):
+        # the bound is the actuator's, pid.MC_MAX; tune-pid takes none
         out = tmp_path / "gains.ini"
-        assert main(["tune-pid", "--config", cfg_path(workdir), "--mc-max", "inf",
-                     "--out", str(out)]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: mc_max must be finite and positive")
+        with pytest.raises(SystemExit) as exc:
+            main(["tune-pid", "--config", cfg_path(workdir), "--mc-max", "1",
+                  "--out", str(out)])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --mc-max 1" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("command, extra", [
+        ("simulate", []), ("tune-pid", ["--budget", "50"]),
+        ("gen-data", ["--role", "controller", "--runs", "1"]), ("evaluate", []),
+        ("monte-carlo", ["--runs", "1"])])
+    def test_negative_seed_rejected(self, workdir, tmp_path, capsys, command, extra):
+        # numpy's "expected non-negative integer" named no setting, and
+        # simulate ran the sensor noise of the seed's absolute value
+        out = tmp_path / "out"
+        assert main([command, "--config", cfg_path(workdir), "--seed", "-1", *extra,
+                     "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "error: seed must be a non-negative integer, got -1\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("old", ["gains version 1", "bundle version 3"])
+    def test_earlier_format_names_file(self, workdir, tmp_path, capsys, old):
+        # files of the format that carried a torque bound (mc_max) are
+        # refused, so one tuned at another bound never flies at MC_MAX unnoticed
+        gains, bundles = tmp_path / "gains.ini", tmp_path / "bundles"
+        shutil.copy(workdir / "gains.ini", gains)
+        shutil.copytree(workdir / "bundles", bundles)
+        if old == "gains version 1":
+            path = gains
+            text = gains.read_text().replace("version = 2", "version = 1")
+            gains.write_text(text.replace("[gains]\n", "[gains]\nmc_max = 1.0\n"))
+        else:
+            path = bundles / "controller" / roles.BUNDLE_FILE
+            doc = json.loads(path.read_text())
+            path.write_text(json.dumps(dict(doc, format_version=3, mc_max=1.0)))
+        cfg = tmp_path / "run.ini"
+        cfg.write_text(MINI_CONFIG.format(gains=gains, bundles=bundles))
+        assert main(["evaluate", "--config", str(cfg), "--out", str(tmp_path / "t.txt")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and str(path) in err and "version" in err
+        assert "Traceback" not in err and err.count("\n") == 1
 
     @pytest.mark.parametrize("section, key, value", [
         ("simulation", "duration", "inf"), ("simulation", "dt", "nan"),

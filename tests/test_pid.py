@@ -7,12 +7,12 @@ import numpy as np
 import pytest
 
 from satgnc.dynamics import Torque
-from satgnc.pid import (GAINS_FORMAT_VERSION, PidGains, PidState,
+from satgnc.pid import (GAINS_FORMAT_VERSION, MC_MAX, PidGains, PidState,
                         default_gain_bounds, default_initial_gains, load_gains,
                         optimize_gains, pid_raw, pid_step, saturate, save_gains)
 
 GAINS = PidGains(kp=(-2.0, -2.0, -2.0), kd=(-1.0, -1.0, -1.0),
-                 kq=(-0.1, -0.1, -0.1), kw=(-0.05, -0.05, -0.05), mc_max=1.0)
+                 kq=(-0.1, -0.1, -0.1), kw=(-0.05, -0.05, -0.05))
 
 
 class TestSaturate:
@@ -32,27 +32,29 @@ class TestSaturate:
         assert raw == Torque(-3.0, 3.0, 0.2)
 
     def test_invalid_bound(self):
-        with pytest.raises(ValueError):
-            PidGains(GAINS.kp, GAINS.kd, mc_max=0.0)
+        # the bound is the actuator's, MC_MAX, not a setting of the gains
+        assert MC_MAX == 1.0
+        with pytest.raises(TypeError, match="mc_max"):
+            PidGains(GAINS.kp, GAINS.kd, mc_max=0.5)
 
     def test_nan_passes_through(self):
         # a NaN command is not a full negative torque: it stays NaN, so the
         # run diverges and is counted as failed
         for command in ([math.nan, 0.3, -2.0], np.array([math.nan, 0.3, -2.0])):
-            mc = saturate(command, 0.5)
-            assert math.isnan(mc[0]) and mc[1:] == (0.3, -0.5)
+            mc = saturate(command)
+            assert math.isnan(mc[0]) and mc[1:] == (0.3, -1.0)
 
     def test_matches_min_max_clamp(self):
-        # every other value clamps as min(mc_max, max(-mc_max, v)) does
-        values = [-math.inf, -2.0, -0.5, -0.49999999999999994, -0.0, 0.0, 1e-300,
-                  0.5, 0.5000000000000001, 3.0, math.inf]
+        # every other value clamps as min(MC_MAX, max(-MC_MAX, v)) does
+        values = [-math.inf, -2.0, -1.0, -0.9999999999999999, -0.0, 0.0, 1e-300,
+                  1.0, 1.0000000000000002, 3.0, math.inf]
         for v in values:
-            assert saturate((v, v, v), 0.5) == (min(0.5, max(-0.5, v)),) * 3
+            assert saturate((v, v, v)) == (min(MC_MAX, max(-MC_MAX, v)),) * 3
 
 
-def generator_saturate(command, mc_max):
+def generator_saturate(command):
     """saturate as it was written, with a generator expression: the reference."""
-    return Torque(*(mc_max if v > mc_max else -mc_max if v < -mc_max else v for v in command))
+    return Torque(*(MC_MAX if v > MC_MAX else -MC_MAX if v < -MC_MAX else v for v in command))
 
 
 def generator_pid_raw(qe_vec, w, state, gains):
@@ -68,17 +70,17 @@ class TestWrittenOut:
     generator forms bit for bit."""
 
     def test_saturate_equals_generator_form(self):
-        values = [math.nan, -math.inf, math.inf, -0.5, 0.5, -0.5000000000000001,
-                  0.5000000000000001, -0.49999999999999994, -0.0, 0.0, 1e-300, -3.0, 3.0]
+        values = [math.nan, -math.inf, math.inf, -1.0, 1.0, -1.0000000000000002,
+                  1.0000000000000002, -0.9999999999999999, -0.0, 0.0, 1e-300, -3.0, 3.0]
         for command in itertools.product(values, repeat=3):
-            got, want = saturate(command, 0.5), generator_saturate(command, 0.5)
+            got, want = saturate(command), generator_saturate(command)
             assert type(got) is Torque
             assert np.array(got).tobytes() == np.array(want).tobytes(), command
 
     def test_pid_raw_equals_generator_form(self):
         rng = np.random.default_rng(3)
         for _ in range(200):
-            gains = PidGains.from_vector(rng.normal(size=12), 1.0)
+            gains = PidGains.from_vector(rng.normal(size=12))
             state = PidState(rng.normal(size=3).tolist(), rng.normal(size=3).tolist())
             qe, w = rng.normal(size=3).tolist(), rng.normal(size=3).tolist()
             assert (np.array(pid_raw(qe, w, state, gains)).tobytes()
@@ -138,17 +140,11 @@ class TestGainsType:
     def test_vector_round_trip(self):
         v = GAINS.to_vector()
         assert len(v) == 12
-        assert PidGains.from_vector(v, GAINS.mc_max) == GAINS
+        assert PidGains.from_vector(v) == GAINS
 
     def test_bad_vector_length(self):
         with pytest.raises(ValueError):
-            PidGains.from_vector(np.zeros(11), 1.0)
-
-    def test_invalid_mc_max(self):
-        # saturate would pass every command through an infinite or NaN bound
-        for mc_max in (0.0, math.inf, math.nan, -math.inf):
-            with pytest.raises(ValueError, match="mc_max must be finite and positive"):
-                PidGains((-1.0,) * 3, (-1.0,) * 3, mc_max=mc_max)
+            PidGains.from_vector(np.zeros(11))
 
     def test_non_finite_gain_rejected(self):
         with pytest.raises(ValueError):

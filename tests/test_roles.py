@@ -19,7 +19,7 @@ from satgnc.anfis import AnfisModel
 from satgnc.config import SimConfig
 from satgnc.dynamics import AngularVelocity, IntegrationDivergedError, Quaternion, Torque
 from satgnc.harness import final_euler_error, run_closed_loop
-from satgnc.pid import PidGains, saturate
+from satgnc.pid import MC_MAX, PidGains, PidState, pid_step, saturate
 from satgnc.roles import (EstimateInvalidError, RoleBundle,
                           RoleDataset, anfis_control, anfis_estimate,
                           anfis_integrated, load_bundle, save_bundle)
@@ -38,7 +38,7 @@ METADATA = st.dictionaries(st.text(max_size=4), FLOATS | st.text(max_size=4), ma
 def role_bundles(draw):
     """Any bundle a file can hold: 1-4 inputs of 2-4 MFs, named by sensor
     channels for a sensor role, 1-3 output channels, any finite premise and
-    consequent values, any finite positive torque bound, and metadata."""
+    consequent values, and metadata."""
     mfs = tuple(draw(st.lists(st.integers(2, 4), min_size=1, max_size=4)))
     n_in, k = len(mfs), draw(st.integers(1, 3))
     model = AnfisModel(
@@ -50,7 +50,6 @@ def role_bundles(draw):
     names = (draw(st.permutations(SENSOR_CHANNELS))[:n_in] if role in roles.SENSOR_ROLES
              else [f"x{i}" for i in range(n_in)])
     return RoleBundle(role, model, tuple(names), tuple(f"y{j}" for j in range(k)),
-                      draw(st.floats(0.0, exclude_min=True, allow_infinity=False)),
                       draw(METADATA))
 
 
@@ -112,17 +111,18 @@ class TestDataGeneration:
         np.testing.assert_array_equal(a.targets, b.targets)
 
     def test_diverging_teacher_gives_up(self):
-        # gains that diverge from every start: a bounded number of redraws,
-        # then an error that says how many diverged
-        bad = PidGains(kp=(1e6, 1e6, 1e6), kd=(1e6, 1e6, 1e6), mc_max=1e9)
-        with pytest.warns(UserWarning, match="redrawn"), pytest.raises(
-                IntegrationDivergedError, match=f"^{roles.MAX_DIVERGED_DRAWS} teacher runs"):
-            roles.generate_controller_data(bad, 2, SimConfig(duration=2.0))
+        # gains that diverge from every start at a 1 s step: a bounded number
+        # of redraws, then an error that says how many diverged
+        bad = PidGains(kp=(1e6, 1e6, 1e6), kd=(1e6, 1e6, 1e6))
+        for generate in (roles.generate_controller_data, roles.generate_sensor_data):
+            with pytest.warns(UserWarning, match="redrawn"), pytest.raises(
+                    IntegrationDivergedError, match=f"^{roles.MAX_DIVERGED_DRAWS} teacher runs"):
+                generate(bad, 2, SimConfig(dt=1.0, duration=20.0))
 
     def test_targets_are_unsaturated_commands(self):
         # aggressive gains from a large error exceed the clamp in the record
         ds = roles.generate_controller_data(QUICK_GAINS, 3, SimConfig(duration=2.0, seed=1))
-        assert np.max(np.abs(ds.targets)) > QUICK_GAINS.mc_max
+        assert np.max(np.abs(ds.targets)) > MC_MAX
 
     def test_sensor_data_channels(self):
         ds = roles.generate_sensor_data(QUICK_GAINS, 2, SENSOR_BASE)
@@ -163,6 +163,28 @@ class TestDataGeneration:
             assert set(spec.outputs) <= set(ds.target_names), role
 
 
+@pytest.mark.parametrize("source", ["pid", "controller", "integrated"])
+def test_clamps_at_mc_max(source):
+    # the PID teacher and both torque roles drive one actuator: a command of
+    # (5, -5, 0.5) N*m comes out as (MC_MAX, -MC_MAX, 0.5)
+    want = (MC_MAX, -MC_MAX, 0.5)
+    if source == "pid":
+        gains = PidGains(kp=(-10.0,) * 3, kd=(0.0,) * 3)
+        mc, raw = pid_step((-0.5, 0.5, -0.05), (0.0, 0.0, 0.0), PidState(), gains, 0.01)
+        assert raw == Torque(5.0, -5.0, 0.5) and mc == want
+        return
+    # a bundle whose every rule outputs the command, whatever it reads
+    inputs = roles.ROLES[source].inputs
+    model = anfis.grid_partition_init(np.tile([-1.0, 1.0], (len(inputs), 1)), 2)
+    model.coeffs = np.zeros((3,) + model.coeffs.shape[1:])
+    model.coeffs[:, :, -1] = np.array([5.0, -5.0, 0.5])[:, None]
+    bundle = RoleBundle(source, model, inputs, roles.TORQUE_CHANNELS)
+    got = (anfis_control(bundle, (0.1, 0.0, -0.1), (0.0, 0.01, 0.0)) if source == "controller"
+           else anfis_integrated(bundle, [0.1] * len(SENSOR_CHANNELS)))
+    # the unclamped axis is the rules' normalized sum, to rounding
+    assert got[:2] == want[:2] and got[2] == pytest.approx(0.5, abs=1e-15)
+
+
 class TestControllerBundle:
     def test_mimicry_and_shape(self, controller_art):
         bundle = controller_art["bundle"]
@@ -173,7 +195,7 @@ class TestControllerBundle:
     def test_control_saturates_to_bound(self, controller_art):
         bundle = controller_art["bundle"]
         mc = anfis_control(bundle, (0.9, -0.9, 0.9), (0.1, -0.1, 0.1))
-        assert all(abs(v) <= bundle.mc_max for v in mc)
+        assert all(abs(v) <= MC_MAX for v in mc)
 
     def test_role_mismatch_rejected(self, controller_art, sensor_art):
         with pytest.raises(ValueError, match="controller"):
@@ -217,8 +239,7 @@ class TestSensorBundles:
         bundle = sensor_art["estimator"]
         model = bundle.model.copy()
         model.coeffs[0:4] = 0.0
-        broken = RoleBundle("estimator", model, bundle.input_names,
-                            bundle.output_names, bundle.mc_max)
+        broken = RoleBundle("estimator", model, bundle.input_names, bundle.output_names)
         with pytest.raises(EstimateInvalidError):
             anfis_estimate(broken, np.ones(15) * 0.1)
 
@@ -231,7 +252,7 @@ class TestSensorBundles:
         bundle = sensor_art["integrated"]
         out = anfis_integrated(bundle, np.ones(15))
         assert isinstance(out, Torque)
-        assert all(abs(v) <= bundle.mc_max for v in out)
+        assert all(abs(v) <= MC_MAX for v in out)
 
     def test_bundle_file_names_inputs_only(self, bundles, tmp_path):
         # a bundle file says what its bundle reads by name alone; the bundle
@@ -267,7 +288,6 @@ class TestSensorBundles:
         # nine body-frame and gyro channels, before the sensor roles dropped
         # two, and one on today's seven.  Each goes through its bundle file
         # and flies, reading the channels its input_names name from the row
-        mc_max = tuned["gains"].mc_max
         data = sensor_art["data"]
         rng = np.random.default_rng(0)
         for cols in ((0, 1, 2, 3, 4, 5, 12, 13, 14), (0, 1, 4, 5, 12, 13, 14)):
@@ -284,14 +304,14 @@ class TestSensorBundles:
                     beta.T[:, None, :], (beta.shape[1], model.n_rules, len(cols) + 1)))
                 d = tmp_path / f"{len(cols)}" / role
                 save_bundle(RoleBundle(role, model, tuple(SENSOR_CHANNELS[i] for i in cols),
-                                       view.target_names, mc_max), d)
+                                       view.target_names), d)
                 bundles[role] = load_bundle(d)
                 assert bundles[role].input_columns == cols
                 for row in data.inputs[rng.choice(len(data), 5)]:
                     y = np.append(row[list(cols)], 1.0) @ beta
                     if role == "integrated":
                         got = anfis_integrated(bundles[role], row)
-                        want = saturate(y, mc_max)
+                        want = saturate(y)
                     else:
                         q, w = anfis_estimate(bundles[role], row)
                         got, want = (*q, *w), np.append(y[:4] / np.linalg.norm(y[:4]), y[4:])
@@ -312,7 +332,6 @@ class TestBundlePersistence:
             loaded = load_bundle(tmp_path / role)
             assert loaded.role == bundle.role
             assert loaded.output_names == bundle.output_names
-            assert loaded.mc_max == bundle.mc_max
             assert loaded.metadata == bundle.metadata
             r = bundle.model.input_ranges
             x = rng.uniform(r[:, 0] - 0.5 * (r[:, 1] - r[:, 0]), r[:, 1], size=(100, len(r)))
@@ -338,7 +357,6 @@ class TestBundlePersistence:
         for name in ("role", "input_names", "output_names", "input_columns", "metadata"):
             assert getattr(loaded, name) == getattr(bundle, name), name
         assert loaded.model.mfs_per_input == bundle.model.mfs_per_input
-        assert np.float64(loaded.mc_max).tobytes() == np.float64(bundle.mc_max).tobytes()
 
     def test_missing_bundle_file(self, tmp_path):
         # no directory, and a directory in the earlier two-file format
@@ -371,10 +389,8 @@ class TestBundlePersistence:
         save_bundle(controller_art["bundle"], d)
         path = d / roles.BUNDLE_FILE
         good = json.loads(path.read_text())
-        # a NaN or infinite torque bound would let anfis_control pass every command unclamped
-        docs = [dict(good, mc_max=v) for v in (None, math.nan, math.inf, -0.5)]
-        docs += [{k: v for k, v in good.items() if k != key}
-                 for key in ("role", "input_names", "output_names", "mc_max", "metadata")]
+        docs = [{k: v for k, v in good.items() if k != key}
+                for key in ("role", "input_names", "output_names", "metadata")]
         for bad in [json.dumps(doc) for doc in docs] + ["[]", "{"]:
             path.write_text(bad)
             with pytest.raises(ValueError, match="bundle file") as exc:
@@ -470,8 +486,7 @@ class TestBundlePersistence:
                     q, w = anfis_estimate(bundle, row)
                     got = (*q, *w)
                 else:
-                    m = bundle.mc_max
-                    want = tuple(min(m, max(-m, float(v))) for v in y)
+                    want = tuple(min(MC_MAX, max(-MC_MAX, float(v))) for v in y)
                     got = (anfis_integrated(bundle, row) if role == "integrated"
                            else anfis_control(bundle, tuple(xn[:3]), tuple(xn[3:])))
                 assert all(type(v) is float for v in got)
@@ -498,14 +513,14 @@ class TestBundlePersistence:
         model.b[:] = 50.0
         model.coeffs = np.zeros((3,) + model.coeffs.shape[1:])
         model.coeffs[:, :, -1] = [[1.0, 3.0], [-2.0, 0.0], [0.5, 0.25]]
-        integrated = RoleBundle("integrated", model, ("gyro_x",), roles.TORQUE_CHANNELS, 1.5)
+        integrated = RoleBundle("integrated", model, ("gyro_x",), roles.TORQUE_CHANNELS)
         row = [0.0] * len(SENSOR_CHANNELS)
         row[SENSOR_CHANNELS.index("gyro_x")] = 1e9
         model = anfis.grid_partition_init(np.tile([-1.0, 1.0], (6, 1)), 2)
         model.b[0] = 50.0
         model.coeffs = np.random.default_rng(8).normal(0.0, 1e-5, (3,) + model.coeffs.shape[1:])
         controller = RoleBundle("controller", model, roles.CONTROLLER_CHANNELS,
-                                roles.TORQUE_CHANNELS, 1.0)
+                                roles.TORQUE_CHANNELS)
         qe, w = (1e4, 0.1, -0.2), (0.05, -0.05, 0.0)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
@@ -514,8 +529,8 @@ class TestBundlePersistence:
             batch = controller.predict_batch(np.array([(*qe, *w)]))[0]
         assert not [c for c in caught if issubclass(c.category, RuntimeWarning)]
         assert far == 0.0 and anfis.bell(qe[0], model.a[1], model.b[1], model.c[1]) > 0.0
-        assert torques[0] == (1.5, -1.0, 0.375)
-        assert [v.hex() for v in torques[1]] == [v.hex() for v in saturate(batch.tolist(), 1.0)]
+        assert torques[0] == (MC_MAX, -1.0, 0.375)
+        assert [v.hex() for v in torques[1]] == [v.hex() for v in saturate(batch.tolist())]
 
     def test_mismatched_channels_rejected(self, tmp_path):
         # the consequent stack holds one table per output channel
